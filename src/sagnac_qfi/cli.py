@@ -1,35 +1,23 @@
-"""Command-line interface.
+"""Command-line interface: parse arguments, run one subcommand, map exit codes.
 
-Exit codes: 0 on success, 2 for configuration or validation problems, 3 when
-a physics cross-check fails (closed form vs general form, or an oracle
-identity).  All output is deterministic for a fixed config and seed.
+Every run and every output format lives in `scan`.  Exit codes: 0 on success,
+2 for configuration or validation problems, 3 when a physics cross-check
+fails (closed form vs general form, or an oracle identity).  All output is
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .exceptions import (
-    ConfigError,
-    ConsistencyError,
-    ProfileError,
-    SizeGuardError,
-    TruncationError,
-)
-from .model import DrivingProfile, coefficients, derive_constants
-from .qfi import generator_spec, qfi_commensurate, qfi_difference, qfi_general
+from .exceptions import ConsistencyError, SagnacQfiError
 from .scan import (
-    CSV_HEADER,
-    ScanConfig,
-    _compute_row,
-    _correlations_for,
-    _echo_lines,
+    format_result,
     load_config,
-    result_to_json,
-    rows_to_csv,
+    run_coeffs,
     run_oracle_check,
+    run_qfi,
     run_scan_alpha,
     run_scan_n,
     run_scan_tau,
@@ -75,114 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pairs_csv(pairs: list[tuple[str, object]], cfg: ScanConfig) -> str:
-    from .scan import _fmt
-
-    lines = _echo_lines(cfg)
-    lines.append("key,value")
-    lines.extend(f"{key},{_fmt(value)}" for key, value in pairs)
-    return "\n".join(lines) + "\n"
-
-
-def _pairs_json(pairs: list[tuple[str, object]]) -> str:
-    import json
-
-    payload = {"version": CSV_HEADER.lstrip("# ")}
-    payload.update({key: value for key, value in pairs})
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _coeff_pairs(cfg: ScanConfig) -> list[tuple[str, object]]:
-    params = cfg.params()
-    tau, omega_p = cfg.resolve_tau()
-    constants = derive_constants(params)
-    profile = DrivingProfile.constant_for(tau)
-    coeffs = coefficients(params, profile, tau)
-    return [
-        ("tau", tau),
-        ("omega_p", omega_p),
-        ("omega_tau", params.trap_frequency * tau),
-        ("t_c", constants.t_c),
-        ("t_s", constants.t_s),
-        ("sagnac_phase", constants.sagnac_phase),
-        ("oscillator_length", constants.oscillator_length),
-        ("characteristic_momentum", constants.characteristic_momentum),
-        ("reduced_radius", constants.reduced_radius),
-        ("c0", coeffs.c0),
-        ("c1_re", coeffs.c1.real),
-        ("c1_im", coeffs.c1.imag),
-        ("c2", coeffs.c2),
-        ("eta_up_re", coeffs.eta_up.real),
-        ("eta_up_im", coeffs.eta_up.imag),
-        ("eta_down_re", coeffs.eta_down.real),
-        ("eta_down_im", coeffs.eta_down.imag),
-        ("phi_up", coeffs.phi_up),
-        ("phi_down", coeffs.phi_down),
-    ]
-
-
-def _qfi_pairs(cfg: ScanConfig) -> list[tuple[str, object]]:
-    params = cfg.params()
-    tau, _ = cfg.resolve_tau()
-    n_particles = cfg["n_particles"]
-    constants = derive_constants(params)
-    profile = DrivingProfile.constant_for(tau)
-    coeffs = coefficients(params, profile, tau)
-    alpha = cfg.alpha()
-
-    row = _compute_row(tau, cfg, params, tau, n_particles)
-    corr = _correlations_for(cfg, coeffs.c1)
-    gen = generator_spec(constants, coeffs, n_particles)
-    breakdown = qfi_general(corr, gen, constants)
-    comparison = qfi_difference(alpha, n_particles, constants, coeffs)
-
-    pairs: list[tuple[str, object]] = [
-        ("state_kind", cfg["state.kind"]),
-        ("n_particles", n_particles),
-        ("f_partial", row["f_partial"]),
-        ("f_global", row["f_global"]),
-        ("f_general", row["f_general"]),
-        ("beta", breakdown.beta),
-        ("gamma", breakdown.gamma),
-        ("lambda1", breakdown.lambda1),
-        ("lambda2", breakdown.lambda2),
-        ("lambda3", breakdown.lambda3),
-        ("heisenberg_fraction", breakdown.heisenberg_fraction),
-        ("difference_global_minus_partial", comparison.difference),
-        ("global_verdict", comparison.verdict),
-        ("qcrb_bound_time2", 1.0 / row["f_general"] if row["f_general"] > 0 else math.inf),
-    ]
-    omega_tau = params.trap_frequency * tau
-    cycles = omega_tau / (2.0 * math.pi)
-    if abs(cycles - round(cycles)) < 1e-9 and round(cycles) >= 1:
-        pairs.append(("f_commensurate", qfi_commensurate(n_particles, params)))
-    return pairs
-
-
-def _scan_output(result: dict, cfg: ScanConfig, fmt: str) -> str:
-    if fmt == "json":
-        return result_to_json(result, cfg)
-    return rows_to_csv(result["rows"], cfg, extra=result["summary"])
-
-
-def _oracle_output(report: dict, cfg: ScanConfig, fmt: str) -> str:
-    if fmt == "json":
-        import json
-
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    lines = _echo_lines(cfg, {"seed": report["seed"], "n_max": report["n_max"]})
-    lines.append("name,error,tolerance,passed")
-    from .scan import _fmt
-
-    for item in report["identities"]:
-        lines.append(
-            f"{item['name']},{_fmt(item['error'])},{_fmt(item['tolerance'])},"
-            f"{_fmt(item['passed'])}"
-        )
-    lines.append(f"# all_passed = {_fmt(report['all_passed'])}")
-    return "\n".join(lines) + "\n"
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -195,43 +75,29 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
-        if args.command == "coeffs":
-            pairs = _coeff_pairs(cfg)
-            text = _pairs_json(pairs) if args.format == "json" else _pairs_csv(pairs, cfg)
-        elif args.command == "qfi":
-            pairs = _qfi_pairs(cfg)
-            text = _pairs_json(pairs) if args.format == "json" else _pairs_csv(pairs, cfg)
-        elif args.command == "scan-n":
-            text = _scan_output(run_scan_n(cfg), cfg, args.format)
-        elif args.command == "scan-alpha":
-            text = _scan_output(run_scan_alpha(cfg), cfg, args.format)
-        elif args.command == "scan-tau":
-            text = _scan_output(run_scan_tau(cfg), cfg, args.format)
+        if args.command == "oracle-check":
+            result = run_oracle_check(cfg, seed=args.seed)
         else:
-            report = run_oracle_check(cfg, seed=args.seed)
-            _emit(_oracle_output(report, cfg, args.format), args.out)
-            if not report["all_passed"]:
-                print("oracle check failed", file=sys.stderr)
-                return 3
-            return 0
+            # Built per call, so the runners are looked up in this module's
+            # namespace at call time.
+            run = {
+                "coeffs": run_coeffs,
+                "qfi": run_qfi,
+                "scan-n": run_scan_n,
+                "scan-alpha": run_scan_alpha,
+                "scan-tau": run_scan_tau,
+            }[args.command]
+            result = run(cfg)
+        _emit(format_result(args.command, result, cfg, args.format), args.out)
     except ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
-    except (
-        ConfigError,
-        ProfileError,
-        TruncationError,
-        SizeGuardError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (SagnacQfiError, ValueError, OSError) as exc:  # config or validation
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.command == "oracle-check" and not result["all_passed"]:
+        print("oracle check failed", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -48,6 +48,9 @@ class PhysicalParams:
     rotation_rate: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mass <= 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.hbar <= 0:
@@ -145,14 +148,15 @@ class DrivingProfile:
                 raise ProfileError(f"segment duration must be positive, got {dur}")
             if val < 0:
                 raise ProfileError(f"piecewise profile must be nonnegative, got {val}")
-        integral = sum(dur * val for dur, val in segs)
-        segs = _apply_normalization(segs, integral, normalization)
-        return DrivingProfile(kind="piecewise", segments=segs)
+        scale = _normalization_scale(sum(dur * val for dur, val in segs), normalization)
+        return DrivingProfile(
+            kind="piecewise", segments=tuple((dur, val * scale) for dur, val in segs)
+        )
 
     @staticmethod
     def sampled(times, values, normalization: str = "strict") -> "DrivingProfile":
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
+        t = np.array(times, dtype=float)
+        v = np.array(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape:
             raise ProfileError("times and values must be 1-d arrays of equal length")
         if t.size < 2:
@@ -164,17 +168,7 @@ class DrivingProfile:
             raise ProfileError("sample times must be strictly increasing")
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ProfileError("sample grid must be uniform")
-        integral = float(simpson(v, x=t))
-        if normalization == "strict":
-            _check_strict(integral)
-        elif normalization == "rescale":
-            if integral <= 0:
-                raise ProfileError(
-                    f"cannot rescale profile with integral {integral} to pi"
-                )
-            v = v * (math.pi / integral)
-        else:
-            raise ProfileError(f"unknown normalization policy {normalization!r}")
+        v *= _normalization_scale(float(simpson(v, x=t)), normalization)
         t.setflags(write=False)
         v.setflags(write=False)
         return DrivingProfile(kind="sampled", times=t, values=v)
@@ -218,15 +212,17 @@ def _check_strict(integral: float) -> None:
         )
 
 
-def _apply_normalization(segs, integral, normalization):
+def _normalization_scale(integral: float, normalization: str) -> float:
+    """Factor that brings a profile with this integral to the pulse area pi:
+    1 under "strict" (which checks the area instead), pi/integral under
+    "rescale"."""
     if normalization == "strict":
         _check_strict(integral)
-        return segs
+        return 1.0
     if normalization == "rescale":
         if integral <= 0:
             raise ProfileError(f"cannot rescale profile with integral {integral} to pi")
-        scale = math.pi / integral
-        return tuple((dur, val * scale) for dur, val in segs)
+        return math.pi / integral
     raise ProfileError(f"unknown normalization policy {normalization!r}")
 
 

@@ -29,7 +29,6 @@ from .model import (
     DrivingProfile,
     PhysicalParams,
     coefficients,
-    derive_constants,
     drive_amplitude,
 )
 from .states import GhzProductState
@@ -41,10 +40,6 @@ TRUST_MARGIN = 20.0
 def ladder(d: int) -> np.ndarray:
     """Annihilation operator on the d-level truncated Fock basis."""
     return np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
-
-
-def number_operator(d: int) -> np.ndarray:
-    return np.diag(np.arange(d, dtype=float)).astype(complex)
 
 
 def build_displacement(eta: complex, d: int) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Parameter sweeps, flat-file configuration and deterministic CSV/JSON output.
+"""The runs behind every CLI subcommand, their configuration and every output format.
 
 Configs are flat `key = value` text; every key has a default so the CLI runs
-bare.  Output is byte-deterministic: fixed column order, shortest round-trip
-floats, no timestamps.  Every scan row carries the closed-form QFIs, the
-general-form QFI recomputed from correlations, and the (beta, gamma) and
-radius-polynomial decompositions; rows where the general form drifts from
-the matching closed form beyond 1e-10 relative abort the run.
+bare.  `coeffs`, `qfi` and the three sweeps are built from one row evaluator:
+each row carries the closed-form QFIs, the general-form QFI recomputed from
+correlations, and the (beta, gamma) and radius-polynomial decompositions;
+rows where the general form drifts from the matching closed form beyond 1e-10
+relative abort the run.  `qfi` is a one-row run.  The oracle identity suite
+lives here too.  `format_result` renders any of these results as CSV or
+JSON, byte-deterministically: fixed column order, shortest round-trip floats,
+no timestamps.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import numpy as np
 
 from .exceptions import ConfigError, ConsistencyError, SizeGuardError
 from .model import (
+    CoefficientSet,
+    DerivedConstants,
     DrivingProfile,
     PhysicalParams,
     coefficients,
@@ -39,14 +44,15 @@ from .oracle import (
     trusted_columns,
 )
 from .qfi import (
+    QfiBreakdown,
     generator_spec,
+    qfi_commensurate,
     qfi_difference,
     qfi_general,
     qfi_global_closed,
     qfi_partial_closed,
 )
 from .states import (
-    correlations_closed_form,
     correlations_generic,
     correlations_single_branch,
     displaced_fock_amplitudes,
@@ -55,6 +61,7 @@ from .states import (
 )
 
 CSV_HEADER = "# sagnac-qfi v1"
+FORMAT_VERSION = CSV_HEADER.lstrip("# ")
 ROW_CROSS_CHECK_RTOL = 1e-10
 
 # Key -> (type, default).  Types: float, int, str.
@@ -134,17 +141,17 @@ class ScanConfig:
 
 def _coerce(key: str, raw: str):
     typ, _ = CONFIG_SCHEMA[key]
-    try:
-        if typ is float:
-            return float(raw)
-        if typ is int:
-            value = float(raw)
-            if value != int(value):
-                raise ValueError(f"{raw!r} is not an integer")
-            return int(value)
+    if typ is str:
         return raw
+    try:
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {typ.__name__}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {raw!r} is not a finite number")
+    if typ is int and value != int(value):
+        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as int")
+    return int(value) if typ is int else value
 
 
 def load_config(path: str | None = None, overrides=()) -> ScanConfig:
@@ -211,62 +218,36 @@ ROW_FIELDS = (
 )
 
 
-def _build_state(cfg: ScanConfig, alpha: complex | None = None):
-    kind = cfg["state.kind"]
-    if alpha is None:
-        alpha = cfg.alpha()
-    d = cfg["state.truncation"]
-    if kind == "partial":
-        return make_partially_entangled(alpha, cfg["state.n"], d=d)
-    if kind == "global":
-        return make_globally_entangled(alpha, d=d)
-    return None  # product: closed-form correlations only
+def _coefficients_at(params: PhysicalParams, tau: float) -> CoefficientSet:
+    """Coefficients of the constant profile normalized for duration tau."""
+    return coefficients(params, DrivingProfile.constant_for(tau), tau)
 
 
-def _correlations_for(cfg: ScanConfig, c1: complex, alpha: complex | None = None):
-    kind = cfg["state.kind"]
-    if kind == "product":
-        return correlations_single_branch(cfg["state.n"], c1)
-    state = _build_state(cfg, alpha)
-    return correlations_generic(state, c1)
-
-
-def _compute_row(
+def _evaluate_row(
     value: float,
     cfg: ScanConfig,
-    params: PhysicalParams,
-    tau: float,
+    constants: DerivedConstants,
+    coeffs: CoefficientSet,
     n_particles: int,
-    alpha: complex | None = None,
-) -> dict:
-    if alpha is None:
-        alpha = cfg.alpha()
-    constants = derive_constants(params)
-    profile = DrivingProfile.constant_for(tau)
-    coeffs = coefficients(params, profile, tau)
-    corr = _correlations_for(cfg, coeffs.c1, alpha)
-    gen = generator_spec(constants, coeffs, n_particles)
-    breakdown = qfi_general(corr, gen, constants)
-    f_partial = qfi_partial_closed(cfg["state.n"], n_particles, constants, coeffs)
-    f_global = qfi_global_closed(alpha, n_particles, constants, coeffs)
-
+    alpha: complex,
+) -> tuple[dict, QfiBreakdown]:
+    """One row: both closed forms and the general form of the configured state,
+    checked against the closed form of that state (4 beta N for the product
+    state, which has no spin correlations)."""
     kind = cfg["state.kind"]
+    n = cfg["state.n"]
+    d = cfg["state.truncation"]
     if kind == "partial":
-        reference = f_partial
+        corr = correlations_generic(make_partially_entangled(alpha, n, d=d), coeffs.c1)
     elif kind == "global":
-        reference = f_global
+        corr = correlations_generic(make_globally_entangled(alpha, d=d), coeffs.c1)
     else:
-        reference = 4.0 * breakdown.beta * n_particles
-    drift = abs(breakdown.qfi - reference)
-    if drift > ROW_CROSS_CHECK_RTOL * max(1.0, abs(reference)):
-        raise ConsistencyError(
-            f"row value {value!r}: general-form QFI {breakdown.qfi!r} disagrees "
-            f"with the {kind} closed form {reference!r}"
-        )
-    return {
+        corr = correlations_single_branch(n, coeffs.c1)
+    breakdown = qfi_general(corr, generator_spec(constants, coeffs, n_particles), constants)
+    row = {
         "value": value,
-        "f_partial": f_partial,
-        "f_global": f_global,
+        "f_partial": qfi_partial_closed(n, n_particles, constants, coeffs),
+        "f_global": qfi_global_closed(alpha, n_particles, constants, coeffs),
         "f_general": breakdown.qfi,
         "beta": breakdown.beta,
         "gamma": breakdown.gamma,
@@ -281,6 +262,13 @@ def _compute_row(
         "sagnac_phase": constants.sagnac_phase,
         "reduced_radius": constants.reduced_radius,
     }
+    reference = row.get(f"f_{kind}", 4.0 * breakdown.beta * n_particles)
+    if abs(breakdown.qfi - reference) > ROW_CROSS_CHECK_RTOL * max(1.0, abs(reference)):
+        raise ConsistencyError(
+            f"row value {value!r}: general-form QFI {breakdown.qfi!r} disagrees "
+            f"with the {kind} closed form {reference!r}"
+        )
+    return row, breakdown
 
 
 def _sweep_values(cfg: ScanConfig) -> np.ndarray:
@@ -301,6 +289,74 @@ def _sweep_values(cfg: ScanConfig) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
+def _local_maxima(values) -> list[int]:
+    """Indices of the strict interior local maxima of a sequence."""
+    return [
+        i
+        for i in range(1, len(values) - 1)
+        if values[i] > values[i - 1] and values[i] > values[i + 1]
+    ]
+
+
+def run_coeffs(cfg: ScanConfig) -> dict:
+    """Derived constants and evolution coefficients at the configured tau."""
+    params = cfg.params()
+    tau, omega_p = cfg.resolve_tau()
+    constants = derive_constants(params)
+    coeffs = _coefficients_at(params, tau)
+    return {
+        "tau": tau,
+        "omega_p": omega_p,
+        "omega_tau": params.trap_frequency * tau,
+        "t_c": constants.t_c,
+        "t_s": constants.t_s,
+        "sagnac_phase": constants.sagnac_phase,
+        "oscillator_length": constants.oscillator_length,
+        "characteristic_momentum": constants.characteristic_momentum,
+        "reduced_radius": constants.reduced_radius,
+        "c0": coeffs.c0,
+        "c1_re": coeffs.c1.real,
+        "c1_im": coeffs.c1.imag,
+        "c2": coeffs.c2,
+        "eta_up_re": coeffs.eta_up.real,
+        "eta_up_im": coeffs.eta_up.imag,
+        "eta_down_re": coeffs.eta_down.real,
+        "eta_down_im": coeffs.eta_down.imag,
+        "phi_up": coeffs.phi_up,
+        "phi_down": coeffs.phi_down,
+    }
+
+
+def run_qfi(cfg: ScanConfig) -> dict:
+    """The configured point as a one-row run, with the global-vs-partial
+    comparison and, at whole trap periods, the commensurate law."""
+    params = cfg.params()
+    tau, _ = cfg.resolve_tau()
+    n_particles = cfg["n_particles"]
+    alpha = cfg.alpha()
+    constants = derive_constants(params)
+    coeffs = _coefficients_at(params, tau)
+    row, breakdown = _evaluate_row(tau, cfg, constants, coeffs, n_particles, alpha)
+    comparison = qfi_difference(alpha, n_particles, constants, coeffs)
+    pairs = {
+        "state_kind": cfg["state.kind"],
+        "n_particles": n_particles,
+        **{
+            key: row[key]
+            for key in ("f_partial", "f_global", "f_general", "beta", "gamma",
+                        "lambda1", "lambda2", "lambda3")
+        },
+        "heisenberg_fraction": breakdown.heisenberg_fraction,
+        "difference_global_minus_partial": comparison.difference,
+        "global_verdict": comparison.verdict,
+        "qcrb_bound_time2": 1.0 / row["f_general"] if row["f_general"] > 0 else math.inf,
+    }
+    cycles = params.trap_frequency * tau / (2.0 * math.pi)
+    if abs(cycles - round(cycles)) < 1e-9 and round(cycles) >= 1:
+        pairs["f_commensurate"] = qfi_commensurate(n_particles, params)
+    return pairs
+
+
 def run_scan_n(cfg: ScanConfig) -> dict:
     """Sweep particle number; fit the log-log slope of F_global (or of the
     configured state's general-form QFI for the product kind)."""
@@ -313,8 +369,12 @@ def run_scan_n(cfg: ScanConfig) -> dict:
     n_values = n_values[n_values >= 1]
     if n_values.size < 2:
         raise ConfigError("sweep over N collapsed to fewer than 2 distinct values")
+    constants = derive_constants(params)
+    coeffs = _coefficients_at(params, tau)
+    alpha = cfg.alpha()
     rows = [
-        _compute_row(float(n), cfg, params, tau, int(n)) for n in n_values
+        _evaluate_row(float(n), cfg, constants, coeffs, int(n), alpha)[0]
+        for n in n_values
     ]
     column = "f_general" if cfg["state.kind"] == "product" else "f_global"
     logs_n = np.log10([row["value"] for row in rows])
@@ -344,25 +404,22 @@ def run_scan_alpha(cfg: ScanConfig) -> dict:
     tau, omega_p = cfg.resolve_tau()
     n_particles = cfg["n_particles"]
     base = cfg.alpha()
+    values = _sweep_values(cfg)
+    constants = derive_constants(params)
+    coeffs = _coefficients_at(params, tau)
     rows = []
-    for value in _sweep_values(cfg):
+    for value in values:
         if variable == "theta_alpha":
             alpha = abs(base) * np.exp(1j * value)
         else:
             alpha = value * np.exp(1j * np.angle(base))
-        rows.append(
-            _compute_row(float(value), cfg, params, tau, n_particles, alpha=complex(alpha))
-        )
-    f_vals = np.array([row["f_global"] for row in rows])
-    maxima = [
-        rows[i]["value"]
-        for i in range(1, len(rows) - 1)
-        if f_vals[i] > f_vals[i - 1] and f_vals[i] > f_vals[i + 1]
-    ]
+        row, _ = _evaluate_row(float(value), cfg, constants, coeffs, n_particles, complex(alpha))
+        rows.append(row)
+    maxima = _local_maxima([row["f_global"] for row in rows])
     return {
         "rows": rows,
         "summary": {
-            "maxima_at": maxima,
+            "maxima_at": [rows[i]["value"] for i in maxima],
             "omega_p": omega_p,
             "tau": tau,
         },
@@ -378,12 +435,16 @@ def run_scan_tau(cfg: ScanConfig) -> dict:
     params = cfg.params()
     n_particles = cfg["n_particles"]
     t0 = 2.0 * math.pi / params.trap_frequency
+    taus = _sweep_values(cfg)
+    if taus[0] <= 0:
+        raise ConfigError(f"tau sweep values must be positive, got {float(taus[0])}")
+    constants = derive_constants(params)
+    alpha = cfg.alpha()
     rows = []
-    for value in _sweep_values(cfg):
+    for value in taus:
         tau = float(value)
-        if tau <= 0:
-            raise ConfigError(f"tau sweep values must be positive, got {tau}")
-        row = _compute_row(tau, cfg, params, tau, n_particles)
+        coeffs = _coefficients_at(params, tau)
+        row, _ = _evaluate_row(tau, cfg, constants, coeffs, n_particles, alpha)
         row["omega_p"] = math.pi / tau
         row["tau_over_t0"] = tau / t0
         row["f_partial_per_n2"] = row["f_partial"] / n_particles**2
@@ -391,14 +452,8 @@ def run_scan_tau(cfg: ScanConfig) -> dict:
         row["difference_per_n2"] = row["f_global_per_n2"] - row["f_partial_per_n2"]
         rows.append(row)
 
-    f_global = np.array([row["f_global_per_n2"] for row in rows])
     diff = np.array([row["difference_per_n2"] for row in rows])
-    taus = np.array([row["value"] for row in rows])
-    maxima = [
-        float(taus[i] / t0)
-        for i in range(1, len(rows) - 1)
-        if f_global[i] > f_global[i - 1] and f_global[i] > f_global[i + 1]
-    ]
+    maxima = _local_maxima([row["f_global_per_n2"] for row in rows])
     equality = [
         float(taus[i] / t0)
         for i in range(1, len(rows) - 1)
@@ -408,7 +463,7 @@ def run_scan_tau(cfg: ScanConfig) -> dict:
     return {
         "rows": rows,
         "summary": {
-            "maxima_tau_over_t0": maxima,
+            "maxima_tau_over_t0": [float(taus[i] / t0) for i in maxima],
             "equality_tau_over_t0": equality,
             "steady_onset_tau_over_t0": _steady_onset(taus, rows, t0),
             "t0": t0,
@@ -561,7 +616,7 @@ def run_oracle_check(cfg: ScanConfig, seed: int = 0) -> dict:
     identities.append(_identity("covariance-reduction", 0.0 if ok else 1.0, 0.5))
 
     return {
-        "version": CSV_HEADER.lstrip("# "),
+        "version": FORMAT_VERSION,
         "seed": seed,
         "n_max": n_max,
         "inject_fault": fault,
@@ -619,7 +674,7 @@ def rows_to_csv(rows: list[dict], cfg: ScanConfig, extra: dict | None = None) ->
 def result_to_json(result: dict, cfg: ScanConfig) -> str:
     params = cfg.params()
     payload = {
-        "version": CSV_HEADER.lstrip("# "),
+        "version": FORMAT_VERSION,
         "physical": {
             "mass": params.mass,
             "hbar": params.hbar,
@@ -636,4 +691,30 @@ def result_to_json(result: dict, cfg: ScanConfig) -> str:
         "qfi_unit": "time^2",
         **result,
     }
+    return _dumps(payload)
+
+
+def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def format_result(command: str, result: dict, cfg: ScanConfig, fmt: str) -> str:
+    """One subcommand's result as `fmt` ("csv" or "json") text: a scan result,
+    an oracle report, or the key/value pairs of `coeffs` and `qfi`."""
+    if command.startswith("scan-"):
+        if fmt == "json":
+            return result_to_json(result, cfg)
+        return rows_to_csv(result["rows"], cfg, extra=result["summary"])
+    if command == "oracle-check":
+        if fmt == "json":
+            return _dumps(result)
+        extra = {"seed": result["seed"], "n_max": result["n_max"]}
+        return (
+            rows_to_csv(result["identities"], cfg, extra)
+            + f"# all_passed = {_fmt(result['all_passed'])}\n"
+        )
+    if fmt == "json":
+        return _dumps({"version": FORMAT_VERSION, **result})
+    lines = _echo_lines(cfg) + ["key,value"]
+    lines.extend(f"{key},{_fmt(value)}" for key, value in result.items())
+    return "\n".join(lines) + "\n"

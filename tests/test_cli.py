@@ -114,3 +114,15 @@ def test_oracle_check_csv(capsys):
 
 def test_unwritable_output_exits_2(capsys):
     assert main(["coeffs", *TAU, "--out", "/nonexistent/dir/x.csv"]) == 2
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["physical.mass=nan", "state.alpha_re=nan", "physical.ring_radius=inf",
+     "n_particles=inf"],
+)
+def test_non_finite_input_exits_2(setting, capsys):
+    assert main(["qfi", *TAU, "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert "Traceback" not in err

@@ -53,6 +53,15 @@ def test_positive_parameters_enforced(field):
         PhysicalParams(**{field: -1.0})
 
 
+@pytest.mark.parametrize(
+    "field", ["mass", "hbar", "trap_frequency", "ring_radius", "rotation_rate"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PhysicalParams(**{field: value})
+
+
 def test_ring_radius_zero_allowed_negative_rejected():
     # r = 0 is a degenerate but well-defined trap (no Sagnac response).
     assert derive_constants(PhysicalParams(ring_radius=0.0)).t_s == 0.0
@@ -99,6 +108,19 @@ def test_sampled_profile_rescale_hits_pi():
     values = 1.0 + 0.3 * np.sin(2.0 * times)
     profile = DrivingProfile.sampled(times, values, normalization="rescale")
     assert profile_integral(profile, 2.0) == pytest.approx(math.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("normalization", ["strict", "rescale"])
+def test_sampled_profile_leaves_caller_arrays_alone(normalization):
+    times = np.linspace(0.0, 2.0, 401)
+    values = np.full_like(times, math.pi / 2.0)
+    before = values.copy()
+    profile = DrivingProfile.sampled(times, values, normalization=normalization)
+    assert times.flags.writeable and values.flags.writeable
+    assert not profile.times.flags.writeable and not profile.values.flags.writeable
+    times[0] = 0.0
+    values[0] = 0.0
+    assert profile.values[0] == before[0]
 
 
 def test_profile_duration_mismatch_rejected():
