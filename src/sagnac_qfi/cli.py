@@ -1,9 +1,10 @@
 """Command-line interface: parse arguments, run one subcommand, map exit codes.
 
 Every run and every output format lives in `scan`.  Exit codes: 0 on success,
-2 for configuration or validation problems, 3 when a physics cross-check
-fails (closed form vs general form, or an oracle identity).  All output is
-deterministic for a fixed config and seed.
+2 for configuration or validation problems (including finite inputs too large
+to evaluate), 3 when a physics cross-check fails (closed form vs general
+form, or an oracle identity).  All output is deterministic for a fixed
+config, seed and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -94,6 +95,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (SagnacQfiError, ValueError, OSError) as exc:  # config or validation
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # finite input too large to evaluate
+        print(f"error: input out of range: {exc}", file=sys.stderr)
         return 2
     if args.command == "oracle-check" and not result["all_passed"]:
         print("oracle check failed", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Error hierarchy.
 
 The CLI maps these onto exit codes: configuration and validation problems
-(ConfigError, ProfileError, TruncationError, SizeGuardError and plain
-ValueError) exit with 2, failed numerical cross-checks (ConsistencyError)
+(ConfigError, ProfileError, TruncationError, SizeGuardError, plain
+ValueError, and OverflowError from finite but out-of-range inputs) exit
+with 2, failed numerical cross-checks (ConsistencyError)
 exit with 3.
 """
 

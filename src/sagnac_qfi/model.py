@@ -113,8 +113,9 @@ class DrivingProfile:
     tau) and "sampled" (values on a uniform time grid from 0 to tau,
     integrated by composite Simpson).
 
-    Constant and piecewise profiles must be nonnegative, which guarantees
-    C2(tau) >= 0.  Sampled profiles may take any real values.
+    Every value, duration and sample time must be finite.  Constant and
+    piecewise profiles must be nonnegative, which guarantees C2(tau) >= 0.
+    Sampled profiles may take any finite real values.
     """
 
     kind: str
@@ -125,6 +126,8 @@ class DrivingProfile:
 
     @staticmethod
     def constant(value: float) -> "DrivingProfile":
+        if not math.isfinite(value):
+            raise ProfileError(f"constant profile must be finite, got {value}")
         if value < 0:
             raise ProfileError(f"constant profile must be nonnegative, got {value}")
         return DrivingProfile(kind="constant", value=float(value))
@@ -132,8 +135,8 @@ class DrivingProfile:
     @staticmethod
     def constant_for(tau: float) -> "DrivingProfile":
         """The constant profile normalized for duration tau: omega_p = pi/tau."""
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau}")
         return DrivingProfile.constant(math.pi / tau)
 
     @staticmethod
@@ -144,6 +147,8 @@ class DrivingProfile:
         if not segs:
             raise ProfileError("piecewise profile needs at least one segment")
         for dur, val in segs:
+            if not (math.isfinite(dur) and math.isfinite(val)):
+                raise ProfileError(f"segment ({dur}, {val}) must be finite")
             if dur <= 0:
                 raise ProfileError(f"segment duration must be positive, got {dur}")
             if val < 0:
@@ -161,6 +166,8 @@ class DrivingProfile:
             raise ProfileError("times and values must be 1-d arrays of equal length")
         if t.size < 2:
             raise ProfileError("sampled profile needs at least 2 samples")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ProfileError("sample times and values must be finite")
         if t[0] != 0.0:
             raise ProfileError(f"sample grid must start at t = 0, got {t[0]}")
         steps = np.diff(t)
@@ -227,8 +234,8 @@ def _normalization_scale(integral: float, normalization: str) -> float:
 
 
 def _check_tau(profile: DrivingProfile, tau: float) -> None:
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     implied = profile.duration
     if implied is not None and abs(implied - tau) > 1e-9 * max(1.0, tau):
         raise ProfileError(

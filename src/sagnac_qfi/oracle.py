@@ -1,4 +1,4 @@
-"""Brute-force verification layer on truncated Fock spaces.
+"""Brute-force verification layer on truncated Fock spaces, and its identity suite.
 
 Nothing here trusts the analytic layer: evolution operators are built two
 independent ways (the closed displacement factorization and a midpoint
@@ -6,7 +6,9 @@ time-ordered product of the raw Hamiltonian), the generator is extracted by
 finite differences in Omega, and the QFI is computed both as four times the
 generator variance and as a fidelity susceptibility on explicit N-site state
 vectors.  Agreements between these routes and the closed forms are the
-package's evidence.
+package's evidence; `identity_suite` checks every one of them and reports
+each error against its tolerance.  Only this module builds and sizes the
+oracle's truncated spaces.
 
 Truncation discipline: evolving inside a truncated space reflects amplitude
 off the Fock cap, while truncating the exact evolution clips it, so the two
@@ -23,15 +25,22 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from .exceptions import ConsistencyError, SizeGuardError, TruncationError
+from .exceptions import ConfigError, ConsistencyError, SizeGuardError, TruncationError
 from .model import (
     CoefficientSet,
     DrivingProfile,
     PhysicalParams,
     coefficients,
+    derive_constants,
     drive_amplitude,
 )
-from .states import GhzProductState
+from .qfi import qfi_global_closed, qfi_partial_closed
+from .states import (
+    GhzProductState,
+    displaced_fock_amplitudes,
+    make_globally_entangled,
+    make_partially_entangled,
+)
 
 SIZE_GUARD = 200_000
 TRUST_MARGIN = 20.0
@@ -157,11 +166,9 @@ def generator_numeric(
     tau: float,
     spin_sign: int,
     d: int,
-    delta_omega: float | None = None,
 ) -> np.ndarray:
     """H = i (dU^dag/dOmega) U by Richardson-extrapolated central differences."""
-    if delta_omega is None:
-        delta_omega = _default_delta_omega(params)
+    delta_omega = _default_delta_omega(params)
 
     def u_at(omega_rot: float) -> np.ndarray:
         p = dataclasses.replace(params, rotation_rate=omega_rot)
@@ -288,12 +295,11 @@ def site_generator_numeric(
     profile: DrivingProfile,
     tau: float,
     d: int,
-    delta_omega: float | None = None,
 ) -> np.ndarray:
     """Single-site generator (spin (x) Fock) assembled from the two
     finite-difference spin-branch blocks, symmetrized."""
-    h_up = generator_numeric(params, profile, tau, +1, d, delta_omega)
-    h_down = generator_numeric(params, profile, tau, -1, d, delta_omega)
+    h_up = generator_numeric(params, profile, tau, +1, d)
+    h_down = generator_numeric(params, profile, tau, -1, d)
     h_site = _spin_block_diag(h_up, h_down)
     return (h_site + h_site.conj().T) / 2.0
 
@@ -349,7 +355,6 @@ def qfi_fidelity_numeric(
     profile: DrivingProfile,
     tau: float,
     d: int = 0,
-    delta_omega: float | None = None,
 ) -> float:
     """QFI as fidelity susceptibility: F = 8 (1 - |<psi(Omega)|psi(Omega+delta)>|)/delta^2
     with one Richardson level.
@@ -374,7 +379,7 @@ def qfi_fidelity_numeric(
         evolved = _evolve_state(psi0, p, profile, tau, d, n_sites)
         return 1.0 - abs(np.vdot(evolved0, evolved))
 
-    delta = delta_omega if delta_omega is not None else _default_delta_omega(params)
+    delta = _default_delta_omega(params)
     value = deficit(delta)
     for _ in range(4):
         if 1e-8 <= value <= 1e-4 or value == 0.0:
@@ -436,3 +441,131 @@ def covariance_reduction_check(
         cov_12 = 0.0
     rhs = n_sites * cov_11 + (n_sites**2 - n_sites) * cov_12
     return abs(lhs - rhs) <= atol * max(1.0, abs(lhs))
+
+
+# ---------------------------------------------------------------------------
+# Identity suite: every oracle route against its independent counterpart.
+# ---------------------------------------------------------------------------
+
+
+def _identity(name: str, error: float, tolerance: float) -> dict:
+    return {
+        "name": name,
+        "error": float(error),
+        "tolerance": float(tolerance),
+        "passed": bool(error <= tolerance),
+    }
+
+
+def identity_suite(
+    params: PhysicalParams, n_max: int, fault: str = "none", seed: int = 0
+) -> dict:
+    """Machine-readable report of every oracle identity, for N up to n_max.
+
+    fault = "c2-sign" flips the C2 sign in the analytic generator before
+    comparing against the finite-difference generator, demonstrating that the
+    suite detects a corrupted coefficient.
+    """
+    if not 1 <= n_max <= 3:
+        raise SizeGuardError(
+            f"oracle.n_max must be between 1 and 3, got {n_max} "
+            f"(exact simulation above N = 3 exceeds the desk-scale envelope)"
+        )
+    if fault not in ("none", "c2-sign"):
+        raise ConfigError(f"oracle.inject_fault must be none or c2-sign, got {fault!r}")
+
+    rng = np.random.default_rng(seed)
+    t0 = 2.0 * math.pi / params.trap_frequency
+    constants = derive_constants(params)
+    identities: list[dict] = []
+
+    # Displacement matrix vs the associated-Laguerre column formula.
+    alpha = complex(rng.normal(0.0, 0.8), rng.normal(0.0, 0.8))
+    d = 40
+    disp = build_displacement(alpha, d)
+    k_trust = trusted_columns(d, abs(alpha))
+    err = 0.0
+    for n in (0, 1, 3):
+        column = displaced_fock_amplitudes(alpha, n, d)
+        err = max(err, float(np.max(np.abs(disp[:k_trust, n] - column[:k_trust]))))
+    identities.append(_identity("displacement-vs-laguerre", err, 1e-10))
+
+    # Closed evolution vs the time-ordered product, constant and piecewise.
+    tau = 0.7 * t0
+    for label, profile in (
+        ("constant", DrivingProfile.constant_for(tau)),
+        (
+            "piecewise",
+            DrivingProfile.piecewise(
+                [(tau / 4.0, 2.0 * math.pi / tau), (3.0 * tau / 4.0, 2.0 * math.pi / (3.0 * tau))]
+            ),
+        ),
+    ):
+        coeffs = coefficients(params, profile, tau)
+        worst = 0.0
+        for spin in (+1, -1):
+            eta_abs = abs(coeffs.eta(spin))
+            d_evo = max(60, int((eta_abs + 4.0) ** 2) + 40)
+            closed = build_evolution_closed(params, profile, tau, spin, d_evo)
+            stepped = build_evolution_stepped(params, profile, tau, spin, d_evo, 10_000)
+            k_trust = trusted_columns(d_evo, eta_abs)
+            worst = max(worst, float(np.max(np.abs((closed - stepped)[:, :k_trust]))))
+        identities.append(_identity(f"evolution-closed-vs-stepped-{label}", worst, 1e-6))
+
+    # Finite-difference generator vs the analytic one, both spins.
+    tau = t0 / 2.0
+    profile = DrivingProfile.constant_for(tau)
+    half_period = coefficients(params, profile, tau)
+    coeffs = half_period
+    if fault == "c2-sign":
+        coeffs = dataclasses.replace(half_period, c2=-half_period.c2)
+    worst = 0.0
+    for spin in (+1, -1):
+        eta_abs = abs(coeffs.eta(spin))
+        d_gen = int((eta_abs + 4.0) ** 2) + 40
+        h_num = generator_numeric(params, profile, tau, spin, d_gen)
+        h_ana = generator_analytic(constants, coeffs, spin, d_gen)
+        k_trust = trusted_columns(d_gen, eta_abs)
+        worst = max(worst, float(np.max(np.abs((h_num - h_ana)[:k_trust, :k_trust]))))
+    identities.append(_identity("generator-numeric-vs-analytic", worst, 1e-6))
+
+    # Dual oracle vs closed forms over the configuration grid.
+    var_err = fid_err = 0.0
+    for n_particles in range(1, min(n_max, 2) + 1):
+        partial = make_partially_entangled(0.5 - 0.3j, 1, n_particles=n_particles)
+        ghz = make_globally_entangled(-1.0, n_particles=n_particles)
+        for tau in (t0 / 4.0, t0 / 2.0, t0):
+            profile = DrivingProfile.constant_for(tau)
+            coeffs = coefficients(params, profile, tau)
+            for state, closed in (
+                (partial, qfi_partial_closed(1, n_particles, constants, coeffs)),
+                (ghz, qfi_global_closed(-1.0, n_particles, constants, coeffs)),
+            ):
+                scale = max(1.0, abs(closed))
+                f_var = qfi_variance_numeric(state, params, profile, tau)
+                var_err = max(var_err, abs(f_var - closed) / scale)
+                f_fid = qfi_fidelity_numeric(state, params, profile, tau)
+                fid_err = max(fid_err, abs(f_fid - closed) / scale)
+    identities.append(_identity("qfi-variance-vs-closed", var_err, 1e-5))
+    identities.append(_identity("qfi-fidelity-vs-closed", fid_err, 1e-5))
+
+    # Covariance reduction on full vectors up to n_max, at tau = T0/2.
+    quadrature = quadrature_site_operator(half_period.c1, 6)
+    sigma_z = sigma_z_site_operator(6)
+    ok = all(
+        covariance_reduction_check(
+            make_partially_entangled(0.4 + 0.2j, 0, d=6, n_particles=n_particles, leakage=1e-6),
+            quadrature,
+            sigma_z,
+        )
+        for n_particles in range(1, n_max + 1)
+    )
+    identities.append(_identity("covariance-reduction", 0.0 if ok else 1.0, 0.5))
+
+    return {
+        "seed": seed,
+        "n_max": n_max,
+        "inject_fault": fault,
+        "identities": identities,
+        "all_passed": all(item["passed"] for item in identities),
+    }

@@ -5,15 +5,15 @@ bare.  `coeffs`, `qfi` and the three sweeps are built from one row evaluator:
 each row carries the closed-form QFIs, the general-form QFI recomputed from
 correlations, and the (beta, gamma) and radius-polynomial decompositions;
 rows where the general form drifts from the matching closed form beyond 1e-10
-relative abort the run.  `qfi` is a one-row run.  The oracle identity suite
-lives here too.  `format_result` renders any of these results as CSV or
-JSON, byte-deterministically: fixed column order, shortest round-trip floats,
-no timestamps.
+relative abort the run.  `qfi` is a one-row run.  `oracle-check` runs
+`oracle.identity_suite` on the configured parameters.  `format_result`
+renders any of these results as CSV or JSON, byte-deterministically at a
+fixed BLAS thread count: fixed column order, shortest round-trip floats, no
+timestamps.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import math
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, ConsistencyError, SizeGuardError
+from .exceptions import ConfigError, ConsistencyError
 from .model import (
     CoefficientSet,
     DerivedConstants,
@@ -30,19 +30,7 @@ from .model import (
     coefficients,
     derive_constants,
 )
-from .oracle import (
-    build_displacement,
-    build_evolution_closed,
-    build_evolution_stepped,
-    covariance_reduction_check,
-    generator_analytic,
-    generator_numeric,
-    qfi_fidelity_numeric,
-    qfi_variance_numeric,
-    quadrature_site_operator,
-    sigma_z_site_operator,
-    trusted_columns,
-)
+from .oracle import identity_suite
 from .qfi import (
     QfiBreakdown,
     generator_spec,
@@ -55,7 +43,6 @@ from .qfi import (
 from .states import (
     correlations_generic,
     correlations_single_branch,
-    displaced_fock_amplitudes,
     make_globally_entangled,
     make_partially_entangled,
 )
@@ -364,9 +351,13 @@ def run_scan_n(cfg: ScanConfig) -> dict:
         raise ConfigError("scan-n requires sweep.variable = N")
     params = cfg.params()
     tau, omega_p = cfg.resolve_tau()
-    raw = _sweep_values(cfg)
-    n_values = np.unique(np.round(raw).astype(int))
-    n_values = n_values[n_values >= 1]
+    rounded = np.round(_sweep_values(cfg))
+    rounded = rounded[rounded >= 1]
+    if rounded.size and rounded.max() >= 2.0**63:  # the int64 cast would wrap
+        raise ConfigError(
+            f"sweep over N must stay below 2**63, got sweep.stop = {cfg['sweep.stop']!r}"
+        )
+    n_values = np.unique(rounded.astype(int))
     if n_values.size < 2:
         raise ConfigError("sweep over N collapsed to fewer than 2 distinct values")
     constants = derive_constants(params)
@@ -487,142 +478,10 @@ def _steady_onset(taus: np.ndarray, rows: list, t0: float) -> float | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# Oracle verification suite
-# ---------------------------------------------------------------------------
-
-
-def _identity(name: str, error: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "error": float(error),
-        "tolerance": float(tolerance),
-        "passed": bool(error <= tolerance),
-    }
-
-
 def run_oracle_check(cfg: ScanConfig, seed: int = 0) -> dict:
-    """Machine-readable report of every oracle identity.
-
-    oracle.inject_fault = c2-sign flips the C2 sign in the analytic generator
-    before comparing against the finite-difference generator, demonstrating
-    that the suite detects a corrupted coefficient.
-    """
-    n_max = cfg["oracle.n_max"]
-    if not 1 <= n_max <= 3:
-        raise SizeGuardError(
-            f"oracle.n_max must be between 1 and 3, got {n_max} "
-            f"(exact simulation above N = 3 exceeds the desk-scale envelope)"
-        )
-    fault = cfg["oracle.inject_fault"]
-    if fault not in ("none", "c2-sign"):
-        raise ConfigError(f"oracle.inject_fault must be none or c2-sign, got {fault!r}")
-
-    params = cfg.params()
-    rng = np.random.default_rng(seed)
-    t0 = 2.0 * math.pi / params.trap_frequency
-    identities: list[dict] = []
-
-    # Displacement matrix vs the associated-Laguerre column formula.
-    alpha = complex(rng.normal(0.0, 0.8), rng.normal(0.0, 0.8))
-    d = 40
-    disp = build_displacement(alpha, d)
-    err = 0.0
-    for n in (0, 1, 3):
-        column = displaced_fock_amplitudes(alpha, n, d)
-        k_trust = trusted_columns(d, abs(alpha))
-        err = max(err, float(np.max(np.abs(disp[:k_trust, n] - column[:k_trust]))))
-    identities.append(_identity("displacement-vs-laguerre", err, 1e-10))
-
-    # Closed evolution vs the time-ordered product, constant and piecewise.
-    tau = 0.7 * t0
-    for label, profile in (
-        ("constant", DrivingProfile.constant_for(tau)),
-        (
-            "piecewise",
-            DrivingProfile.piecewise(
-                [(tau / 4.0, 2.0 * math.pi / tau), (3.0 * tau / 4.0, 2.0 * math.pi / (3.0 * tau))]
-            ),
-        ),
-    ):
-        worst = 0.0
-        for spin in (+1, -1):
-            coeffs = coefficients(params, profile, tau)
-            d_evo = max(60, int((abs(coeffs.eta(spin)) + 4.0) ** 2) + 40)
-            closed = build_evolution_closed(params, profile, tau, spin, d_evo)
-            stepped = build_evolution_stepped(params, profile, tau, spin, d_evo, 10_000)
-            k_trust = trusted_columns(d_evo, abs(coeffs.eta(spin)))
-            worst = max(
-                worst, float(np.max(np.abs((closed - stepped)[:, :k_trust])))
-            )
-        identities.append(_identity(f"evolution-closed-vs-stepped-{label}", worst, 1e-6))
-
-    # Finite-difference generator vs the analytic one, both spins.
-    tau = t0 / 2.0
-    profile = DrivingProfile.constant_for(tau)
-    coeffs = coefficients(params, profile, tau)
-    constants = derive_constants(params)
-    if fault == "c2-sign":
-        coeffs = dataclasses.replace(coeffs, c2=-coeffs.c2)
-    worst = 0.0
-    for spin in (+1, -1):
-        d_gen = max(50, int((abs(coeffs.eta(spin)) + 4.0) ** 2) + 40)
-        h_num = generator_numeric(params, profile, tau, spin, d_gen)
-        h_ana = generator_analytic(constants, coeffs, spin, d_gen)
-        k_trust = trusted_columns(d_gen, abs(coeffs.eta(spin)))
-        worst = max(
-            worst,
-            float(np.max(np.abs((h_num - h_ana)[:k_trust, :k_trust]))),
-        )
-    identities.append(_identity("generator-numeric-vs-analytic", worst, 1e-6))
-
-    # Dual oracle vs closed forms over the configuration grid.
-    var_err = 0.0
-    fid_err = 0.0
-    for n_particles in range(1, min(n_max, 2) + 1):
-        for tau in (t0 / 4.0, t0 / 2.0, t0):
-            profile = DrivingProfile.constant_for(tau)
-            coeffs = coefficients(params, profile, tau)
-            constants = derive_constants(params)
-            for kind in ("partial", "global"):
-                if kind == "partial":
-                    state = make_partially_entangled(
-                        0.5 - 0.3j, 1, n_particles=n_particles
-                    )
-                    closed = qfi_partial_closed(1, n_particles, constants, coeffs)
-                else:
-                    state = make_globally_entangled(-1.0, n_particles=n_particles)
-                    closed = qfi_global_closed(-1.0, n_particles, constants, coeffs)
-                scale = max(1.0, abs(closed))
-                f_var = qfi_variance_numeric(state, params, profile, tau)
-                var_err = max(var_err, abs(f_var - closed) / scale)
-                f_fid = qfi_fidelity_numeric(state, params, profile, tau)
-                fid_err = max(fid_err, abs(f_fid - closed) / scale)
-    identities.append(_identity("qfi-variance-vs-closed", var_err, 1e-5))
-    identities.append(_identity("qfi-fidelity-vs-closed", fid_err, 1e-5))
-
-    # Covariance reduction on full vectors up to n_max.
-    ok = True
-    for n_particles in range(1, n_max + 1):
-        state = make_partially_entangled(
-            0.4 + 0.2j, 0, d=6, n_particles=n_particles, leakage=1e-6
-        )
-        tau = t0 / 2.0
-        profile = DrivingProfile.constant_for(tau)
-        c1 = coefficients(params, profile, tau).c1
-        ok = ok and covariance_reduction_check(
-            state, quadrature_site_operator(c1, 6), sigma_z_site_operator(6)
-        )
-    identities.append(_identity("covariance-reduction", 0.0 if ok else 1.0, 0.5))
-
-    return {
-        "version": FORMAT_VERSION,
-        "seed": seed,
-        "n_max": n_max,
-        "inject_fault": fault,
-        "identities": identities,
-        "all_passed": all(item["passed"] for item in identities),
-    }
+    """The oracle identity suite (`oracle.identity_suite`) for this config."""
+    report = identity_suite(cfg.params(), cfg["oracle.n_max"], cfg["oracle.inject_fault"], seed)
+    return {"version": FORMAT_VERSION, **report}
 
 
 # ---------------------------------------------------------------------------

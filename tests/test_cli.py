@@ -126,3 +126,20 @@ def test_non_finite_input_exits_2(setting, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfi", "--set", "n_particles=1e200"],
+        ["qfi", "--set", "physical.ring_radius=1e160"],
+        ["scan-n", "--set", "sweep.stop=1e200"],
+    ],
+    ids=["qfi-n_particles", "qfi-ring_radius", "scan-n-sweep_stop"],
+)
+def test_out_of_range_input_exits_2(argv, capsys):
+    assert main([*argv, *TAU]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

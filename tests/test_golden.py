@@ -8,12 +8,18 @@ stay small.  Rewrite the files only for an intended output change:
 """
 
 import math
+import os
 import sys
 from pathlib import Path
 
-import pytest
+# Some outputs (oracle-check at n_max = 2) depend on the BLAS thread count, so
+# pin it before numpy is first imported, as conftest.py does under pytest.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from sagnac_qfi.cli import main
+import pytest  # noqa: E402
+
+from sagnac_qfi.cli import main  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,6 +91,7 @@ CASES.update({
         ["oracle-check", *ORACLE, *_sets(oracle__inject_fault="c2-sign"),
          "--format", "json"],
     ),
+    "oracle-check-n2.json": (0, ["oracle-check", "--format", "json"]),
     "qfi-missing-tau.csv": (2, ["qfi"]),
     "scan-n-bad-points.csv": (2, ["scan-n", *TAU, *_sets(sweep__points=1)]),
 })

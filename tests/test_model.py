@@ -123,6 +123,40 @@ def test_sampled_profile_leaves_caller_arrays_alone(normalization):
     assert profile.values[0] == before[0]
 
 
+def _sampled_with(bad, index, column, normalization="strict"):
+    times = np.linspace(0.0, 2.0, 101)
+    values = np.full_like(times, math.pi / 2.0)
+    (times if column == "times" else values)[index] = bad
+    return DrivingProfile.sampled(times, values, normalization=normalization)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        DrivingProfile.constant,
+        lambda bad: DrivingProfile.piecewise([(math.pi, bad)]),
+        lambda bad: DrivingProfile.piecewise([(1.0, 2.0), (bad, 1.0)]),
+        lambda bad: _sampled_with(bad, 50, "values"),
+        lambda bad: _sampled_with(bad, 50, "values", normalization="rescale"),
+        lambda bad: _sampled_with(bad, -1, "times"),
+    ],
+    ids=["constant", "piecewise-value", "piecewise-duration", "sampled-value",
+         "sampled-value-rescale", "sampled-time"],
+)
+def test_non_finite_profile_inputs_rejected(build, bad):
+    with pytest.raises(ProfileError, match="finite"):
+        build(bad)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_non_finite_tau_rejected(tau):
+    with pytest.raises(ValueError, match="finite"):
+        DrivingProfile.constant_for(tau)
+    with pytest.raises(ValueError, match="finite"):
+        coefficients(UNIT, DrivingProfile.piecewise([(1.0, math.pi)]), tau)
+
+
 def test_profile_duration_mismatch_rejected():
     profile = DrivingProfile.piecewise([(2.0, math.pi / 2.0)])
     with pytest.raises(ProfileError):
