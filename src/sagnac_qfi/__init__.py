@@ -38,11 +38,9 @@ from .oracle import (
     sigma_z_site_operator,
 )
 from .qfi import (
-    GeneratorSpec,
     QfiBreakdown,
     QfiComparison,
     displacement_invariance_check,
-    generator_spec,
     qfi_commensurate,
     qfi_difference,
     qfi_general,
@@ -82,7 +80,6 @@ __all__ = [
     "CorrelationSet",
     "DerivedConstants",
     "DrivingProfile",
-    "GeneratorSpec",
     "GhzProductState",
     "PhysicalParams",
     "ProfileError",
@@ -106,7 +103,6 @@ __all__ = [
     "displacement_invariance_check",
     "generator_analytic",
     "generator_numeric",
-    "generator_spec",
     "load_config",
     "make_globally_entangled",
     "make_partially_entangled",

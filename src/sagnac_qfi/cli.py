@@ -96,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SagnacQfiError, ValueError, OSError) as exc:  # config or validation
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:  # finite input too large to evaluate
+    except (OverflowError, MemoryError) as exc:  # finite input too large to evaluate
         print(f"error: input out of range: {exc}", file=sys.stderr)
         return 2
     if args.command == "oracle-check" and not result["all_passed"]:

@@ -18,9 +18,9 @@ generator built from this factorization is
 
     H = T_C (C1 a^dag + C1* a) + C0/w + T_S C2 sigma_z,
 
-whose scalar coefficients this module evaluates in closed form for constant
-and piecewise-constant profiles and by composite Simpson quadrature for
-sampled profiles.
+whose scalar coefficients this module evaluates in closed form for
+piecewise-constant profiles (a constant drive is the one-segment case) and by
+composite Simpson quadrature for sampled profiles.
 """
 
 from __future__ import annotations
@@ -107,19 +107,18 @@ def derive_constants(params: PhysicalParams) -> DerivedConstants:
 class DrivingProfile:
     """Guiding angular speed omega_p(t) of the counter-rotating traps.
 
-    Three kinds: "constant" (a single value, normalization value*tau = pi
-    checked at use time because tau is not part of the profile),
-    "piecewise" (constant segments (duration, value); total duration fixes
-    tau) and "sampled" (values on a uniform time grid from 0 to tau,
-    integrated by composite Simpson).
+    Two kinds: "piecewise" (constant segments (duration, value); total
+    duration fixes tau) and "sampled" (values on a uniform time grid from 0
+    to tau, integrated by composite Simpson).  A constant drive is the
+    one-segment piecewise profile: `constant(value)` lasts pi/value and
+    `constant_for(tau)` drives at pi/tau.
 
-    Every value, duration and sample time must be finite.  Constant and
-    piecewise profiles must be nonnegative, which guarantees C2(tau) >= 0.
-    Sampled profiles may take any finite real values.
+    Every value, duration and sample time must be finite.  Piecewise
+    profiles must be nonnegative, which guarantees C2(tau) >= 0.  Sampled
+    profiles may take any finite real values.
     """
 
     kind: str
-    value: float = 0.0
     segments: tuple[tuple[float, float], ...] = ()
     times: np.ndarray | None = field(default=None, repr=False)
     values: np.ndarray | None = field(default=None, repr=False)
@@ -128,16 +127,18 @@ class DrivingProfile:
     def constant(value: float) -> "DrivingProfile":
         if not math.isfinite(value):
             raise ProfileError(f"constant profile must be finite, got {value}")
-        if value < 0:
-            raise ProfileError(f"constant profile must be nonnegative, got {value}")
-        return DrivingProfile(kind="constant", value=float(value))
+        if value <= 0:
+            raise ProfileError(
+                f"constant profile must be positive to reach area pi, got {value}"
+            )
+        return DrivingProfile.piecewise([(math.pi / value, value)])
 
     @staticmethod
     def constant_for(tau: float) -> "DrivingProfile":
         """The constant profile normalized for duration tau: omega_p = pi/tau."""
         if not 0 < tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {tau}")
-        return DrivingProfile.constant(math.pi / tau)
+        return DrivingProfile.piecewise([(tau, math.pi / tau)])
 
     @staticmethod
     def piecewise(
@@ -181,34 +182,22 @@ class DrivingProfile:
         return DrivingProfile(kind="sampled", times=t, values=v)
 
     @property
-    def duration(self) -> float | None:
-        """The tau implied by the profile, or None for the constant kind."""
-        if self.kind == "piecewise":
-            return sum(dur for dur, _ in self.segments)
+    def duration(self) -> float:
+        """The tau implied by the profile."""
         if self.kind == "sampled":
             return float(self.times[-1])
-        return None
+        return sum(dur for dur, _ in self.segments)
 
     def omega_p_at(self, t) -> np.ndarray:
         """Evaluate omega_p at times t (piecewise by segment lookup, sampled by
         linear interpolation)."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(t, self.value)
-        if self.kind == "piecewise":
-            bounds = np.cumsum([dur for dur, _ in self.segments])
-            vals = np.array([val for _, val in self.segments])
-            idx = np.minimum(np.searchsorted(bounds, t, side="right"), len(vals) - 1)
-            return vals[idx]
-        return np.interp(t, self.times, self.values)
-
-    def as_segments(self, tau: float):
-        """(duration, value) segments, or None for the sampled kind."""
-        if self.kind == "constant":
-            return ((tau, self.value),)
-        if self.kind == "piecewise":
-            return self.segments
-        return None
+        if self.kind == "sampled":
+            return np.interp(t, self.times, self.values)
+        bounds = np.cumsum([dur for dur, _ in self.segments])
+        vals = np.array([val for _, val in self.segments])
+        idx = np.minimum(np.searchsorted(bounds, t, side="right"), len(vals) - 1)
+        return vals[idx]
 
 
 def _check_strict(integral: float) -> None:
@@ -237,7 +226,7 @@ def _check_tau(profile: DrivingProfile, tau: float) -> None:
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     implied = profile.duration
-    if implied is not None and abs(implied - tau) > 1e-9 * max(1.0, tau):
+    if abs(implied - tau) > 1e-9 * max(1.0, tau):
         raise ProfileError(
             f"profile duration {implied!r} does not match requested tau {tau!r}"
         )
@@ -246,11 +235,9 @@ def _check_tau(profile: DrivingProfile, tau: float) -> None:
 def profile_integral(profile: DrivingProfile, tau: float) -> float:
     """int_0^tau omega_p(t) dt.  Equals pi for normalized profiles."""
     _check_tau(profile, tau)
-    if profile.kind == "constant":
-        return profile.value * tau
-    if profile.kind == "piecewise":
-        return sum(dur * val for dur, val in profile.segments)
-    return float(simpson(profile.values, x=profile.times))
+    if profile.kind == "sampled":
+        return float(simpson(profile.values, x=profile.times))
+    return sum(dur * val for dur, val in profile.segments)
 
 
 @dataclass(frozen=True)
@@ -337,7 +324,7 @@ def _c2_integral(params: PhysicalParams, profile: DrivingProfile, tau: float) ->
         return float(simpson(profile.values * np.cos(w * (t - tau)), x=t))
     total = 0.0
     t0 = 0.0
-    for dur, wp in profile.as_segments(tau):
+    for dur, wp in profile.segments:
         t1 = t0 + dur
         total += wp * (math.sin(w * (t1 - tau)) - math.sin(w * (t0 - tau))) / w
         t0 = t1
@@ -349,11 +336,10 @@ def coefficients(
 ) -> CoefficientSet:
     """Evaluate C0, C1, C2 and the per-branch eta, Phi.
 
-    Constant and piecewise profiles use exact per-segment antiderivatives;
-    sampled profiles use composite Simpson on their grid.  The profile must
-    be normalized to int omega_p dt = pi over tau.
+    Piecewise profiles use exact per-segment antiderivatives; sampled
+    profiles use composite Simpson on their grid.  The profile must be
+    normalized to int omega_p dt = pi over tau.
     """
-    _check_tau(profile, tau)
     integral = profile_integral(profile, tau)
     _check_strict(integral)
 
@@ -368,11 +354,10 @@ def coefficients(
         eta_up, phi_up = _eta_phi_sampled(params, profile, +1)
         eta_down, phi_down = _eta_phi_sampled(params, profile, -1)
     else:
-        segs = profile.as_segments(tau)
-        eta_up, phi_up = _eta_phi_segments(params, segs, +1)
-        eta_down, phi_down = _eta_phi_segments(params, segs, -1)
+        eta_up, phi_up = _eta_phi_segments(params, profile.segments, +1)
+        eta_down, phi_down = _eta_phi_segments(params, profile.segments, -1)
 
-    if profile.kind in ("constant", "piecewise") and not -1e-12 <= c2 <= 1.0 + 1e-12:
+    if profile.kind == "piecewise" and not -1e-12 <= c2 <= 1.0 + 1e-12:
         # Nonnegative normalized profiles bound |int omega_p cos| by pi.
         raise ProfileError(f"C2 = {c2} outside [0, 1] for a nonnegative profile")
 

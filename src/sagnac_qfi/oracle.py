@@ -114,8 +114,8 @@ def build_evolution_stepped(
 ) -> np.ndarray:
     """Midpoint time-ordered product of exp(-i H(t) dt / hbar).
 
-    H(t)/hbar = w a^dag a + f(s,t) K with K = i (a - a^dag).  For constant and
-    piecewise profiles the step grid is snapped to segment boundaries (steps
+    H(t)/hbar = w a^dag a + f(s,t) K with K = i (a - a^dag).  For piecewise
+    profiles the step grid is snapped to segment boundaries (steps
     allocated proportional to duration) so each factor is exact and the
     product is limited only by truncation; for sampled profiles a uniform
     grid with midpoint evaluation converges to the closed form at O(dt^2).
@@ -129,10 +129,9 @@ def build_evolution_stepped(
     kop = 1j * (a - a.conj().T)
     w = params.trap_frequency
 
-    segs = profile.as_segments(tau)
     u = np.eye(d, dtype=complex)
-    if segs is not None:
-        for dur, wp in segs:
+    if profile.kind != "sampled":
+        for dur, wp in profile.segments:
             n_seg = max(1, round(steps * dur / tau))
             dt = dur / n_seg
             f_val = float(drive_amplitude(params, wp, spin_sign))

@@ -14,7 +14,9 @@ permutation symmetry collapses that variance onto six correlation functions:
 The same F, written as a polynomial in the reduced radius R = r/rho, has
 coefficients lambda1..3 on R^2..R^4; both decompositions are computed and
 cross-checked on every call.  gamma = 0 gives shot-noise scaling 4 beta N;
-nonzero gamma drives the N^2 Heisenberg term.
+nonzero gamma drives the N^2 Heisenberg term.  Every QFI function takes the
+generator as (constants, coeffs): T_C and T_S from DerivedConstants, C1 and C2
+from CoefficientSet.
 """
 
 from __future__ import annotations
@@ -24,40 +26,7 @@ from dataclasses import dataclass
 
 from .exceptions import ConsistencyError
 from .model import CoefficientSet, DerivedConstants, PhysicalParams, re_c1_alpha
-from .states import CorrelationSet
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """The scalar data of H_M: characteristic times, coefficients, particle count."""
-
-    t_c: float
-    t_s: float
-    c0: float
-    c1: complex
-    c2: float
-    n_particles: int
-
-    def __post_init__(self):
-        if self.t_c < 0 or self.t_s < 0:
-            raise ValueError("characteristic times must be nonnegative")
-        if self.c2 < -1e-12:
-            raise ValueError(f"c2 must be nonnegative, got {self.c2}")
-        if self.n_particles < 1:
-            raise ValueError(f"n_particles must be positive, got {self.n_particles}")
-
-
-def generator_spec(
-    constants: DerivedConstants, coeffs: CoefficientSet, n_particles: int
-) -> GeneratorSpec:
-    return GeneratorSpec(
-        t_c=constants.t_c,
-        t_s=constants.t_s,
-        c0=coeffs.c0,
-        c1=coeffs.c1,
-        c2=coeffs.c2,
-        n_particles=n_particles,
-    )
+from .states import CorrelationSet, correlations_generic, make_partially_entangled
 
 
 @dataclass(frozen=True)
@@ -79,16 +48,25 @@ class QfiBreakdown:
 
 
 def qfi_general(
-    corr: CorrelationSet, gen: GeneratorSpec, constants: DerivedConstants
+    corr: CorrelationSet,
+    n_particles: int,
+    constants: DerivedConstants,
+    coeffs: CoefficientSet,
 ) -> QfiBreakdown:
     """Evaluate F from correlations, in both the (beta, gamma) and the
     radius-polynomial forms, and insist they agree.
 
-    The c0 (identity) part of the generator never enters: a constant shift
-    has no variance.
+    The generator is read from t_c, t_s (constants) and c2 (coeffs).  The c0
+    (identity) part never enters: a constant shift has no variance.
     """
-    t_c, t_s, c2 = gen.t_c, gen.t_s, gen.c2
-    n = float(gen.n_particles)
+    t_c, t_s, c2 = constants.t_c, constants.t_s, coeffs.c2
+    if t_c < 0 or t_s < 0:
+        raise ValueError("characteristic times must be nonnegative")
+    if c2 < -1e-12:
+        raise ValueError(f"c2 must be nonnegative, got {c2}")
+    if n_particles < 1:
+        raise ValueError(f"n_particles must be positive, got {n_particles}")
+    n = float(n_particles)
     beta = (
         t_c**2 * corr.var_x1
         + t_s**2 * c2**2 * corr.var_sz1
@@ -235,19 +213,18 @@ def displacement_invariance_check(
     branches at alpha and at 0; the one at alpha must also match the closed
     form.
     """
-    from .states import correlations_generic, make_partially_entangled
-
     closed = qfi_partial_closed(n, n_particles, constants, coeffs)
-    gen = generator_spec(constants, coeffs, n_particles)
     general_a = qfi_general(
         correlations_generic(make_partially_entangled(alpha, n), coeffs.c1),
-        gen,
+        n_particles,
         constants,
+        coeffs,
     ).qfi
     general_0 = qfi_general(
         correlations_generic(make_partially_entangled(0.0, n), coeffs.c1),
-        gen,
+        n_particles,
         constants,
+        coeffs,
     ).qfi
     scale = max(1.0, abs(closed))
     return (

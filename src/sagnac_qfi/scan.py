@@ -33,7 +33,6 @@ from .model import (
 from .oracle import identity_suite
 from .qfi import (
     QfiBreakdown,
-    generator_spec,
     qfi_commensurate,
     qfi_difference,
     qfi_general,
@@ -77,7 +76,7 @@ CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
 }
 
 STATE_KINDS = ("partial", "global", "product")
-SWEEP_VARIABLES = ("N", "theta_alpha", "abs_alpha", "tau", "radius")
+SWEEP_VARIABLES = ("N", "theta_alpha", "abs_alpha", "tau")
 
 
 @dataclass(frozen=True)
@@ -219,8 +218,8 @@ def _evaluate_row(
     alpha: complex,
 ) -> tuple[dict, QfiBreakdown]:
     """One row: both closed forms and the general form of the configured state,
-    checked against the closed form of that state (4 beta N for the product
-    state, which has no spin correlations)."""
+    checked against the closed form of that state (4 (2n+1) N t_c^2 |C1|^2
+    for the product state, which has no spin correlations)."""
     kind = cfg["state.kind"]
     n = cfg["state.n"]
     d = cfg["state.truncation"]
@@ -230,7 +229,7 @@ def _evaluate_row(
         corr = correlations_generic(make_globally_entangled(alpha, d=d), coeffs.c1)
     else:
         corr = correlations_single_branch(n, coeffs.c1)
-    breakdown = qfi_general(corr, generator_spec(constants, coeffs, n_particles), constants)
+    breakdown = qfi_general(corr, n_particles, constants, coeffs)
     row = {
         "value": value,
         "f_partial": qfi_partial_closed(n, n_particles, constants, coeffs),
@@ -249,7 +248,10 @@ def _evaluate_row(
         "sagnac_phase": constants.sagnac_phase,
         "reduced_radius": constants.reduced_radius,
     }
-    reference = row.get(f"f_{kind}", 4.0 * breakdown.beta * n_particles)
+    reference = row.get(
+        f"f_{kind}",
+        4.0 * (2.0 * n + 1.0) * n_particles * constants.t_c**2 * abs(coeffs.c1) ** 2,
+    )
     if abs(breakdown.qfi - reference) > ROW_CROSS_CHECK_RTOL * max(1.0, abs(reference)):
         raise ConsistencyError(
             f"row value {value!r}: general-form QFI {breakdown.qfi!r} disagrees "

@@ -22,7 +22,6 @@ from sagnac_qfi import (
     covariance_reduction_check,
     derive_constants,
     displacement_invariance_check,
-    generator_spec,
     load_config,
     make_globally_entangled,
     make_partially_entangled,
@@ -90,8 +89,7 @@ def test_criterion_02_commensurate_equality():
         values.append(qfi_commensurate(n_particles, UNIT))
         # Also push one case through the generic-correlation pipeline.
         corr = correlations_generic(make_globally_entangled(-1.0), coeffs.c1)
-        gen = generator_spec(constants, coeffs, n_particles)
-        values.append(qfi_general(corr, gen, constants).qfi)
+        values.append(qfi_general(corr, n_particles, constants, coeffs).qfi)
         worst = max(worst, max(abs(v - target) / target for v in values))
     elapsed = time.perf_counter() - t_start
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -235,9 +233,8 @@ def test_criterion_06_displacement_invariance():
         corr = correlations_generic(
             make_partially_entangled(complex(alpha), n), coeffs.c1
         )
-        gen = generator_spec(constants, coeffs, 1)
         worst_closed = max(
-            worst_closed, abs(qfi_general(corr, gen, constants).qfi - base) / base
+            worst_closed, abs(qfi_general(corr, 1, constants, coeffs).qfi - base) / base
         )
         # Oracle route at N = 1.
         f_disp = qfi_variance_numeric(
@@ -347,8 +344,7 @@ def test_criterion_09_rotation_independence_and_shift_invariance():
         constants = derive_constants(params)
         coeffs = coefficients(params, DrivingProfile.constant_for(tau), tau)
         corr = correlations_generic(make_globally_entangled(-1.0), coeffs.c1)
-        gen = generator_spec(constants, coeffs, 3)
-        values.append(qfi_general(corr, gen, constants).qfi)
+        values.append(qfi_general(corr, 3, constants, coeffs).qfi)
     spread = (max(values) - min(values)) / max(values)
 
     # (b) Adding c * identity to the numeric generator must not move the

@@ -143,3 +143,23 @@ def test_out_of_range_input_exits_2(argv, capsys):
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["scan-n", "scan-alpha", "scan-tau"])
+def test_radius_sweep_exits_2(command, capsys):
+    assert main([command, *TAU, "--set", "sweep.variable=radius"]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep.variable must be one of")
+
+
+@pytest.mark.parametrize(
+    "command, variable", [("scan-alpha", "theta_alpha"), ("scan-tau", "tau")]
+)
+def test_unallocatable_sweep_exits_2(command, variable, capsys):
+    # 10^15 float64 points exceed the x86_64 address space, so the sweep
+    # grid fails to allocate before any memory is touched.
+    argv = [command, *TAU, "--set", f"sweep.variable={variable}",
+            "--set", "sweep.points=1e15"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: input out of range: ")
+    assert captured.out == ""

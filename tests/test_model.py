@@ -72,8 +72,27 @@ def test_ring_radius_zero_allowed_negative_rejected():
 def test_constant_profile_satisfies_pi_pulse_area():
     tau = 2.7
     profile = DrivingProfile.constant_for(tau)
-    assert profile.value == pytest.approx(math.pi / tau, rel=1e-15)
+    assert profile.omega_p_at(0.0) == pytest.approx(math.pi / tau, rel=1e-15)
     assert profile_integral(profile, tau) == pytest.approx(math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_constant_profile_must_be_positive(value):
+    # A drive that is zero (or negative) can never reach the pulse area pi.
+    with pytest.raises(ProfileError):
+        DrivingProfile.constant(value)
+
+
+@pytest.mark.parametrize("value", [0.3, 1.0, math.pi, 7.5])
+def test_constant_profile_is_one_pi_pulse_segment(value):
+    tau = math.pi / value
+    profile = DrivingProfile.constant(value)
+    assert profile.kind == "piecewise"
+    assert profile.duration == tau
+    a = coefficients(UNIT, profile, tau)
+    b = coefficients(UNIT, DrivingProfile.constant_for(tau), tau)
+    for field in ("c0", "c1", "c2", "eta_up", "eta_down", "phi_up", "phi_down"):
+        assert getattr(a, field) == pytest.approx(getattr(b, field), abs=1e-12)
 
 
 def test_piecewise_profile_strict_normalization():

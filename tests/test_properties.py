@@ -18,7 +18,6 @@ from sagnac_qfi import (
     coefficients,
     correlations_generic,
     derive_constants,
-    generator_spec,
     make_globally_entangled,
     make_partially_entangled,
     qfi_fidelity_numeric,
@@ -73,7 +72,6 @@ def test_three_routes_agree(params, tau_periods, shape, alpha_abs, alpha_phase, 
     profile = _profile(shape, tau)
     coeffs = coefficients(params, profile, tau)
     constants = derive_constants(params)
-    spec = generator_spec(constants, coeffs, n_particles)
     alpha = cmath.rect(alpha_abs, alpha_phase)
     for state, closed in (
         (
@@ -86,7 +84,8 @@ def test_three_routes_agree(params, tau_periods, shape, alpha_abs, alpha_phase, 
         ),
     ):
         scale = max(1.0, abs(closed))
-        general = qfi_general(correlations_generic(state, coeffs.c1), spec, constants).qfi
+        corr = correlations_generic(state, coeffs.c1)
+        general = qfi_general(corr, n_particles, constants, coeffs).qfi
         assert abs(general - closed) <= GENERAL_RTOL * scale
         variance = qfi_variance_numeric(state, params, profile, tau)
         assert abs(variance - closed) <= ORACLE_RTOL * scale

@@ -12,7 +12,6 @@ from sagnac_qfi import (
     correlations_closed_form,
     derive_constants,
     displacement_invariance_check,
-    generator_spec,
     qfi_commensurate,
     qfi_difference,
     qfi_general,
@@ -114,8 +113,7 @@ def test_general_form_agrees_with_closed_forms(kind, n):
         )
         constants, coeffs = _unit_setup(tau, params)
         corr = correlations_closed_form(kind, alpha, coeffs.c1, n)
-        gen = generator_spec(constants, coeffs, n_particles)
-        breakdown = qfi_general(corr, gen, constants)
+        breakdown = qfi_general(corr, n_particles, constants, coeffs)
         if kind == "partial":
             closed = qfi_partial_closed(n, n_particles, constants, coeffs)
         else:
@@ -133,8 +131,7 @@ def test_radius_polynomial_decomposition():
 
     def breakdown_for(n_particles):
         corr = correlations_closed_form("global", alpha, coeffs.c1)
-        gen = generator_spec(constants, coeffs, n_particles)
-        return qfi_general(corr, gen, constants)
+        return qfi_general(corr, n_particles, constants, coeffs)
 
     b = breakdown_for(7)
     r = constants.reduced_radius
@@ -156,8 +153,7 @@ def test_beta_gamma_split():
     # partial family gamma reduces to the spin block alone.
     constants, coeffs = _unit_setup()
     corr = correlations_closed_form("partial", 0.5, coeffs.c1, 0)
-    gen = generator_spec(constants, coeffs, 4)
-    b = qfi_general(corr, gen, constants)
+    b = qfi_general(corr, 4, constants, coeffs)
     assert b.gamma == pytest.approx(
         constants.t_s**2 * coeffs.c2**2, rel=1e-12
     )
@@ -169,8 +165,7 @@ def test_beta_gamma_split():
 def test_heisenberg_fraction_bounds():
     constants, coeffs = _unit_setup()
     corr = correlations_closed_form("global", -1.0, coeffs.c1)
-    gen = generator_spec(constants, coeffs, 50)
-    b = qfi_general(corr, gen, constants)
+    b = qfi_general(corr, 50, constants, coeffs)
     assert 0.0 <= b.heisenberg_fraction <= 1.0
     assert b.heisenberg_fraction > 0.99  # N = 50 is deep in the N^2 regime
 
@@ -203,7 +198,6 @@ def test_partial_qfi_alpha_free():
     # for any displacement.
     for alpha in (0.0, 1.0, -2.0 + 1.0j):
         corr = correlations_closed_form("partial", alpha, coeffs.c1, 1)
-        gen = generator_spec(constants, coeffs, 2)
-        assert qfi_general(corr, gen, constants).qfi == pytest.approx(
+        assert qfi_general(corr, 2, constants, coeffs).qfi == pytest.approx(
             base, rel=1e-12
         )

@@ -1,14 +1,16 @@
 """Config parsing, sweep runners and deterministic serialization."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from sagnac_qfi import ConfigError, load_config, rows_to_csv
+from sagnac_qfi import ConfigError, ConsistencyError, load_config, rows_to_csv, scan
 from sagnac_qfi.scan import (
     CSV_HEADER,
     run_oracle_check,
+    run_qfi,
     run_scan_alpha,
     run_scan_n,
     run_scan_tau,
@@ -91,6 +93,21 @@ def test_scan_n_product_state_is_shot_noise_limited():
     result = run_scan_n(cfg)
     assert result["summary"]["slope_column"] == "f_general"
     assert result["summary"]["slope_log10"] == pytest.approx(1.0, abs=0.01)
+
+
+def test_product_rows_checked_against_independent_closed_form(monkeypatch):
+    # A corrupted single-branch variance must not pass the row cross-check:
+    # the reference is 4 (2n+1) N t_c^2 |C1|^2, not the breakdown under test.
+    real = scan.correlations_single_branch
+
+    def corrupted(n, c1):
+        corr = real(n, c1)
+        return dataclasses.replace(corr, var_x1=3.0 * corr.var_x1)
+
+    monkeypatch.setattr(scan, "correlations_single_branch", corrupted)
+    cfg = cfg_with(**{"profile.tau": math.pi, "state.kind": "product"})
+    with pytest.raises(ConsistencyError, match="product closed form"):
+        run_qfi(cfg)
 
 
 def test_scan_alpha_peaks_at_pi_phase():
