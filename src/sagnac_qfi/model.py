@@ -20,7 +20,9 @@ generator built from this factorization is
 
 whose scalar coefficients this module evaluates in closed form for
 piecewise-constant profiles (a constant drive is the one-segment case) and by
-composite Simpson quadrature for sampled profiles.
+composite Simpson quadrature for sampled profiles.  Only sampled profiles
+need scipy.integrate, so the four functions that integrate them import it
+where they use it: importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .exceptions import ProfileError
 
@@ -131,7 +132,13 @@ class DrivingProfile:
             raise ProfileError(
                 f"constant profile must be positive to reach area pi, got {value}"
             )
-        return DrivingProfile.piecewise([(math.pi / value, value)])
+        duration = math.pi / value
+        if math.isinf(duration):
+            raise ProfileError(
+                f"constant profile {value!r} is too small: its duration pi/value "
+                f"overflows"
+            )
+        return DrivingProfile.piecewise([(duration, value)])
 
     @staticmethod
     def constant_for(tau: float) -> "DrivingProfile":
@@ -176,6 +183,8 @@ class DrivingProfile:
             raise ProfileError("sample times must be strictly increasing")
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ProfileError("sample grid must be uniform")
+        from scipy.integrate import simpson
+
         v *= _normalization_scale(float(simpson(v, x=t)), normalization)
         t.setflags(write=False)
         v.setflags(write=False)
@@ -236,6 +245,8 @@ def profile_integral(profile: DrivingProfile, tau: float) -> float:
     """int_0^tau omega_p(t) dt.  Equals pi for normalized profiles."""
     _check_tau(profile, tau)
     if profile.kind == "sampled":
+        from scipy.integrate import simpson
+
         return float(simpson(profile.values, x=profile.times))
     return sum(dur * val for dur, val in profile.segments)
 
@@ -306,6 +317,8 @@ def _eta_phi_sampled(params: PhysicalParams, profile: DrivingProfile, spin_sign:
     """Simpson quadrature for eta; Phi via the exact reduction
     Phi = int f(t) [sin(wt) Fc(t) - cos(wt) Fs(t)] dt with cumulative Simpson
     for the inner integrals."""
+    from scipy.integrate import cumulative_simpson, simpson
+
     w = params.trap_frequency
     t = profile.times
     fv = drive_amplitude(params, profile.values, spin_sign)
@@ -320,6 +333,8 @@ def _c2_integral(params: PhysicalParams, profile: DrivingProfile, tau: float) ->
     """int_0^tau omega_p(t) cos(w (t - tau)) dt."""
     w = params.trap_frequency
     if profile.kind == "sampled":
+        from scipy.integrate import simpson
+
         t = profile.times
         return float(simpson(profile.values * np.cos(w * (t - tau)), x=t))
     total = 0.0

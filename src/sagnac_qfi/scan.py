@@ -5,11 +5,12 @@ bare.  `coeffs`, `qfi` and the three sweeps are built from one row evaluator:
 each row carries the closed-form QFIs, the general-form QFI recomputed from
 correlations, and the (beta, gamma) and radius-polynomial decompositions;
 rows where the general form drifts from the matching closed form beyond 1e-10
-relative abort the run.  `qfi` is a one-row run.  `oracle-check` runs
-`oracle.identity_suite` on the configured parameters.  `format_result`
-renders any of these results as CSV or JSON, byte-deterministically at a
-fixed BLAS thread count: fixed column order, shortest round-trip floats, no
-timestamps.
+relative abort the run.  `qfi` is a one-row run whose global-minus-partial
+difference must match the difference of the two closed forms.
+`oracle-check` runs `oracle.identity_suite` on the configured parameters.
+`format_result` renders any of these results as CSV or JSON,
+byte-deterministically at a fixed BLAS thread count: fixed column order,
+shortest round-trip floats, no timestamps.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .qfi import (
     qfi_partial_closed,
 )
 from .states import (
+    CorrelationSet,
     correlations_generic,
     correlations_single_branch,
     make_globally_entangled,
@@ -209,6 +212,30 @@ def _coefficients_at(params: PhysicalParams, tau: float) -> CoefficientSet:
     return coefficients(params, DrivingProfile.constant_for(tau), tau)
 
 
+def _correlator(cfg: ScanConfig, alpha: complex) -> Callable[[complex], CorrelationSet]:
+    """C1 -> correlations of the configured state at alpha.  The state is built
+    on the first call and reused after it, so a sweep that holds alpha fixed
+    builds it once, and a fault in the state is reported in row order: after
+    the first row's coefficients, before its QFI."""
+    kind = cfg["state.kind"]
+    n = cfg["state.n"]
+    d = cfg["state.truncation"]
+    if kind == "product":
+        return lambda c1: correlations_single_branch(n, c1)
+    state = None
+
+    def correlate(c1: complex) -> CorrelationSet:
+        nonlocal state
+        if state is None:
+            if kind == "partial":
+                state = make_partially_entangled(alpha, n, d=d)
+            else:
+                state = make_globally_entangled(alpha, d=d)
+        return correlations_generic(state, c1)
+
+    return correlate
+
+
 def _evaluate_row(
     value: float,
     cfg: ScanConfig,
@@ -216,19 +243,14 @@ def _evaluate_row(
     coeffs: CoefficientSet,
     n_particles: int,
     alpha: complex,
+    corr: CorrelationSet,
 ) -> tuple[dict, QfiBreakdown]:
-    """One row: both closed forms and the general form of the configured state,
-    checked against the closed form of that state (4 (2n+1) N t_c^2 |C1|^2
-    for the product state, which has no spin correlations)."""
+    """One row: both closed forms and the general form of the configured
+    state's correlations `corr`, checked against the closed form of that
+    state (4 (2n+1) N t_c^2 |C1|^2 for the product state, which has no spin
+    correlations)."""
     kind = cfg["state.kind"]
     n = cfg["state.n"]
-    d = cfg["state.truncation"]
-    if kind == "partial":
-        corr = correlations_generic(make_partially_entangled(alpha, n, d=d), coeffs.c1)
-    elif kind == "global":
-        corr = correlations_generic(make_globally_entangled(alpha, d=d), coeffs.c1)
-    else:
-        corr = correlations_single_branch(n, coeffs.c1)
     breakdown = qfi_general(corr, n_particles, constants, coeffs)
     row = {
         "value": value,
@@ -318,15 +340,26 @@ def run_coeffs(cfg: ScanConfig) -> dict:
 
 def run_qfi(cfg: ScanConfig) -> dict:
     """The configured point as a one-row run, with the global-vs-partial
-    comparison and, at whole trap periods, the commensurate law."""
+    comparison (checked against F_global - F_partial(n = 0)) and, at whole
+    trap periods, the commensurate law."""
     params = cfg.params()
     tau, _ = cfg.resolve_tau()
     n_particles = cfg["n_particles"]
     alpha = cfg.alpha()
     constants = derive_constants(params)
     coeffs = _coefficients_at(params, tau)
-    row, breakdown = _evaluate_row(tau, cfg, constants, coeffs, n_particles, alpha)
+    corr = _correlator(cfg, alpha)(coeffs.c1)
+    row, breakdown = _evaluate_row(tau, cfg, constants, coeffs, n_particles, alpha, corr)
     comparison = qfi_difference(alpha, n_particles, constants, coeffs)
+    # F_global - F_partial(n = 0) is the difference by a second route.
+    reference = row["f_global"] - qfi_partial_closed(0, n_particles, constants, coeffs)
+    if abs(comparison.difference - reference) > ROW_CROSS_CHECK_RTOL * max(
+        1.0, abs(row["f_global"])
+    ):
+        raise ConsistencyError(
+            f"global-minus-partial difference {float(comparison.difference)!r} "
+            f"disagrees with F_global - F_partial(n=0) = {float(reference)!r}"
+        )
     pairs = {
         "state_kind": cfg["state.kind"],
         "n_particles": n_particles,
@@ -365,8 +398,9 @@ def run_scan_n(cfg: ScanConfig) -> dict:
     constants = derive_constants(params)
     coeffs = _coefficients_at(params, tau)
     alpha = cfg.alpha()
+    corr = _correlator(cfg, alpha)(coeffs.c1)  # N changes neither the state nor C1
     rows = [
-        _evaluate_row(float(n), cfg, constants, coeffs, int(n), alpha)[0]
+        _evaluate_row(float(n), cfg, constants, coeffs, int(n), alpha, corr)[0]
         for n in n_values
     ]
     column = "f_general" if cfg["state.kind"] == "product" else "f_global"
@@ -403,10 +437,11 @@ def run_scan_alpha(cfg: ScanConfig) -> dict:
     rows = []
     for value in values:
         if variable == "theta_alpha":
-            alpha = abs(base) * np.exp(1j * value)
+            alpha = complex(abs(base) * np.exp(1j * value))
         else:
-            alpha = value * np.exp(1j * np.angle(base))
-        row, _ = _evaluate_row(float(value), cfg, constants, coeffs, n_particles, complex(alpha))
+            alpha = complex(value * np.exp(1j * np.angle(base)))
+        corr = _correlator(cfg, alpha)(coeffs.c1)
+        row, _ = _evaluate_row(float(value), cfg, constants, coeffs, n_particles, alpha, corr)
         rows.append(row)
     maxima = _local_maxima([row["f_global"] for row in rows])
     return {
@@ -433,11 +468,13 @@ def run_scan_tau(cfg: ScanConfig) -> dict:
         raise ConfigError(f"tau sweep values must be positive, got {float(taus[0])}")
     constants = derive_constants(params)
     alpha = cfg.alpha()
+    correlate = _correlator(cfg, alpha)  # tau changes C1 but not the state
     rows = []
     for value in taus:
         tau = float(value)
         coeffs = _coefficients_at(params, tau)
-        row, _ = _evaluate_row(tau, cfg, constants, coeffs, n_particles, alpha)
+        corr = correlate(coeffs.c1)
+        row, _ = _evaluate_row(tau, cfg, constants, coeffs, n_particles, alpha, corr)
         row["omega_p"] = math.pi / tau
         row["tau_over_t0"] = tau / t0
         row["f_partial_per_n2"] = row["f_partial"] / n_particles**2

@@ -6,7 +6,15 @@ import math
 
 import pytest
 
-from sagnac_qfi import ConfigError, ConsistencyError, load_config, rows_to_csv, scan
+from sagnac_qfi import (
+    ConfigError,
+    ConsistencyError,
+    ProfileError,
+    TruncationError,
+    load_config,
+    rows_to_csv,
+    scan,
+)
 from sagnac_qfi.scan import (
     CSV_HEADER,
     run_oracle_check,
@@ -108,6 +116,73 @@ def test_product_rows_checked_against_independent_closed_form(monkeypatch):
     cfg = cfg_with(**{"profile.tau": math.pi, "state.kind": "product"})
     with pytest.raises(ConsistencyError, match="product closed form"):
         run_qfi(cfg)
+
+
+def test_qfi_difference_checked_against_closed_forms(monkeypatch):
+    # A qfi_difference with 8 in place of 16 must fail run_qfi: the printed
+    # difference is checked against F_global - F_partial(n = 0).
+    real = scan.qfi_difference
+
+    def halved(alpha, n_particles, constants, coeffs):
+        comparison = real(alpha, n_particles, constants, coeffs)
+        return dataclasses.replace(comparison, difference=comparison.difference / 2.0)
+
+    cfg = cfg_with(
+        **{
+            "state.alpha_re": 0.5,
+            "state.alpha_im": -0.3,
+            "profile.tau": 0.3 * 2.0 * math.pi,
+            "physical.ring_radius": 1.5,
+        }
+    )
+    assert run_qfi(cfg)["difference_global_minus_partial"] != 0.0
+    monkeypatch.setattr(scan, "qfi_difference", halved)
+    with pytest.raises(ConsistencyError, match="global-minus-partial difference"):
+        run_qfi(cfg)
+
+
+def _count_state_builds(monkeypatch) -> list:
+    calls = []
+    for name in ("make_partially_entangled", "make_globally_entangled"):
+        real = getattr(scan, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scan, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["partial", "global"])
+@pytest.mark.parametrize(
+    "runner, sweep, builds",
+    [
+        (run_scan_n, {"profile.tau": math.pi}, 1),
+        (run_scan_tau, {"sweep.variable": "tau", "sweep.start": 1.0, "sweep.stop": 9.0,
+                        "sweep.scale": "linear"}, 1),
+        (run_scan_alpha, {"profile.tau": math.pi, "sweep.variable": "theta_alpha",
+                          "sweep.start": 0.0, "sweep.stop": 3.0, "sweep.scale": "linear"}, 7),
+    ],
+)
+def test_sweeps_build_a_fixed_state_once(monkeypatch, kind, runner, sweep, builds):
+    # Only scan-alpha changes the state from row to row.
+    calls = _count_state_builds(monkeypatch)
+    result = runner(cfg_with(**{"state.kind": kind, "sweep.points": 7, **sweep}))
+    assert len(result["rows"]) == 7
+    assert len(calls) == builds
+
+
+def test_scan_tau_reports_first_row_coefficient_fault_before_state_fault():
+    # Faults are reported in row order: the state is built after the first
+    # row's coefficients, so a first tau whose drive pi/tau overflows is
+    # reported ahead of a truncation too small for the state.
+    sweep = {"sweep.variable": "tau", "sweep.stop": 1.0, "sweep.scale": "linear",
+             "state.truncation": 3}
+    with pytest.raises(ProfileError):
+        run_scan_tau(cfg_with(**sweep, **{"sweep.start": 1e-320}))
+    with pytest.raises(TruncationError):
+        run_scan_tau(cfg_with(**sweep, **{"sweep.start": 0.5}))
 
 
 def test_scan_alpha_peaks_at_pi_phase():
