@@ -145,7 +145,12 @@ class DrivingProfile:
         """The constant profile normalized for duration tau: omega_p = pi/tau."""
         if not 0 < tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {tau}")
-        return DrivingProfile.piecewise([(tau, math.pi / tau)])
+        value = math.pi / tau
+        if math.isinf(value):
+            raise ProfileError(
+                f"duration {tau!r} is too small: its drive pi/tau overflows"
+            )
+        return DrivingProfile.piecewise([(tau, value)])
 
     @staticmethod
     def piecewise(
@@ -185,6 +190,9 @@ class DrivingProfile:
             raise ProfileError("sample grid must be uniform")
         from scipy.integrate import simpson
 
+        # x=t, not the uniform step dx: a constant drive of area pi then
+        # integrates to pi exactly, so "rescale" returns the caller's values
+        # unchanged (dx sums in another order and lands one ulp low).
         v *= _normalization_scale(float(simpson(v, x=t)), normalization)
         t.setflags(write=False)
         v.setflags(write=False)
@@ -241,13 +249,18 @@ def _check_tau(profile: DrivingProfile, tau: float) -> None:
         )
 
 
+def _grid_step(times: np.ndarray) -> float:
+    """Step of a sampled profile's grid, which construction checked is uniform."""
+    return float(times[-1]) / (times.size - 1)
+
+
 def profile_integral(profile: DrivingProfile, tau: float) -> float:
     """int_0^tau omega_p(t) dt.  Equals pi for normalized profiles."""
     _check_tau(profile, tau)
     if profile.kind == "sampled":
         from scipy.integrate import simpson
 
-        return float(simpson(profile.values, x=profile.times))
+        return float(simpson(profile.values, dx=_grid_step(profile.times)))
     return sum(dur * val for dur, val in profile.segments)
 
 
@@ -313,19 +326,27 @@ def _eta_phi_segments(params: PhysicalParams, segments, spin_sign: int):
     return complex(eta), float(phi)
 
 
-def _eta_phi_sampled(params: PhysicalParams, profile: DrivingProfile, spin_sign: int):
+def _eta_phi_sampled(
+    params: PhysicalParams,
+    profile: DrivingProfile,
+    spin_sign: int,
+    cos_wt: np.ndarray,
+    sin_wt: np.ndarray,
+):
     """Simpson quadrature for eta; Phi via the exact reduction
     Phi = int f(t) [sin(wt) Fc(t) - cos(wt) Fs(t)] dt with cumulative Simpson
-    for the inner integrals."""
+    for the inner integrals.  cos_wt and sin_wt are cos(wt) and sin(wt) on
+    the profile's grid, shared by both spins."""
     from scipy.integrate import cumulative_simpson, simpson
 
-    w = params.trap_frequency
-    t = profile.times
+    h = _grid_step(profile.times)
     fv = drive_amplitude(params, profile.values, spin_sign)
-    eta = -complex(simpson(fv * np.exp(1j * w * t), x=t))
-    fc = cumulative_simpson(fv * np.cos(w * t), x=t, initial=0.0)
-    fs = cumulative_simpson(fv * np.sin(w * t), x=t, initial=0.0)
-    phi = float(simpson(fv * (np.sin(w * t) * fc - np.cos(w * t) * fs), x=t))
+    f_cos = fv * cos_wt
+    f_sin = fv * sin_wt
+    eta = -complex(simpson(f_cos, dx=h), simpson(f_sin, dx=h))
+    fc = cumulative_simpson(f_cos, dx=h, initial=0.0)
+    fs = cumulative_simpson(f_sin, dx=h, initial=0.0)
+    phi = float(simpson(fv * (sin_wt * fc - cos_wt * fs), dx=h))
     return eta, phi
 
 
@@ -336,7 +357,7 @@ def _c2_integral(params: PhysicalParams, profile: DrivingProfile, tau: float) ->
         from scipy.integrate import simpson
 
         t = profile.times
-        return float(simpson(profile.values * np.cos(w * (t - tau)), x=t))
+        return float(simpson(profile.values * np.cos(w * (t - tau)), dx=_grid_step(t)))
     total = 0.0
     t0 = 0.0
     for dur, wp in profile.segments:
@@ -366,8 +387,10 @@ def coefficients(
     c2 = 0.5 * (1.0 - _c2_integral(params, profile, tau) / math.pi)
 
     if profile.kind == "sampled":
-        eta_up, phi_up = _eta_phi_sampled(params, profile, +1)
-        eta_down, phi_down = _eta_phi_sampled(params, profile, -1)
+        wt_grid = w * profile.times
+        cos_wt, sin_wt = np.cos(wt_grid), np.sin(wt_grid)
+        eta_up, phi_up = _eta_phi_sampled(params, profile, +1, cos_wt, sin_wt)
+        eta_down, phi_down = _eta_phi_sampled(params, profile, -1, cos_wt, sin_wt)
     else:
         eta_up, phi_up = _eta_phi_segments(params, profile.segments, +1)
         eta_down, phi_down = _eta_phi_segments(params, profile.segments, -1)

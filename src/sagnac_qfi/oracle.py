@@ -23,13 +23,14 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from .exceptions import ConfigError, ConsistencyError, SizeGuardError, TruncationError
 from .model import (
     CoefficientSet,
     DrivingProfile,
     PhysicalParams,
+    _check_tau,
     coefficients,
     derive_constants,
     drive_amplitude,
@@ -119,18 +120,22 @@ def build_evolution_stepped(
     allocated proportional to duration) so each factor is exact and the
     product is limited only by truncation; for sampled profiles a uniform
     grid with midpoint evaluation converges to the closed form at O(dt^2).
+
+    Sampled steps are exact exponentials taken in the gauge G = diag(i^k),
+    where G^dag K G is real, symmetric and tridiagonal with off-diagonal
+    -sqrt(k+1): each step is one tridiagonal eigensolve and two real matrix
+    products, and U = G u G^dag at the end.
     """
+    _check_tau(profile, tau)
     if steps < 100:
         raise ValueError(f"steps must be at least 100, got {steps}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    a = ladder(d)
-    nop = a.conj().T @ a
-    kop = 1j * (a - a.conj().T)
     w = params.trap_frequency
 
-    u = np.eye(d, dtype=complex)
     if profile.kind != "sampled":
+        a = ladder(d)
+        nop = a.conj().T @ a
+        kop = 1j * (a - a.conj().T)
+        u = np.eye(d, dtype=complex)
         for dur, wp in profile.segments:
             n_seg = max(1, round(steps * dur / tau))
             dt = dur / n_seg
@@ -141,9 +146,17 @@ def build_evolution_stepped(
     dt = tau / steps
     t_mid = (np.arange(steps) + 0.5) * dt
     f_mid = drive_amplitude(params, profile.omega_p_at(t_mid), spin_sign)
+    diag = w * np.arange(d, dtype=float)
+    off = -np.sqrt(np.arange(1.0, d))
+    u = np.eye(d, dtype=complex)
+    # V is real, so V^T u and V (.) are real products on u's (d, 2d) float view.
     for f_val in f_mid:
-        u = expm(-1j * (w * nop + float(f_val) * kop) * dt) @ u
-    return u
+        lam, vec = eigh_tridiagonal(diag, float(f_val) * off)
+        rotated = (vec.T @ u.view(float)).view(complex)
+        rotated *= np.exp(-1j * dt * lam)[:, None]
+        u = (vec @ rotated.view(float)).view(complex)
+    gauge = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(d) % 4]
+    return gauge[:, None] * u * gauge.conj()[None, :]
 
 
 def _default_delta_omega(params: PhysicalParams) -> float:

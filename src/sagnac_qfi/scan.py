@@ -276,8 +276,8 @@ def _evaluate_row(
     )
     if abs(breakdown.qfi - reference) > ROW_CROSS_CHECK_RTOL * max(1.0, abs(reference)):
         raise ConsistencyError(
-            f"row value {value!r}: general-form QFI {breakdown.qfi!r} disagrees "
-            f"with the {kind} closed form {reference!r}"
+            f"row value {float(value)!r}: general-form QFI {float(breakdown.qfi)!r} "
+            f"disagrees with the {kind} closed form {float(reference)!r}"
         )
     return row, breakdown
 

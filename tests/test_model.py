@@ -89,6 +89,12 @@ def test_constant_profile_too_small_for_its_duration():
         DrivingProfile.constant(1e-320)
 
 
+def test_constant_for_too_short_a_duration():
+    # 1e-320 is finite and positive, but pi/1e-320 is not a float.
+    with pytest.raises(ProfileError, match="pi/tau overflows"):
+        DrivingProfile.constant_for(1e-320)
+
+
 @pytest.mark.parametrize("value", [0.3, 1.0, math.pi, 7.5])
 def test_constant_profile_is_one_pi_pulse_segment(value):
     tau = math.pi / value

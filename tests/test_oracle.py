@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.integrate import cumulative_simpson, simpson
 
 from sagnac_qfi import (
     DrivingProfile,
     PhysicalParams,
+    ProfileError,
     SizeGuardError,
     TruncationError,
     build_displacement,
@@ -28,8 +31,11 @@ from sagnac_qfi import (
     quadrature_site_operator,
     sigma_z_site_operator,
 )
+from sagnac_qfi import oracle
+from sagnac_qfi.model import drive_amplitude
 from sagnac_qfi.oracle import (
     assemble_state,
+    ladder,
     required_truncation,
     trusted_columns,
 )
@@ -122,6 +128,103 @@ def test_stepped_converges_on_smooth_profile():
         errs.append(np.max(np.abs((closed - stepped)[:, :k])))
     order = math.log2(errs[0] / errs[1])
     assert order == pytest.approx(2.0, abs=0.3)
+
+
+def _smooth_sampled(tau: float, samples: int = 20001) -> DrivingProfile:
+    t = np.linspace(0.0, tau, samples)
+    return DrivingProfile.sampled(
+        t, 1.0 + 0.3 * np.sin(2.0 * t / tau), normalization="rescale"
+    )
+
+
+@pytest.mark.parametrize("d", [12, 20])
+@pytest.mark.parametrize("spin", [+1, -1])
+def test_sampled_stepped_matches_per_step_expm(d, spin):
+    # Reference: the midpoint product built from one dense expm per step in
+    # the Fock basis, with no gauge and no eigensolve.
+    params = PhysicalParams(trap_frequency=1.3, rotation_rate=0.2)
+    tau = 0.6 * T0 / params.trap_frequency
+    profile = _smooth_sampled(tau)
+    steps = 100
+    dt = tau / steps
+    a = ladder(d)
+    nop = a.conj().T @ a
+    kop = 1j * (a - a.conj().T)
+    f_mid = drive_amplitude(params, profile.omega_p_at((np.arange(steps) + 0.5) * dt), spin)
+    want = np.eye(d, dtype=complex)
+    for f_val in f_mid:
+        hamiltonian = params.trap_frequency * nop + f_val * kop
+        want = scipy.linalg.expm(-1j * hamiltonian * dt) @ want
+    got = build_evolution_stepped(params, profile, tau, spin, d, steps)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _count_kernel_calls(monkeypatch) -> dict:
+    counts = {"expm": 0, "matrix_power": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(oracle, "expm", counted("expm", oracle.expm))
+    monkeypatch.setattr(
+        np.linalg, "matrix_power", counted("matrix_power", np.linalg.matrix_power)
+    )
+    return counts
+
+
+def test_stepped_kernel_calls_by_profile_kind(monkeypatch):
+    # Sampled steps are tridiagonal eigensolves; piecewise segments keep one
+    # expm and one matrix_power each.
+    tau = 0.5 * T0
+    sampled = _smooth_sampled(tau)
+    piecewise = DrivingProfile.piecewise(
+        [(0.3 * tau, 2.0), (0.7 * tau, 1.0)], normalization="rescale"
+    )
+    counts = _count_kernel_calls(monkeypatch)
+    build_evolution_stepped(UNIT, sampled, tau, +1, 20, steps=150)
+    assert counts == {"expm": 0, "matrix_power": 0}
+    build_evolution_stepped(UNIT, piecewise, tau, +1, 20, steps=150)
+    assert counts == {"expm": 2, "matrix_power": 2}
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        _smooth_sampled(3.0, samples=301),
+        DrivingProfile.piecewise([(1.0, 2.0), (2.0, 1.0)], normalization="rescale"),
+    ],
+    ids=["sampled", "piecewise"],
+)
+def test_stepped_rejects_tau_beyond_profile_duration(profile):
+    assert profile.duration == pytest.approx(3.0)
+    with pytest.raises(ProfileError, match="does not match requested tau"):
+        build_evolution_stepped(UNIT, profile, 6.0, +1, 20, steps=200)
+
+
+def test_sampled_coefficients_match_nonuniform_simpson_reference():
+    # The uniform-step (dx) quadrature must reproduce Simpson on the explicit
+    # sample times (x=times), the general rule for any grid.
+    params = PhysicalParams(trap_frequency=1.3, rotation_rate=0.2, ring_radius=1.5)
+    tau = 0.7 * T0
+    profile = _smooth_sampled(tau)
+    t = profile.times
+    w = params.trap_frequency
+    got = coefficients(params, profile, tau)
+
+    c2 = 0.5 * (1.0 - simpson(profile.values * np.cos(w * (t - tau)), x=t) / math.pi)
+    assert got.c2 == pytest.approx(c2, rel=1e-13)
+    for spin in (+1, -1):
+        fv = drive_amplitude(params, profile.values, spin)
+        eta = -simpson(fv * np.exp(1j * w * t), x=t)
+        fc = cumulative_simpson(fv * np.cos(w * t), x=t, initial=0.0)
+        fs = cumulative_simpson(fv * np.sin(w * t), x=t, initial=0.0)
+        phi = simpson(fv * (np.sin(w * t) * fc - np.cos(w * t) * fs), x=t)
+        assert abs(got.eta(spin) - eta) <= 1e-13 * abs(eta)
+        assert got.phi(spin) == pytest.approx(phi, rel=1e-13)
 
 
 def test_generator_numeric_matches_analytic():

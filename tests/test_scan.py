@@ -141,6 +141,30 @@ def test_qfi_difference_checked_against_closed_forms(monkeypatch):
         run_qfi(cfg)
 
 
+@pytest.mark.parametrize(
+    "runner, overrides",
+    [
+        (run_qfi, {"profile.tau": 2.0}),
+        (run_scan_tau, {"sweep.variable": "tau", "sweep.start": 1.0, "sweep.stop": 2.0,
+                        "sweep.scale": "linear"}),
+    ],
+    ids=["qfi", "scan-tau"],
+)
+def test_row_cross_check_message_prints_plain_floats(monkeypatch, runner, overrides):
+    # The row value comes from a numpy sweep and the closed forms are numpy
+    # scalars; the message must print them as floats, not as np.float64(...).
+    real = scan.correlations_generic
+
+    def tripled(state, c1):
+        corr = real(state, c1)
+        return dataclasses.replace(corr, var_x1=3.0 * corr.var_x1)
+
+    monkeypatch.setattr(scan, "correlations_generic", tripled)
+    with pytest.raises(ConsistencyError, match="general-form QFI") as err:
+        runner(cfg_with(**overrides))
+    assert "np.float64" not in str(err.value)
+
+
 def _count_state_builds(monkeypatch) -> list:
     calls = []
     for name in ("make_partially_entangled", "make_globally_entangled"):
