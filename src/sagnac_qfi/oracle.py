@@ -131,11 +131,11 @@ def build_evolution_stepped(
         raise ValueError(f"steps must be at least 100, got {steps}")
     w = params.trap_frequency
 
+    u = np.eye(d, dtype=complex)
     if profile.kind != "sampled":
         a = ladder(d)
         nop = a.conj().T @ a
         kop = 1j * (a - a.conj().T)
-        u = np.eye(d, dtype=complex)
         for dur, wp in profile.segments:
             n_seg = max(1, round(steps * dur / tau))
             dt = dur / n_seg
@@ -148,7 +148,6 @@ def build_evolution_stepped(
     f_mid = drive_amplitude(params, profile.omega_p_at(t_mid), spin_sign)
     diag = w * np.arange(d, dtype=float)
     off = -np.sqrt(np.arange(1.0, d))
-    u = np.eye(d, dtype=complex)
     # V is real, so V^T u and V (.) are real products on u's (d, 2d) float view.
     for f_val in f_mid:
         lam, vec = eigh_tridiagonal(diag, float(f_val) * off)
