@@ -40,7 +40,6 @@ from .oracle import (
 from .qfi import (
     QfiBreakdown,
     QfiComparison,
-    displacement_invariance_check,
     qfi_commensurate,
     qfi_difference,
     qfi_general,
@@ -100,7 +99,6 @@ __all__ = [
     "covariance_reduction_check",
     "derive_constants",
     "displaced_fock_amplitudes",
-    "displacement_invariance_check",
     "generator_analytic",
     "generator_numeric",
     "load_config",

@@ -34,7 +34,8 @@ class TruncationError(SagnacQfiError):
 
 
 class SizeGuardError(SagnacQfiError):
-    """Requested multi-site Hilbert space exceeds the desk-scale guard."""
+    """Requested multi-site Hilbert space, or single-site dense operator,
+    exceeds the desk-scale guard."""
 
 
 class ConsistencyError(SagnacQfiError):

@@ -296,23 +296,31 @@ def drive_amplitude(params: PhysicalParams, omega_p_value, spin_sign: int):
 
 
 def _eta_phi_segments(params: PhysicalParams, segments, spin_sign: int):
-    """Exact eta and Phi for a piecewise-constant drive amplitude.
+    """Exact eta and Phi for a piecewise-constant drive amplitude, and an
+    upper bound on |eta(t)| along the path.
 
     Accumulates the running integrals Fc(t) = int f cos(ws) ds and
     Fs(t) = int f sin(ws) ds across segments; within a segment of constant
     amplitude A on [t0, t1] every contribution has a trig antiderivative, so
     the double integral for Phi reduces to closed form with no quadrature.
+    On that segment eta(t) = c - A e^{iwt}/(iw) runs along a circle of
+    radius |A|/w about c = eta(t0) + A e^{iwt0}/(iw), so
+    max_k (|c_k| + |A_k|/w) bounds |eta(t)| for every t in [0, tau].
     """
     w = params.trap_frequency
     eta = 0.0 + 0.0j
     phi = 0.0
+    eta_bound = 0.0
     fc = 0.0
     fs = 0.0
     t0 = 0.0
     for dur, wp in segments:
         t1 = t0 + dur
         a_val = float(drive_amplitude(params, wp, spin_sign))
-        eta += -a_val * (np.exp(1j * w * t1) - np.exp(1j * w * t0)) / (1j * w)
+        turn0 = np.exp(1j * w * t0)
+        centre = eta + a_val * turn0 / (1j * w)
+        eta_bound = max(eta_bound, abs(centre) + abs(a_val) / w)
+        eta += -a_val * (np.exp(1j * w * t1) - turn0) / (1j * w)
         p = fc - a_val * math.sin(w * t0) / w
         q = fs + a_val * math.cos(w * t0) / w
         phi += a_val * (
@@ -323,7 +331,7 @@ def _eta_phi_segments(params: PhysicalParams, segments, spin_sign: int):
         fc += a_val * (math.sin(w * t1) - math.sin(w * t0)) / w
         fs += a_val * (math.cos(w * t0) - math.cos(w * t1)) / w
         t0 = t1
-    return complex(eta), float(phi)
+    return complex(eta), float(phi), float(eta_bound)
 
 
 def _eta_phi_sampled(
@@ -392,8 +400,8 @@ def coefficients(
         eta_up, phi_up = _eta_phi_sampled(params, profile, +1, cos_wt, sin_wt)
         eta_down, phi_down = _eta_phi_sampled(params, profile, -1, cos_wt, sin_wt)
     else:
-        eta_up, phi_up = _eta_phi_segments(params, profile.segments, +1)
-        eta_down, phi_down = _eta_phi_segments(params, profile.segments, -1)
+        eta_up, phi_up, _ = _eta_phi_segments(params, profile.segments, +1)
+        eta_down, phi_down, _ = _eta_phi_segments(params, profile.segments, -1)
 
     if profile.kind == "piecewise" and not -1e-12 <= c2 <= 1.0 + 1e-12:
         # Nonnegative normalized profiles bound |int omega_p cos| by pi.

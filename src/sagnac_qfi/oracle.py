@@ -15,6 +15,17 @@ off the Fock cap, while truncating the exact evolution clips it, so the two
 only agree on columns whose displaced images stay well below the cap.  Column
 k is trusted iff (sqrt(k) + |eta|)^2 + margin <= d; the margin (default 20)
 buys the sub-Gaussian tail of a displaced Fock state about eight digits.
+
+`identity_suite` sizes every space it builds by one rule,
+d = required_truncation(SUITE_COLUMNS, |eta|), and compares only the columns
+trusted at that |eta|.  A closed evolution or a displacement moves a column
+by |eta(tau)| in one step, but the time-ordered product passes through every
+eta(t) on the way, so the evolution identities size and trust by an upper
+bound on |eta(t)| along the path: on each segment of a piecewise drive eta(t)
+follows a circular arc, and `model._eta_phi_segments` bounds it by the arc's
+farthest point.  The single-site builders refuse d above DENSE_GUARD before
+allocating anything, since one dense exponential costs O(d^2) memory and
+O(d^3) time however small N is.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from .model import (
     DrivingProfile,
     PhysicalParams,
     _check_tau,
+    _eta_phi_segments,
     coefficients,
     derive_constants,
     drive_amplitude,
@@ -44,12 +56,33 @@ from .states import (
 )
 
 SIZE_GUARD = 200_000
+# Largest single-site dimension the dense builders accept.  One complex d x d
+# matrix is 16 MB at d = 1000 and 160 GB at d = 10^5, which (2d)^N <=
+# SIZE_GUARD alone would allow at N = 1; expm holds several at once.
+DENSE_GUARD = 1_000
 TRUST_MARGIN = 20.0
+# The QFI oracles' margin is wider: the fidelity route divides an overlap
+# deficit as small as 1e-8 by delta^2, so per-amplitude truncation noise must
+# sit well below 1e-8.
+ORACLE_MARGIN = 32.0
+# Trusted columns every space of the identity suite is sized for.
+SUITE_COLUMNS = 16
+# A second rotation rate for the generator identity: at Omega = 0 the C0 term
+# vanishes, so only a nonzero rate tests it.
+SUITE_ROTATION_RATE = 0.3
 
 
 def ladder(d: int) -> np.ndarray:
     """Annihilation operator on the d-level truncated Fock basis."""
     return np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
+
+
+def _check_dense(d: int) -> None:
+    if d > DENSE_GUARD:
+        raise SizeGuardError(
+            f"d = {d} exceeds the dense guard {DENSE_GUARD} on a single-site "
+            f"operator; reduce the truncation"
+        )
 
 
 def build_displacement(eta: complex, d: int) -> np.ndarray:
@@ -61,6 +94,7 @@ def build_displacement(eta: complex, d: int) -> np.ndarray:
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
+    _check_dense(d)
     a = ladder(d)
     return expm(eta * a.conj().T - np.conj(eta) * a)
 
@@ -92,6 +126,7 @@ def build_evolution_closed(
     d: int,
 ) -> np.ndarray:
     """U(tau) = exp(-i w a^dag a tau) exp(i Phi) D(eta) for one spin branch."""
+    _check_dense(d)
     coeffs = coefficients(params, profile, tau)
     eta = coeffs.eta(spin_sign)
     phi = coeffs.phi(spin_sign)
@@ -129,6 +164,7 @@ def build_evolution_stepped(
     _check_tau(profile, tau)
     if steps < 100:
         raise ValueError(f"steps must be at least 100, got {steps}")
+    _check_dense(d)
     w = params.trap_frequency
 
     u = np.eye(d, dtype=complex)
@@ -288,17 +324,11 @@ def _spin_block_diag(op_up: np.ndarray, op_down: np.ndarray) -> np.ndarray:
     return out
 
 
-def _oracle_truncation(
-    state: GhzProductState, coeffs: CoefficientSet, margin: float = 32.0
-) -> int:
-    """Truncation for which every level the input state populates is trusted.
-
-    Wider margin than the comparison default: the fidelity route divides an
-    overlap deficit as small as 1e-8 by delta^2, so per-amplitude truncation
-    noise must sit well below 1e-8.
-    """
+def _oracle_truncation(state: GhzProductState, coeffs: CoefficientSet) -> int:
+    """Truncation for which every level the input state populates is trusted,
+    under the QFI oracles' wider ORACLE_MARGIN."""
     eta_max = max(abs(coeffs.eta_up), abs(coeffs.eta_down))
-    return required_truncation(state.truncation, eta_max, margin=margin)
+    return required_truncation(state.truncation, eta_max, margin=ORACLE_MARGIN)
 
 
 def site_generator_numeric(
@@ -492,7 +522,7 @@ def identity_suite(
 
     # Displacement matrix vs the associated-Laguerre column formula.
     alpha = complex(rng.normal(0.0, 0.8), rng.normal(0.0, 0.8))
-    d = 40
+    d = required_truncation(SUITE_COLUMNS, abs(alpha))
     disp = build_displacement(alpha, d)
     k_trust = trusted_columns(d, abs(alpha))
     err = 0.0
@@ -501,7 +531,8 @@ def identity_suite(
         err = max(err, float(np.max(np.abs(disp[:k_trust, n] - column[:k_trust]))))
     identities.append(_identity("displacement-vs-laguerre", err, 1e-10))
 
-    # Closed evolution vs the time-ordered product, constant and piecewise.
+    # Closed evolution vs the time-ordered product, constant and piecewise,
+    # sized and trusted by the bound on |eta(t)| along the path.
     tau = 0.7 * t0
     for label, profile in (
         ("constant", DrivingProfile.constant_for(tau)),
@@ -512,32 +543,33 @@ def identity_suite(
             ),
         ),
     ):
-        coeffs = coefficients(params, profile, tau)
         worst = 0.0
         for spin in (+1, -1):
-            eta_abs = abs(coeffs.eta(spin))
-            d_evo = max(60, int((eta_abs + 4.0) ** 2) + 40)
-            closed = build_evolution_closed(params, profile, tau, spin, d_evo)
-            stepped = build_evolution_stepped(params, profile, tau, spin, d_evo, 10_000)
-            k_trust = trusted_columns(d_evo, eta_abs)
+            _, _, eta_path = _eta_phi_segments(params, profile.segments, spin)
+            d = required_truncation(SUITE_COLUMNS, eta_path)
+            closed = build_evolution_closed(params, profile, tau, spin, d)
+            stepped = build_evolution_stepped(params, profile, tau, spin, d, 10_000)
+            k_trust = trusted_columns(d, eta_path)
             worst = max(worst, float(np.max(np.abs((closed - stepped)[:, :k_trust]))))
         identities.append(_identity(f"evolution-closed-vs-stepped-{label}", worst, 1e-6))
 
-    # Finite-difference generator vs the analytic one, both spins.
+    # Finite-difference generator vs the analytic one, both spins, at the
+    # configured rotation rate and at SUITE_ROTATION_RATE.
     tau = t0 / 2.0
     profile = DrivingProfile.constant_for(tau)
-    half_period = coefficients(params, profile, tau)
-    coeffs = half_period
-    if fault == "c2-sign":
-        coeffs = dataclasses.replace(half_period, c2=-half_period.c2)
     worst = 0.0
-    for spin in (+1, -1):
-        eta_abs = abs(coeffs.eta(spin))
-        d_gen = int((eta_abs + 4.0) ** 2) + 40
-        h_num = generator_numeric(params, profile, tau, spin, d_gen)
-        h_ana = generator_analytic(constants, coeffs, spin, d_gen)
-        k_trust = trusted_columns(d_gen, eta_abs)
-        worst = max(worst, float(np.max(np.abs((h_num - h_ana)[:k_trust, :k_trust]))))
+    for rate in (params.rotation_rate, SUITE_ROTATION_RATE):
+        rotating = dataclasses.replace(params, rotation_rate=rate)
+        coeffs = coefficients(rotating, profile, tau)
+        if fault == "c2-sign":
+            coeffs = dataclasses.replace(coeffs, c2=-coeffs.c2)
+        for spin in (+1, -1):
+            eta_abs = abs(coeffs.eta(spin))
+            d = required_truncation(SUITE_COLUMNS, eta_abs)
+            h_num = generator_numeric(rotating, profile, tau, spin, d)
+            h_ana = generator_analytic(constants, coeffs, spin, d)
+            k_trust = trusted_columns(d, eta_abs)
+            worst = max(worst, float(np.max(np.abs((h_num - h_ana)[:k_trust, :k_trust]))))
     identities.append(_identity("generator-numeric-vs-analytic", worst, 1e-6))
 
     # Dual oracle vs closed forms over the configuration grid.
@@ -560,8 +592,9 @@ def identity_suite(
     identities.append(_identity("qfi-variance-vs-closed", var_err, 1e-5))
     identities.append(_identity("qfi-fidelity-vs-closed", fid_err, 1e-5))
 
-    # Covariance reduction on full vectors up to n_max, at tau = T0/2.
-    quadrature = quadrature_site_operator(half_period.c1, 6)
+    # Covariance reduction on full vectors up to n_max, at tau = T0/2 (C1 does
+    # not depend on the rotation rate or the fault).
+    quadrature = quadrature_site_operator(coeffs.c1, 6)
     sigma_z = sigma_z_site_operator(6)
     ok = all(
         covariance_reduction_check(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .exceptions import ConsistencyError
 from .model import CoefficientSet, DerivedConstants, PhysicalParams, re_c1_alpha
-from .states import CorrelationSet, correlations_generic, make_partially_entangled
+from .states import CorrelationSet
 
 
 @dataclass(frozen=True)
@@ -195,39 +195,4 @@ def qfi_commensurate(n_particles: int, params: PhysicalParams) -> float:
         * math.pi**2
         * params.ring_radius**4
         / params.hbar**2
-    )
-
-
-def displacement_invariance_check(
-    n: int,
-    alpha: complex,
-    n_particles: int,
-    constants: DerivedConstants,
-    coeffs: CoefficientSet,
-    rtol: float = 1e-12,
-) -> bool:
-    """F of the partial state must not depend on the displacement alpha.
-
-    The closed form is alpha-free by inspection, so alpha is varied in the
-    general correlation form, evaluated on explicitly built displaced
-    branches at alpha and at 0; the one at alpha must also match the closed
-    form.
-    """
-    closed = qfi_partial_closed(n, n_particles, constants, coeffs)
-    general_a = qfi_general(
-        correlations_generic(make_partially_entangled(alpha, n), coeffs.c1),
-        n_particles,
-        constants,
-        coeffs,
-    ).qfi
-    general_0 = qfi_general(
-        correlations_generic(make_partially_entangled(0.0, n), coeffs.c1),
-        n_particles,
-        constants,
-        coeffs,
-    ).qfi
-    scale = max(1.0, abs(closed))
-    return (
-        abs(general_a - general_0) <= rtol * scale
-        and abs(general_a - closed) <= rtol * scale
     )

@@ -112,6 +112,15 @@ def test_oracle_check_csv(capsys):
     assert "# all_passed = true" in out
 
 
+@pytest.mark.parametrize(
+    "setting", ["physical.ring_radius=2", "physical.rotation_rate=-0.2"]
+)
+def test_oracle_check_passes_off_defaults(setting, capsys):
+    # A larger ring or a nonzero rate raises the mid-path |eta(t)| that the
+    # evolution identities are sized and trusted by.
+    assert main(["oracle-check", "--set", "oracle.n_max=1", "--set", setting]) == 0
+
+
 def test_unwritable_output_exits_2(capsys):
     assert main(["coeffs", *TAU, "--out", "/nonexistent/dir/x.csv"]) == 2
 

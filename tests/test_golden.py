@@ -92,6 +92,12 @@ CASES.update({
          "--format", "json"],
     ),
     "oracle-check-n2.json": (0, ["oracle-check", "--format", "json"]),
+    "oracle-check-radius.csv": (
+        0, ["oracle-check", *ORACLE, *_sets(physical__ring_radius=1.5)],
+    ),
+    "oracle-check-rotating.csv": (
+        0, ["oracle-check", *ORACLE, *_sets(physical__rotation_rate=0.3)],
+    ),
     "qfi-missing-tau.csv": (2, ["qfi"]),
     "scan-n-bad-points.csv": (2, ["scan-n", *TAU, *_sets(sweep__points=1)]),
 })

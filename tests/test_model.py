@@ -15,6 +15,7 @@ from sagnac_qfi import (
     derive_constants,
     profile_integral,
 )
+from sagnac_qfi.model import _eta_phi_segments, drive_amplitude
 
 UNIT = PhysicalParams()
 
@@ -322,3 +323,56 @@ def test_sampled_constant_matches_constant():
     assert a.c2 == pytest.approx(b.c2, abs=1e-10)
     assert a.eta_up == pytest.approx(b.eta_up, abs=1e-10)
     assert a.phi_up == pytest.approx(b.phi_up, abs=1e-10)
+
+
+def _eta_along(params, segments, spin, t):
+    """eta(t) = -int_0^t f e^{iws} ds, summed segment by segment over each
+    segment's part of [0, t]."""
+    w = params.trap_frequency
+    eta = np.zeros(t.shape, dtype=complex)
+    start = 0.0
+    for dur, wp in segments:
+        end = np.clip(t, start, start + dur)
+        amp = float(drive_amplitude(params, wp, spin))
+        eta -= amp * (np.exp(1j * w * end) - np.exp(1j * w * start)) / (1j * w)
+        start += dur
+    return eta
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        UNIT,
+        PhysicalParams(ring_radius=2.0),
+        PhysicalParams(rotation_rate=0.3),
+        PhysicalParams(rotation_rate=-0.2, trap_frequency=1.3),
+    ],
+    ids=["defaults", "r2", "omega0.3", "omega-0.2"],
+)
+def test_path_bound_covers_eta_along_two_segment_drive(params):
+    # The identity suite's two-segment drive, whose |eta(t)| peaks mid-path.
+    tau = 0.7 * 2.0 * math.pi / params.trap_frequency
+    profile = DrivingProfile.piecewise(
+        [(tau / 4.0, 2.0 * math.pi / tau), (3.0 * tau / 4.0, 2.0 * math.pi / (3.0 * tau))]
+    )
+    t = np.linspace(0.0, tau, 20001)
+    for spin in (+1, -1):
+        eta, _, bound = _eta_phi_segments(params, profile.segments, spin)
+        path = np.abs(_eta_along(params, profile.segments, spin, t))
+        assert abs(_eta_along(params, profile.segments, spin, t[-1:])[0] - eta) < 1e-12
+        assert path.max() > abs(eta)
+        assert path.max() <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("turns", [1.0, 1.4, 3.0])
+def test_path_bound_of_constant_drive_is_circle_diameter(turns):
+    # From eta(0) = 0 a constant amplitude A traces a circle of radius |A|/w
+    # through the origin; once w tau >= pi it reaches the far side, 2|A|/w.
+    params = PhysicalParams(trap_frequency=1.3, ring_radius=1.5, rotation_rate=0.3)
+    w = params.trap_frequency
+    tau = turns * math.pi / w
+    profile = DrivingProfile.constant_for(tau)
+    for spin in (+1, -1):
+        amp = float(drive_amplitude(params, profile.segments[0][1], spin))
+        _, _, bound = _eta_phi_segments(params, profile.segments, spin)
+        assert bound == pytest.approx(2.0 * abs(amp) / w, rel=1e-12, abs=1e-12)

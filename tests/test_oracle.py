@@ -1,5 +1,6 @@
 """Truncated-Fock-space oracle: operators, evolution, numeric QFI routes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -304,6 +305,40 @@ def test_size_guard_trips():
     state = make_partially_entangled(1.0, 0, d=40, n_particles=4)
     with pytest.raises(SizeGuardError):
         qfi_variance_numeric(state, UNIT, profile, tau, d=40)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda d: build_displacement(0.5, d),
+        lambda d: build_evolution_closed(UNIT, DrivingProfile.constant_for(3.0), 3.0, +1, d),
+        lambda d: build_evolution_stepped(
+            UNIT, DrivingProfile.constant_for(3.0), 3.0, +1, d, steps=200
+        ),
+    ],
+    ids=["displacement", "closed", "stepped"],
+)
+def test_dense_guard_trips_before_allocating(build):
+    # (2d)^N allows d = 10^5 at N = 1; one dense expm there would need ~160 GB.
+    with pytest.raises(SizeGuardError, match="dense guard"):
+        build(10**5)
+
+
+def test_identity_suite_catches_c0_mutant(monkeypatch):
+    # C0 with cos for sin vanishes with the Sagnac phase at Omega = 0, so only
+    # the generator identity at a nonzero rotation rate can see it.
+    real = oracle.coefficients
+
+    def mutant(params, profile, tau):
+        coeffs = real(params, profile, tau)
+        wt = params.trap_frequency * tau
+        phase = derive_constants(params).sagnac_phase
+        return dataclasses.replace(coeffs, c0=phase / (2.0 * math.pi) * (wt - math.cos(wt)))
+
+    monkeypatch.setattr(oracle, "coefficients", mutant)
+    report = oracle.identity_suite(UNIT, n_max=1)
+    failed = [item["name"] for item in report["identities"] if not item["passed"]]
+    assert failed == ["generator-numeric-vs-analytic"]
 
 
 def test_assemble_state_two_atoms():
