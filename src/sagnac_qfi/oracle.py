@@ -20,12 +20,12 @@ buys the sub-Gaussian tail of a displaced Fock state about eight digits.
 d = required_truncation(SUITE_COLUMNS, |eta|), and compares only the columns
 trusted at that |eta|.  A closed evolution or a displacement moves a column
 by |eta(tau)| in one step, but the time-ordered product passes through every
-eta(t) on the way, so the evolution identities size and trust by an upper
-bound on |eta(t)| along the path: on each segment of a piecewise drive eta(t)
-follows a circular arc, and `model._eta_phi_segments` bounds it by the arc's
-farthest point.  The single-site builders refuse d above DENSE_GUARD before
-allocating anything, since one dense exponential costs O(d^2) memory and
-O(d^3) time however small N is.
+eta(t) on the way, so `evolution_block` sizes and trusts the evolution
+identities by an upper bound on |eta(t)| along the path: on each segment of a
+piecewise drive eta(t) follows a circular arc, and `model._eta_phi_segments`
+bounds it by the arc's farthest point.  The single-site builders refuse d
+above DENSE_GUARD before allocating anything, since one dense exponential
+costs O(d^2) memory and O(d^3) time however small N is.
 """
 
 from __future__ import annotations
@@ -36,7 +36,13 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 
-from .exceptions import ConfigError, ConsistencyError, SizeGuardError, TruncationError
+from .exceptions import (
+    ConfigError,
+    ConsistencyError,
+    ProfileError,
+    SizeGuardError,
+    TruncationError,
+)
 from .model import (
     CoefficientSet,
     DrivingProfile,
@@ -111,6 +117,24 @@ def trusted_columns(d: int, eta_abs: float, margin: float = TRUST_MARGIN) -> int
 def required_truncation(n_columns: int, eta_abs: float, margin: float = TRUST_MARGIN) -> int:
     """Smallest d trusting at least n_columns columns."""
     return int(math.ceil((math.sqrt(max(n_columns - 1, 0)) + eta_abs) ** 2 + margin)) + 1
+
+
+def evolution_block(
+    params: PhysicalParams, profile: DrivingProfile, spin_sign: int, n_columns: int
+) -> tuple[int, int]:
+    """(d, trusted columns) for comparing closed and stepped evolutions of a
+    piecewise drive.
+
+    Both are taken from the bound on |eta(t)| along the path rather than from
+    |eta(tau)|, since the time-ordered product passes through every eta(t).
+    """
+    if profile.kind != "piecewise":
+        raise ProfileError(
+            f"the path bound on |eta| needs a piecewise profile, got {profile.kind}"
+        )
+    _, _, eta_path = _eta_phi_segments(params, profile.segments, spin_sign)
+    d = required_truncation(n_columns, eta_path)
+    return d, trusted_columns(d, eta_path)
 
 
 def _free_rotation(params: PhysicalParams, tau: float, d: int) -> np.ndarray:
@@ -545,11 +569,9 @@ def identity_suite(
     ):
         worst = 0.0
         for spin in (+1, -1):
-            _, _, eta_path = _eta_phi_segments(params, profile.segments, spin)
-            d = required_truncation(SUITE_COLUMNS, eta_path)
+            d, k_trust = evolution_block(params, profile, spin, SUITE_COLUMNS)
             closed = build_evolution_closed(params, profile, tau, spin, d)
             stepped = build_evolution_stepped(params, profile, tau, spin, d, 10_000)
-            k_trust = trusted_columns(d, eta_path)
             worst = max(worst, float(np.max(np.abs((closed - stepped)[:, :k_trust]))))
         identities.append(_identity(f"evolution-closed-vs-stepped-{label}", worst, 1e-6))
 
@@ -558,7 +580,7 @@ def identity_suite(
     tau = t0 / 2.0
     profile = DrivingProfile.constant_for(tau)
     worst = 0.0
-    for rate in (params.rotation_rate, SUITE_ROTATION_RATE):
+    for rate in dict.fromkeys((params.rotation_rate, SUITE_ROTATION_RATE)):
         rotating = dataclasses.replace(params, rotation_rate=rate)
         coeffs = coefficients(rotating, profile, tau)
         if fault == "c2-sign":
@@ -592,9 +614,10 @@ def identity_suite(
     identities.append(_identity("qfi-variance-vs-closed", var_err, 1e-5))
     identities.append(_identity("qfi-fidelity-vs-closed", fid_err, 1e-5))
 
-    # Covariance reduction on full vectors up to n_max, at tau = T0/2 (C1 does
-    # not depend on the rotation rate or the fault).
-    quadrature = quadrature_site_operator(coeffs.c1, 6)
+    # Covariance reduction on full vectors up to n_max, at tau = T0/2, where
+    # C1 = -1 (C1 does not depend on the rotation rate or the fault).
+    half_period = DrivingProfile.constant_for(t0 / 2.0)
+    quadrature = quadrature_site_operator(coefficients(params, half_period, t0 / 2.0).c1, 6)
     sigma_z = sigma_z_site_operator(6)
     ok = all(
         covariance_reduction_check(

@@ -35,6 +35,7 @@ from sagnac_qfi import (
 from sagnac_qfi.oracle import (
     build_evolution_closed,
     build_evolution_stepped,
+    evolution_block,
     required_truncation,
     site_generator_numeric,
     trusted_columns,
@@ -143,14 +144,12 @@ def test_criterion_04_evolution_validation():
             [(0.3 * tau, 2.0), (0.7 * tau, (math.pi - 0.6 * tau) / (0.7 * tau))]
         ),
     ):
-        coeffs = coefficients(params, profile, tau)
         for spin in (+1, -1):
-            d = required_truncation(12, abs(coeffs.eta(spin)))
+            d, k = evolution_block(params, profile, spin, 12)
             closed = build_evolution_closed(params, profile, tau, spin, d)
             stepped = build_evolution_stepped(
                 params, profile, tau, spin, d, steps=10_000
             )
-            k = trusted_columns(d, abs(coeffs.eta(spin)))
             worst = max(worst, float(np.max(np.abs((closed - stepped)[:, :k]))))
 
     # Convergence order on a smooth profile, where the midpoint rule's O(h^2)
@@ -211,7 +210,7 @@ def test_criterion_05_correlation_table_regression():
     )
 
 
-def test_criterion_06_displacement_invariance():
+def test_criterion_06_displacement_invariance(displacement_invariance_errors):
     rng = np.random.default_rng(99)
     tau = T0 / 2.0
     profile = DrivingProfile.constant_for(tau)
@@ -223,18 +222,9 @@ def test_criterion_06_displacement_invariance():
     for i in range(50):
         alpha = rng.uniform(0.1, 2.5) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         n = i % 3
-        # Closed route: the closed form (alpha-free by inspection) and the
-        # generic-correlation pipeline at alpha and at 0 must all agree.
-        base = qfi_partial_closed(n, 1, constants, coeffs)
-        general_a, general_0 = (
-            qfi_general(
-                correlations_generic(make_partially_entangled(a, n), coeffs.c1),
-                1, constants, coeffs,
-            ).qfi
-            for a in (complex(alpha), 0.0)
-        )
         worst_closed = max(
-            worst_closed, abs(general_a - base) / base, abs(general_a - general_0) / base
+            worst_closed,
+            *displacement_invariance_errors(n, complex(alpha), constants, coeffs),
         )
         # Oracle route at N = 1.
         f_disp = qfi_variance_numeric(

@@ -36,6 +36,7 @@ from sagnac_qfi import oracle
 from sagnac_qfi.model import drive_amplitude
 from sagnac_qfi.oracle import (
     assemble_state,
+    evolution_block,
     ladder,
     required_truncation,
     trusted_columns,
@@ -105,13 +106,19 @@ def test_closed_vs_stepped(make_profile):
     tau = 0.55 * T0
     profile = make_profile(tau)
     params = PhysicalParams(rotation_rate=0.2)
-    coeffs = coefficients(params, profile, tau)
     for spin in (+1, -1):
-        d = required_truncation(10, abs(coeffs.eta(spin)))
+        d, k = evolution_block(params, profile, spin, 10)
         closed = build_evolution_closed(params, profile, tau, spin, d)
         stepped = build_evolution_stepped(params, profile, tau, spin, d, steps=4000)
-        k = trusted_columns(d, abs(coeffs.eta(spin)))
         assert np.max(np.abs((closed - stepped)[:, :k])) < 1e-7
+
+
+def test_evolution_block_needs_piecewise_profile():
+    tau = 0.4 * T0
+    t = np.linspace(0.0, tau, 101)
+    profile = DrivingProfile.sampled(t, np.full_like(t, math.pi / tau))
+    with pytest.raises(ProfileError):
+        evolution_block(UNIT, profile, +1, 10)
 
 
 def test_stepped_converges_on_smooth_profile():
@@ -339,6 +346,21 @@ def test_identity_suite_catches_c0_mutant(monkeypatch):
     report = oracle.identity_suite(UNIT, n_max=1)
     failed = [item["name"] for item in report["identities"] if not item["passed"]]
     assert failed == ["generator-numeric-vs-analytic"]
+
+
+def test_identity_suite_covariance_uses_half_period_c1(monkeypatch):
+    # At C1 ~ 0 both sides of the covariance reduction vanish and the check
+    # passes for any state; the suite must build the quadrature at T0/2.
+    seen = []
+    real = oracle.quadrature_site_operator
+
+    def recording(c1, d):
+        seen.append(c1)
+        return real(c1, d)
+
+    monkeypatch.setattr(oracle, "quadrature_site_operator", recording)
+    oracle.identity_suite(PhysicalParams(rotation_rate=0.3), n_max=1)
+    assert seen == [pytest.approx(-1.0, abs=1e-12)]
 
 
 def test_assemble_state_two_atoms():
