@@ -94,15 +94,22 @@ def _check_dense(d: int) -> None:
 def build_displacement(eta: complex, d: int) -> np.ndarray:
     """exp(eta a^dag - eta* a) on the truncated basis.
 
-    The truncated generator is still skew-Hermitian, so the result is exactly
-    unitary; its low columns match the infinite-dimensional displacement to
-    within the trusted-block tolerance.
+    With eta = |eta| e^{i theta} and R = exp(i theta a^dag a), the result is
+    R exp(|eta| (a^dag - a)) R^dag, exactly, also when truncated, because
+    a^dag a is diagonal.  The core is the exponential of a real skew-symmetric
+    tridiagonal matrix, so it is real orthogonal and its expm runs in real
+    arithmetic; R is the diagonal phase p_k = e^{i k theta}, applied as an
+    O(d^2) similarity.  The result is unitary in exact arithmetic; its low
+    columns match the infinite-dimensional displacement to within the
+    trusted-block tolerance.
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     _check_dense(d)
-    a = ladder(d)
-    return expm(eta * a.conj().T - np.conj(eta) * a)
+    off = np.sqrt(np.arange(1.0, d))
+    core = expm(abs(eta) * (np.diag(off, -1) - np.diag(off, 1)))
+    phase = np.exp(1j * np.angle(eta) * np.arange(d))
+    return phase[:, None] * core * phase.conj()[None, :]
 
 
 def trusted_columns(d: int, eta_abs: float, margin: float = TRUST_MARGIN) -> int:

@@ -186,7 +186,9 @@ def qfi_difference(
 def qfi_commensurate(n_particles: int, params: PhysicalParams) -> float:
     """F at commensurate times tau = l 2 pi / omega with constant driving:
     C1 = 0, C2 = 1/2 there, so F = 4 N^2 m^2 pi^2 r^4 / hbar^2 = N^2 (d phi_s/d Omega)^2
-    for every input-state family."""
+    = N^2 T_S^2 for the partially and the globally entangled families.  The
+    product state has no spin correlations: its F = 4 (2n+1) N T_C^2 |C1|^2
+    vanishes there."""
     big_n = float(n_particles)
     return (
         4.0

@@ -341,7 +341,7 @@ def run_coeffs(cfg: ScanConfig) -> dict:
 def run_qfi(cfg: ScanConfig) -> dict:
     """The configured point as a one-row run, with the global-vs-partial
     comparison (checked against F_global - F_partial(n = 0)) and, at whole
-    trap periods, the commensurate law."""
+    trap periods, the commensurate law (checked against N^2 T_S^2)."""
     params = cfg.params()
     tau, _ = cfg.resolve_tau()
     n_particles = cfg["n_particles"]
@@ -375,7 +375,15 @@ def run_qfi(cfg: ScanConfig) -> dict:
     }
     cycles = params.trap_frequency * tau / (2.0 * math.pi)
     if abs(cycles - round(cycles)) < 1e-9 and round(cycles) >= 1:
-        pairs["f_commensurate"] = qfi_commensurate(n_particles, params)
+        commensurate = qfi_commensurate(n_particles, params)
+        # N^2 T_S^2 is the law by a second route, from the derived constants.
+        reference = (float(n_particles) * constants.t_s) ** 2
+        if abs(commensurate - reference) > ROW_CROSS_CHECK_RTOL * max(1.0, reference):
+            raise ConsistencyError(
+                f"commensurate-law QFI {float(commensurate)!r} disagrees with "
+                f"N^2 T_S^2 = {reference!r}"
+            )
+        pairs["f_commensurate"] = commensurate
     return pairs
 
 

@@ -62,6 +62,39 @@ def test_displacement_reproduces_coherent_column():
         np.testing.assert_allclose(disp[:k, n], expected[:k], atol=1e-11)
 
 
+@pytest.mark.parametrize("d", [2, 12, 40, 92, 200, 400])
+def test_displacement_matches_complex_expm(d):
+    # The real orthogonal core plus the phase similarity must reproduce the
+    # complex exponential on the full matrix, not only the trusted block.
+    a = ladder(d)
+    for eta_abs in (0.0, 0.3, 1.7, 5.0):
+        for theta in (0.0, math.pi / 2, -math.pi / 2, math.pi, 0.9, -2.5):
+            eta = eta_abs * complex(math.cos(theta), math.sin(theta))
+            disp = build_displacement(eta, d)
+            want = scipy.linalg.expm(eta * a.conj().T - np.conj(eta) * a)
+            assert np.max(np.abs(disp - want)) <= 1e-12
+            assert np.max(np.abs(disp.conj().T @ disp - np.eye(d))) <= 1e-12
+
+
+def test_variance_oracle_runs_expm_on_real_matrices(monkeypatch):
+    # One N = 1 variance call builds 5 displacements per spin (Omega and
+    # +-delta, +-delta/2), each one real expm of the skew-symmetric core.
+    seen = []
+    expm_kernel = oracle.expm
+
+    def recording(mat):
+        seen.append((mat.dtype, mat.shape))
+        return expm_kernel(mat)
+
+    monkeypatch.setattr(oracle, "expm", recording)
+    tau = 0.3 * T0
+    state = make_partially_entangled(0.5 - 0.3j, 1)
+    qfi_variance_numeric(state, UNIT, DrivingProfile.constant_for(tau), tau)
+    assert len(seen) == 10
+    d = seen[0][1][0]
+    assert seen == [(np.dtype(np.float64), (d, d))] * 10
+
+
 def test_trusted_columns_roundtrip():
     for n_cols, eta in ((5, 0.7), (12, 1.9), (30, 3.2)):
         d = required_truncation(n_cols, eta)

@@ -15,6 +15,7 @@ from sagnac_qfi import (
     rows_to_csv,
     scan,
 )
+from sagnac_qfi.cli import main
 from sagnac_qfi.scan import (
     CSV_HEADER,
     run_oracle_check,
@@ -139,6 +140,29 @@ def test_qfi_difference_checked_against_closed_forms(monkeypatch):
     monkeypatch.setattr(scan, "qfi_difference", halved)
     with pytest.raises(ConsistencyError, match="global-minus-partial difference"):
         run_qfi(cfg)
+
+
+def test_commensurate_law_checked_against_derived_constants(monkeypatch, capsys):
+    # A qfi_commensurate with r^3 in place of r^4 must fail run_qfi and exit 3:
+    # the printed law is checked against N^2 T_S^2.  At the default r = 1 the
+    # two agree, so the check runs at r = 1.5.
+    def cubed(n_particles, params):
+        return (
+            4.0 * float(n_particles) ** 2 * params.mass**2 * math.pi**2
+            * params.ring_radius**3 / params.hbar**2
+        )
+
+    overrides = {"profile.tau": 2.0 * math.pi, "physical.ring_radius": 1.5}
+    cfg = cfg_with(**overrides)
+    assert run_qfi(cfg)["f_commensurate"] == pytest.approx(
+        100**2 * (2.0 * math.pi * 1.5**2) ** 2, rel=1e-12
+    )
+    monkeypatch.setattr(scan, "qfi_commensurate", cubed)
+    with pytest.raises(ConsistencyError, match="commensurate-law QFI"):
+        run_qfi(cfg)
+    argv = ["qfi", *(arg for k, v in overrides.items() for arg in ("--set", f"{k}={v}"))]
+    assert main(argv) == 3
+    assert "commensurate-law QFI" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
