@@ -10,6 +10,13 @@ package's evidence; `identity_suite` checks every one of them and reports
 each error against its tolerance.  Only this module builds and sizes the
 oracle's truncated spaces.
 
+The time-ordered product of a sampled drive does not exponentiate every
+step: it interpolates the step factor in the drive amplitude between at
+most STEP_NODES exact tridiagonal eigensolves per block of steps, within
+2^-53 per step by a bound on the factor's derivatives, so it stays an
+independent witness of the closed factorization at a few eigensolves per
+evolution (see `build_evolution_stepped`).
+
 Truncation discipline: evolving inside a truncated space reflects amplitude
 off the Fock cap, while truncating the exact evolution clips it, so the two
 only agree on columns whose displaced images stay well below the cap.  Column
@@ -30,8 +37,10 @@ costs O(d^2) memory and O(d^3) time however small N is.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
+import operator
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
@@ -76,6 +85,14 @@ SUITE_COLUMNS = 16
 # A second rotation rate for the generator identity: at Omega = 0 the C0 term
 # vanishes, so only a nonzero rate tests it.
 SUITE_ROTATION_RATE = 0.3
+# Most interpolation nodes (tridiagonal eigensolves, d x d factors held) one
+# block of sampled steps may use.
+STEP_NODES = 12
+# _STEP_REACH[m - 1] is the largest q = W dt ||X|| / 4 at which m Chebyshev
+# nodes keep the step-factor bound 2 q^m / m! at or below 2^-53.
+_STEP_REACH = tuple(
+    (2.0**-54 * math.factorial(m)) ** (1.0 / m) for m in range(1, STEP_NODES + 1)
+)
 
 
 def ladder(d: int) -> np.ndarray:
@@ -171,6 +188,70 @@ def build_evolution_closed(
     )
 
 
+def _step_factor(diag: np.ndarray, off: np.ndarray, f_val: float, dt: float) -> np.ndarray:
+    """exp(-i dt J) for J = diag + f_val * off, real symmetric and tridiagonal:
+    one eigensolve V, lam and the complex symmetric V e^{-i dt lam} V^T,
+    built from two real products."""
+    lam, vec = eigh_tridiagonal(diag, f_val * off)
+    out = np.empty((diag.size, diag.size), dtype=complex)
+    out.real = (vec * np.cos(dt * lam)) @ vec.T
+    out.imag = (vec * -np.sin(dt * lam)) @ vec.T
+    return out
+
+
+def _step_nodes(f_block: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolation nodes in the drive amplitude for one block of steps, and
+    their barycentric weights.
+
+    scale = dt ||X|| / 4, so that q = W * scale for a block of drive width W.
+    m Chebyshev points of the first kind on [min f, max f] keep every step
+    factor within 2 q^m / m! of the exact one; m is the smallest count that
+    meets 2^-53.  A block with no more distinct drive values than that takes
+    those values as its nodes, so each of its factors is exact.
+    """
+    lo, hi = float(f_block.min()), float(f_block.max())
+    m = bisect.bisect_left(_STEP_REACH, (hi - lo) * scale) + 1
+    own = np.unique(f_block)
+    if own.size <= m:
+        return own, np.ones(own.size)
+    theta = (2.0 * np.arange(m) + 1.0) * math.pi / (2.0 * m)
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
+    weights = np.where(np.arange(m) % 2 == 0, 1.0, -1.0) * np.sin(theta)
+    return nodes, weights
+
+
+def _barycentric_rows(nodes: np.ndarray, weights: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
+    """(len(f_vals), len(nodes)) coefficients of the barycentric interpolant;
+    a value equal to a node gets that node's factor alone (a one-hot row)."""
+    diff = f_vals[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    terms = weights / np.where(hit, 1.0, diff)
+    rows = terms / terms.sum(axis=1, keepdims=True)
+    return np.where(hit.any(axis=1, keepdims=True), hit, rows)
+
+
+def _product_over_block(
+    u: np.ndarray,
+    f_block: np.ndarray,
+    diag: np.ndarray,
+    off: np.ndarray,
+    dt: float,
+    scale: float,
+) -> np.ndarray:
+    """Apply one block's step factors to u in time order, each factor the
+    barycentric combination of the block's node factors."""
+    nodes, weights = _step_nodes(f_block, scale)
+    d = diag.size
+    # The node factors as one (m, 2 d^2) float array: each step's combination
+    # is one real row-times-matrix product.
+    flat = np.empty((nodes.size, 2 * d * d))
+    for j, f_val in enumerate(nodes):
+        flat[j] = _step_factor(diag, off, f_val, dt).view(float).ravel()
+    for row in _barycentric_rows(nodes, weights, f_block):
+        u = (row @ flat).view(complex).reshape(d, d) @ u
+    return u
+
+
 def build_evolution_stepped(
     params: PhysicalParams,
     profile: DrivingProfile,
@@ -181,18 +262,29 @@ def build_evolution_stepped(
 ) -> np.ndarray:
     """Midpoint time-ordered product of exp(-i H(t) dt / hbar).
 
-    H(t)/hbar = w a^dag a + f(s,t) K with K = i (a - a^dag).  For piecewise
-    profiles the step grid is snapped to segment boundaries (steps
-    allocated proportional to duration) so each factor is exact and the
-    product is limited only by truncation; for sampled profiles a uniform
-    grid with midpoint evaluation converges to the closed form at O(dt^2).
+    H(t)/hbar = w a^dag a + f(s,t) K with K = i (a - a^dag).  steps must be
+    an integer of at least 100.  For piecewise profiles the step grid is
+    snapped to segment boundaries (steps allocated proportional to duration)
+    so each factor is exact and the product is limited only by truncation;
+    for sampled profiles a uniform grid with midpoint evaluation converges
+    to the closed form at O(dt^2).
 
-    Sampled steps are exact exponentials taken in the gauge G = diag(i^k),
-    where G^dag K G is real, symmetric and tridiagonal with off-diagonal
-    -sqrt(k+1): each step is one tridiagonal eigensolve and two real matrix
-    products, and U = G u G^dag at the end.
+    Sampled steps are taken in the gauge G = diag(i^k), where
+    J(f) = G^dag (w a^dag a + f K) G = w a^dag a + f X is real, symmetric and
+    tridiagonal, X having off-diagonal -sqrt(k+1) and ||X|| <= 2 sqrt(d-1).
+    The step factor E(f) = exp(-i dt J(f)) is interpolated in f: since
+    ||d^k E/df^k|| <= (dt ||X||)^k, m Chebyshev nodes on a drive range of
+    width W reproduce it to within 2 (W dt ||X|| / 4)^m / m!.  The time grid
+    is split greedily into blocks of consecutive steps whose width keeps
+    that bound at or below 2^-53 with at most STEP_NODES nodes; each node
+    factor is one tridiagonal eigensolve, and each step is one barycentric
+    combination of the block's factors and one complex product.  A block
+    with no more distinct drive values than the nodes it needs uses those
+    values as nodes, so its factors are exact and a call never makes more
+    eigensolves than steps.  U = G u G^dag at the end.
     """
     _check_tau(profile, tau)
+    steps = operator.index(steps)
     if steps < 100:
         raise ValueError(f"steps must be at least 100, got {steps}")
     _check_dense(d)
@@ -213,14 +305,20 @@ def build_evolution_stepped(
     dt = tau / steps
     t_mid = (np.arange(steps) + 0.5) * dt
     f_mid = drive_amplitude(params, profile.omega_p_at(t_mid), spin_sign)
+    if not np.all(np.isfinite(f_mid)):
+        raise ValueError("the drive amplitude must be finite at every step")
     diag = w * np.arange(d, dtype=float)
     off = -np.sqrt(np.arange(1.0, d))
-    # V is real, so V^T u and V (.) are real products on u's (d, 2d) float view.
-    for f_val in f_mid:
-        lam, vec = eigh_tridiagonal(diag, float(f_val) * off)
-        rotated = (vec.T @ u.view(float)).view(complex)
-        rotated *= np.exp(-1j * dt * lam)[:, None]
-        u = (vec @ rotated.view(float)).view(complex)
+    scale = dt * 2.0 * math.sqrt(d - 1) / 4.0
+    start = 0
+    while start < steps:
+        # Running width of the drive from this step on; the block is the
+        # longest prefix that STEP_NODES nodes still cover.
+        rest = f_mid[start:]
+        reach = (np.maximum.accumulate(rest) - np.minimum.accumulate(rest)) * scale
+        block = rest[: np.searchsorted(reach, _STEP_REACH[-1], side="right")]
+        u = _product_over_block(u, block, diag, off, dt, scale)
+        start += block.size
     gauge = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(d) % 4]
     return gauge[:, None] * u * gauge.conj()[None, :]
 

@@ -35,6 +35,7 @@ from sagnac_qfi import (
 from sagnac_qfi import oracle
 from sagnac_qfi.model import drive_amplitude
 from sagnac_qfi.oracle import (
+    STEP_NODES,
     assemble_state,
     evolution_block,
     ladder,
@@ -178,26 +179,150 @@ def _smooth_sampled(tau: float, samples: int = 20001) -> DrivingProfile:
     )
 
 
-@pytest.mark.parametrize("d", [12, 20])
+def _rough_sampled(tau: float) -> DrivingProfile:
+    # Random samples whose drive spans several blocks of STEP_NODES nodes.
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, tau, 101)
+    return DrivingProfile.sampled(t, rng.uniform(-2.0, 4.0, t.size), normalization="rescale")
+
+
+def _flat_sampled(tau: float) -> DrivingProfile:
+    # A constant shape on a sampled grid: every step has the same drive.
+    t = np.linspace(0.0, tau, 301)
+    return DrivingProfile.sampled(t, np.ones_like(t), normalization="rescale")
+
+
+SAMPLED_DRIVES = {
+    # id: (profile builder, d, steps)
+    "12": (_smooth_sampled, 12, 100),
+    "20": (_smooth_sampled, 20, 100),
+    "smooth-40": (_smooth_sampled, 40, 400),
+    "rough-80": (_rough_sampled, 80, 100),
+    "flat-40": (_flat_sampled, 40, 200),
+}
+STEPPED_PARAMS = PhysicalParams(trap_frequency=1.3, rotation_rate=0.2)
+STEPPED_TAU = 0.6 * T0 / STEPPED_PARAMS.trap_frequency
+
+
+def _sampled_drive(case: str):
+    make, d, steps = SAMPLED_DRIVES[case]
+    return make(STEPPED_TAU), d, steps
+
+
+def _step_drive(profile: DrivingProfile, spin: int, steps: int) -> np.ndarray:
+    dt = STEPPED_TAU / steps
+    t_mid = (np.arange(steps) + 0.5) * dt
+    return drive_amplitude(STEPPED_PARAMS, profile.omega_p_at(t_mid), spin)
+
+
+@pytest.mark.parametrize("case", list(SAMPLED_DRIVES))
 @pytest.mark.parametrize("spin", [+1, -1])
-def test_sampled_stepped_matches_per_step_expm(d, spin):
+def test_sampled_stepped_matches_per_step_expm(case, spin):
     # Reference: the midpoint product built from one dense expm per step in
-    # the Fock basis, with no gauge and no eigensolve.
-    params = PhysicalParams(trap_frequency=1.3, rotation_rate=0.2)
-    tau = 0.6 * T0 / params.trap_frequency
-    profile = _smooth_sampled(tau)
-    steps = 100
-    dt = tau / steps
+    # the Fock basis, with no gauge, no eigensolve and no interpolation.
+    profile, d, steps = _sampled_drive(case)
+    dt = STEPPED_TAU / steps
     a = ladder(d)
     nop = a.conj().T @ a
     kop = 1j * (a - a.conj().T)
-    f_mid = drive_amplitude(params, profile.omega_p_at((np.arange(steps) + 0.5) * dt), spin)
     want = np.eye(d, dtype=complex)
-    for f_val in f_mid:
-        hamiltonian = params.trap_frequency * nop + f_val * kop
+    for f_val in _step_drive(profile, spin, steps):
+        hamiltonian = STEPPED_PARAMS.trap_frequency * nop + f_val * kop
         want = scipy.linalg.expm(-1j * hamiltonian * dt) @ want
-    got = build_evolution_stepped(params, profile, tau, spin, d, steps)
+    got = build_evolution_stepped(STEPPED_PARAMS, profile, STEPPED_TAU, spin, d, steps)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _count_step_work(monkeypatch) -> dict:
+    counts = {"eigensolves": 0, "block_nodes": []}
+    real_eigh, real_nodes = oracle.eigh_tridiagonal, oracle._step_nodes
+
+    def eigh(*args, **kwargs):
+        counts["eigensolves"] += 1
+        return real_eigh(*args, **kwargs)
+
+    def nodes(*args, **kwargs):
+        out = real_nodes(*args, **kwargs)
+        counts["block_nodes"].append(out[0].size)
+        return out
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", eigh)
+    monkeypatch.setattr(oracle, "_step_nodes", nodes)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "case, blocks, eigensolves",
+    [("smooth-40", 1, STEP_NODES), ("rough-80", 3, 100), ("flat-40", 1, 1)],
+    ids=["smooth", "rough", "flat"],
+)
+def test_sampled_stepped_eigensolve_count(monkeypatch, case, blocks, eigensolves):
+    # Each block holds at most STEP_NODES factors, one eigensolve each; the
+    # smooth drive fits one block, the rough one needs at least `blocks`, and
+    # a drive of zero width needs exactly one eigensolve (at most one, and
+    # every block makes at least one).
+    profile, d, steps = _sampled_drive(case)
+    counts = _count_step_work(monkeypatch)
+    build_evolution_stepped(STEPPED_PARAMS, profile, STEPPED_TAU, +1, d, steps)
+    assert len(counts["block_nodes"]) >= blocks
+    assert max(counts["block_nodes"]) <= STEP_NODES
+    assert counts["eigensolves"] == sum(counts["block_nodes"])
+    assert counts["eigensolves"] <= min(eigensolves, steps)
+
+
+@pytest.mark.parametrize("reach, n_nodes", [(1.0, STEP_NODES), (0.5, 11), (0.05, 7)])
+def test_step_interpolation_meets_its_bound(reach, n_nodes):
+    # A block as wide as `reach` times the widest one STEP_NODES nodes cover,
+    # at d = 80 and 100 steps: with the node count the bound chose, the
+    # barycentric factor at 50 random drives inside it matches an exact
+    # eigensolve factor.
+    d, steps = 80, 100
+    dt = STEPPED_TAU / steps
+    scale = dt * 2.0 * math.sqrt(d - 1) / 4.0
+    width = reach * oracle._STEP_REACH[-1] / scale
+    block = 0.7 + np.linspace(0.0, width, 200)
+    nodes, weights = oracle._step_nodes(block, scale)
+    assert nodes.size == n_nodes
+    diag = STEPPED_PARAMS.trap_frequency * np.arange(d, dtype=float)
+    off = -np.sqrt(np.arange(1.0, d))
+    factors = np.stack([oracle._step_factor(diag, off, x, dt) for x in nodes])
+    f_vals = np.random.default_rng(5).uniform(block[0], block[-1], 50)
+    rows = oracle._barycentric_rows(nodes, weights, f_vals)
+    for f_val, row in zip(f_vals, rows):
+        got = np.tensordot(row, factors, axes=1)
+        want = oracle._step_factor(diag, off, f_val, dt)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_step_interpolation_reuses_node_factors():
+    # A drive equal to a node takes that node's factor unchanged.
+    nodes = np.array([0.2, 0.5, 0.9])
+    rows = oracle._barycentric_rows(nodes, np.array([1.0, -1.0, 1.0]), nodes[::-1])
+    assert np.array_equal(rows, np.eye(3)[::-1])
+
+
+@pytest.mark.parametrize(
+    "profile, steps",
+    [
+        (_smooth_sampled(3.0, samples=301), 300.5),
+        (_smooth_sampled(3.0, samples=301), 299.9999),
+        (DrivingProfile.piecewise([(1.0, 2.0), (2.0, 1.0)], normalization="rescale"), 150.7),
+    ],
+    ids=["sampled-half", "sampled-near", "piecewise"],
+)
+def test_stepped_rejects_non_integral_steps(profile, steps):
+    with pytest.raises(TypeError):
+        build_evolution_stepped(UNIT, profile, 3.0, +1, 20, steps=steps)
+    whole = build_evolution_stepped(UNIT, profile, 3.0, +1, 20, steps=150)
+    numpy_int = build_evolution_stepped(UNIT, profile, 3.0, +1, 20, steps=np.int64(150))
+    assert np.array_equal(whole, numpy_int)
+
+
+def test_sampled_stepped_rejects_non_finite_drive():
+    # A finite profile whose drive amplitude overflows.
+    params = PhysicalParams(mass=1e300, ring_radius=1e300)
+    with pytest.raises(ValueError, match="finite"):
+        build_evolution_stepped(params, _smooth_sampled(3.0, samples=301), 3.0, +1, 20, steps=200)
 
 
 def _count_kernel_calls(monkeypatch) -> dict:
