@@ -10,6 +10,7 @@ config, seed and BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .exceptions import ConsistencyError, SagnacQfiError
@@ -25,7 +26,10 @@ from .scan import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was (argparse copies the `--set` default list before appending to it)."""
     parser = argparse.ArgumentParser(
         prog="sagnac-qfi",
         description=(

@@ -101,6 +101,9 @@ def ladder(d: int) -> np.ndarray:
 
 
 def _check_dense(d: int) -> None:
+    """A single-site truncation must hold a ladder step and fit the dense guard."""
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
     if d > DENSE_GUARD:
         raise SizeGuardError(
             f"d = {d} exceeds the dense guard {DENSE_GUARD} on a single-site "
@@ -120,8 +123,6 @@ def build_displacement(eta: complex, d: int) -> np.ndarray:
     columns match the infinite-dimensional displacement to within the
     trusted-block tolerance.
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
     _check_dense(d)
     off = np.sqrt(np.arange(1.0, d))
     core = expm(abs(eta) * (np.diag(off, -1) - np.diag(off, 1)))

@@ -15,10 +15,10 @@ shortest round-trip floats, no timestamps.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -511,16 +511,22 @@ def run_scan_tau(cfg: ScanConfig) -> dict:
 
 def _steady_onset(taus: np.ndarray, rows: list, t0: float) -> float | None:
     """First tau (in T0 units) from which F_partial/N^2 varies by less than 1%
-    relative over one T0 window."""
+    relative over one T0 window.  The sweep grid `taus` is sorted, so the
+    window of taus in [tau, tau + T0] is the slice that searchsorted bounds,
+    repeated grid values included."""
     values = np.array([row["f_partial_per_n2"] for row in rows])
+    reach = taus + t0
+    starts = np.searchsorted(taus, taus, side="left")
+    ends = np.searchsorted(taus, reach, side="right")
+    last = taus[-1] + 1e-12
     for i in range(len(taus)):
-        if taus[i] + t0 > taus[-1] + 1e-12:
+        if reach[i] > last:
             break  # window would run past the sweep; no verdict there
-        window = values[(taus >= taus[i]) & (taus <= taus[i] + t0)]
+        window = values[starts[i]:ends[i]]
         if window.size < 2:
             continue
-        mean = float(np.mean(window))
-        if mean > 0 and (np.max(window) - np.min(window)) / mean < 0.01:
+        mean = float(window.mean())
+        if mean > 0 and (window.max() - window.min()) / mean < 0.01:
             return float(taus[i] / t0)
     return None
 
@@ -534,6 +540,9 @@ def run_oracle_check(cfg: ScanConfig, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+
+
+_FLOAT_TYPES = frozenset((float, np.float64))
 
 
 def _fmt(value) -> str:
@@ -565,16 +574,34 @@ def _echo_lines(cfg: ScanConfig, extra: dict | None = None) -> list[str]:
 
 
 def rows_to_csv(rows: list[dict], cfg: ScanConfig, extra: dict | None = None) -> str:
-    out = io.StringIO()
-    for line in _echo_lines(cfg, extra):
-        out.write(line + "\n")
+    """Echo lines, then one line per row, formatted column by column: a column
+    of floats (every scan column) through float.__repr__, which is what
+    `_fmt` gives a float, and any other column through `_fmt`."""
+    lines = _echo_lines(cfg, extra)
     if rows:
         fields = [f for f in ROW_FIELDS if f in rows[0]]
         fields += [f for f in rows[0] if f not in ROW_FIELDS]
-        out.write(",".join(fields) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(row[f]) for f in fields) + "\n")
-    return out.getvalue()
+        lines.append(",".join(fields))
+        columns = []
+        for field in fields:
+            column = list(map(itemgetter(field), rows))
+            texts = _float_texts(column)
+            columns.append(list(map(_fmt, column)) if texts is None else texts)
+        lines.extend(map(",".join, zip(*columns)))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _float_texts(column: list) -> list[str] | None:
+    """float.__repr__ of every cell, or None when a cell is not a float.  A
+    column that holds one nonzero value throughout (a constant of the sweep)
+    costs one repr: equal nonzero floats have equal reprs."""
+    if not _FLOAT_TYPES.issuperset(map(type, column)):
+        return None
+    first = column[0]
+    if first != 0 and column.count(first) == len(column):
+        return [float.__repr__(first)] * len(column)
+    return list(map(float.__repr__, column))
 
 
 def result_to_json(result: dict, cfg: ScanConfig) -> str:
@@ -600,8 +627,79 @@ def result_to_json(result: dict, cfg: ScanConfig) -> str:
     return _dumps(payload)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of `json.dumps(payload, indent=2, sort_keys=True) + "\n"`
+    for a payload whose dict keys are strings, and TypeError where json.dumps
+    raises it (numpy integers and bools, for instance)."""
+    return _json(payload, "\n") + "\n"
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json(value, pad: str) -> str:
+    """One JSON value whose first line sits at indentation `pad` ("\n" and
+    two spaces per level), in the type order of the json module's encoder."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if type(value[0]) is dict and value[0]:
+            items = _json_records(value, inner)
+        else:
+            items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quote(key) + ": " + _json(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_records(records, pad: str) -> list[str]:
+    """The items of a list of dicts at indentation `pad`.  When every dict has
+    the first one's keys, they are filled into one template column by column,
+    and a column of finite floats (a scan column) straight from
+    float.__repr__."""
+    shape = records[0].keys()
+    if not all(type(record) is dict and record.keys() == shape for record in records):
+        return [_json(record, pad) for record in records]
+    keys = sorted(records[0])
+    field = pad + "  "
+    template = "{" + ",".join(
+        field + _quote(key).replace("%", "%%") + ": %s" for key in keys
+    ) + pad + "}"
+    columns = []
+    for key in keys:
+        column = list(map(itemgetter(key), records))
+        texts = _float_texts(column)
+        if texts is None or not all(map(math.isfinite, column)):
+            texts = [_json(value, field) for value in column]
+        columns.append(texts)
+    return list(map(template.__mod__, zip(*columns)))
 
 
 def format_result(command: str, result: dict, cfg: ScanConfig, fmt: str) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
@@ -41,7 +42,7 @@ class BranchState:
         amps = np.asarray(self.mode_amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("mode_amplitudes must be a nonempty 1-d vector")
-        norm = float(np.sum(np.abs(amps) ** 2))
+        norm = float((np.abs(amps) ** 2).sum())
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"branch not normalized: sum |amp|^2 = {norm!r}")
         amps.setflags(write=False)
@@ -69,6 +70,20 @@ class GhzProductState:
     @property
     def truncation(self) -> int:
         return self.branch_up.truncation
+
+    @cached_property
+    def mode_moments(self):
+        """(<a>, <a^2>, <n>) of the up and the down branch's mode state.
+
+        Computed on first use, so a state that is only evolved never pays for
+        them, and then reused by every correlation call on this state.  Branches
+        that share one amplitude array (the partially entangled state) share
+        one moment pass.
+        """
+        up = self.branch_up.mode_amplitudes
+        down = self.branch_down.mode_amplitudes
+        moments_up = _mode_moments(up)
+        return moments_up, moments_up if down is up else _mode_moments(down)
 
 
 @dataclass(frozen=True)
@@ -119,21 +134,23 @@ def displaced_fock_amplitudes(alpha: complex, n: int, d: int) -> np.ndarray:
     theta = np.angle(alpha)
     out = np.zeros(d, dtype=complex)
 
-    hi = m >= n
-    k = m[hi] - n
-    log_mag = 0.5 * (gammaln(n + 1) - gammaln(m[hi] + 1)) + k * math.log(abs(alpha))
-    out[hi] = (
+    hi = m[n:]  # the levels m >= n
+    k = hi - n
+    log_mag = 0.5 * (gammaln(n + 1) - gammaln(hi + 1)) + k * math.log(abs(alpha))
+    out[n:] = (
         np.exp(log_mag - x / 2.0)
         * np.exp(1j * k * theta)
         * eval_genlaguerre(n, k, x)
     )
-    lo = ~hi
-    k = n - m[lo]
-    log_mag = 0.5 * (gammaln(m[lo] + 1) - gammaln(n + 1)) + k * math.log(abs(alpha))
-    out[lo] = (
+    if n == 0:
+        return out  # no m < n levels
+    lo = m[:n]
+    k = n - lo
+    log_mag = 0.5 * (gammaln(lo + 1) - gammaln(n + 1)) + k * math.log(abs(alpha))
+    out[:n] = (
         np.exp(log_mag - x / 2.0)
         * (-np.exp(-1j * theta)) ** k
-        * eval_genlaguerre(m[lo], k, x)
+        * eval_genlaguerre(lo, k, x)
     )
     return out
 
@@ -158,7 +175,7 @@ def auto_truncation(alpha: complex, n: int = 0, leakage: float = DEFAULT_LEAKAGE
 
 
 def _build_branches(amps: np.ndarray, d: int, leakage: float, alpha, n):
-    leak = 1.0 - float(np.sum(np.abs(amps) ** 2))
+    leak = 1.0 - float((np.abs(amps) ** 2).sum())
     if leak > leakage:
         raise TruncationError(
             f"truncation d = {d} leaks {leak:.3e} > {leakage:.3e} for "
@@ -183,7 +200,7 @@ def make_partially_entangled(
     amps = _build_branches(displaced_fock_amplitudes(alpha, n, d), d, leakage, alpha, n)
     return GhzProductState(
         branch_up=BranchState(+1, amps),
-        branch_down=BranchState(-1, amps.copy()),
+        branch_down=BranchState(-1, amps),  # one read-only array, one moment pass
         n_particles=n_particles,
     )
 
@@ -212,23 +229,24 @@ def _mode_moments(amps: np.ndarray):
     """<a>, <a^2>, <n> of a truncated mode state."""
     d = amps.size
     k = np.arange(d, dtype=float)
-    a_mean = complex(np.sum(np.conj(amps[:-1]) * amps[1:] * np.sqrt(k[1:])))
+    a_mean = complex((amps[:-1].conj() * amps[1:] * np.sqrt(k[1:])).sum())
     if d >= 3:
         a2_mean = complex(
-            np.sum(np.conj(amps[:-2]) * amps[2:] * np.sqrt(k[1:-1] * (k[1:-1] + 1.0)))
+            (amps[:-2].conj() * amps[2:] * np.sqrt(k[1:-1] * (k[1:-1] + 1.0))).sum()
         )
     else:
         a2_mean = 0.0 + 0.0j
-    n_mean = float(np.sum(k * np.abs(amps) ** 2))
+    n_mean = float((k * np.abs(amps) ** 2).sum())
     return a_mean, a2_mean, n_mean
 
 
-def _branch_x_moments(amps: np.ndarray, c1: complex):
-    """<X> and <X^2> on one branch, X = c1 a^dag + c1* a."""
-    a_mean, a2_mean, n_mean = _mode_moments(amps)
-    x = 2.0 * (np.conj(c1) * a_mean).real
-    x2 = 2.0 * (np.conj(c1) ** 2 * a2_mean).real + abs(c1) ** 2 * (2.0 * n_mean + 1.0)
-    return x, x2
+def _branch_x_moments(moments, c1_conj, c1_abs2: float):
+    """<X> and <X^2> on one branch from its mode moments, X = c1 a^dag + c1* a,
+    given conj(c1) and |c1|^2, as Python floats."""
+    a_mean, a2_mean, n_mean = moments
+    x = 2.0 * (c1_conj * a_mean).real
+    x2 = 2.0 * (c1_conj**2 * a2_mean).real + c1_abs2 * (2.0 * n_mean + 1.0)
+    return float(x), float(x2)
 
 
 def correlations_generic(state: GhzProductState, c1: complex) -> CorrelationSet:
@@ -238,10 +256,13 @@ def correlations_generic(state: GhzProductState, c1: complex) -> CorrelationSet:
     every spin factor and X, sigma_z never flip spins; this holds even at
     N = 1 where it is the spin orthogonality alone doing the work.  So every
     moment is the equal-weight average of branch moments, with two-site
-    moments factorizing inside a branch.
+    moments factorizing inside a branch.  Only this combination with C1 runs
+    per call; the branches' mode moments are computed once per state.
     """
-    x_u, x2_u = _branch_x_moments(state.branch_up.mode_amplitudes, c1)
-    x_d, x2_d = _branch_x_moments(state.branch_down.mode_amplitudes, c1)
+    up, down = state.mode_moments
+    c1_conj, c1_abs2 = np.conj(c1), abs(c1) ** 2
+    x_u, x2_u = _branch_x_moments(up, c1_conj, c1_abs2)
+    x_d, x2_d = (x_u, x2_u) if down is up else _branch_x_moments(down, c1_conj, c1_abs2)
     s_u = float(state.branch_up.spin_sign)
     s_d = float(state.branch_down.spin_sign)
 

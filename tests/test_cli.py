@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sagnac_qfi.cli import main
+from sagnac_qfi.cli import build_parser, main
 
 TAU = ["--set", f"profile.tau={math.pi}"]
 
@@ -172,3 +172,27 @@ def test_unallocatable_sweep_exits_2(command, variable, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: input out of range: ")
     assert captured.out == ""
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path):
+    config = tmp_path / "tau.cfg"
+    config.write_text(f"profile.tau = {math.pi}\n")
+    with_sets = [
+        "scan-n", *TAU, "--set", "state.kind=partial", "--set", "state.n=2",
+        "--set", "sweep.points=5", "--set", "physical.ring_radius=1.5",
+    ]
+    without_sets = ["scan-n", "--config", str(config), "--format", "json"]
+
+    def run(argv, name):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    build_parser.cache_clear()  # each call alone, as in a fresh process
+    alone = run(with_sets, "a1")
+    build_parser.cache_clear()
+    assert build_parser().parse_args(["qfi"]).set == []
+    alone_bare = run(without_sets, "b1")
+    assert (run(with_sets, "a2"), run(without_sets, "b2")) == (alone, alone_bare)
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["qfi"]).set == []

@@ -318,6 +318,20 @@ def test_stepped_rejects_non_integral_steps(profile, steps):
     assert np.array_equal(whole, numpy_int)
 
 
+@pytest.mark.parametrize("d", [-3, 0, 1])
+@pytest.mark.parametrize(
+    "profile",
+    [
+        _smooth_sampled(3.0, samples=301),
+        DrivingProfile.piecewise([(1.0, 2.0), (2.0, 1.0)], normalization="rescale"),
+    ],
+    ids=["sampled", "piecewise"],
+)
+def test_stepped_rejects_truncation_below_two(profile, d):
+    with pytest.raises(ValueError, match="d must be at least 2"):
+        build_evolution_stepped(UNIT, profile, 3.0, +1, d, steps=150)
+
+
 def test_sampled_stepped_rejects_non_finite_drive():
     # A finite profile whose drive amplitude overflows.
     params = PhysicalParams(mass=1e300, ring_radius=1e300)

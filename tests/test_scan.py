@@ -4,7 +4,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sagnac_qfi import (
     ConfigError,
@@ -359,3 +362,44 @@ def test_json_serialization_round_trips():
     assert payload["version"] == "sagnac-qfi v1"
     assert payload["rows"][0]["f_global"] == result["rows"][0]["f_global"]
     assert payload["summary"]["slope_log10"] == result["summary"]["slope_log10"]
+
+
+def _steady_onset_by_mask(taus, rows, t0):
+    """The steady-onset rule as a boolean mask over the whole sweep per tau."""
+    values = np.array([row["f_partial_per_n2"] for row in rows])
+    for i in range(len(taus)):
+        if taus[i] + t0 > taus[-1] + 1e-12:
+            break
+        window = values[(taus >= taus[i]) & (taus <= taus[i] + t0)]
+        if window.size < 2:
+            continue
+        mean = float(np.mean(window))
+        if mean > 0 and (np.max(window) - np.min(window)) / mean < 0.01:
+            return float(taus[i] / t0)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    start=st.floats(min_value=1e-3, max_value=1e9),
+    ulps=st.integers(1, 6),
+    points=st.integers(2, 40),
+    t0_ulps=st.integers(0, 8),
+    wide=st.booleans(),
+    data=st.data(),
+)
+def test_steady_onset_slices_the_window_the_mask_selects(start, ulps, points, t0_ulps, wide, data):
+    # A grid whose start and stop lie a few ulps apart repeats tau values; a
+    # wide grid with a wide window checks the ordinary case.
+    ulp = math.ulp(start)
+    if wide:
+        stop, t0 = start * 3.0, start * data.draw(st.floats(0.01, 2.0))
+    else:
+        stop, t0 = start + ulps * ulp, t0_ulps * ulp or ulp
+    taus = np.linspace(start, stop, points)
+    level = data.draw(st.floats(0.5, 2.0))
+    rows = [
+        {"f_partial_per_n2": level * (1.0 + data.draw(st.sampled_from([0.0, 1e-3, 2e-3, 0.05])))}
+        for _ in taus
+    ]
+    assert scan._steady_onset(taus, rows, t0) == _steady_onset_by_mask(taus, rows, t0)

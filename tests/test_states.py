@@ -1,9 +1,13 @@
 """Input-state construction and spin-mode correlation extraction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_genlaguerre, gammaln
 
 from sagnac_qfi import (
     BranchState,
@@ -15,8 +19,11 @@ from sagnac_qfi import (
     correlations_generic,
     correlations_single_branch,
     displaced_fock_amplitudes,
+    load_config,
     make_globally_entangled,
     make_partially_entangled,
+    run_scan_tau,
+    states,
 )
 
 
@@ -226,3 +233,116 @@ def test_correlations_commute_with_truncation_padding():
     a = correlations_generic(tight, c1)
     b = correlations_generic(padded, c1)
     assert a.var_x1 == pytest.approx(b.var_x1, abs=1e-10)
+
+
+def _per_call_correlations(state, c1):
+    """correlations_generic as it was before the moments were cached: both
+    branches' mode moments recomputed from the amplitudes on every call."""
+
+    def x_moments(amps):
+        d = amps.size
+        k = np.arange(d, dtype=float)
+        a_mean = complex(np.sum(np.conj(amps[:-1]) * amps[1:] * np.sqrt(k[1:])))
+        if d >= 3:
+            a2_mean = complex(
+                np.sum(np.conj(amps[:-2]) * amps[2:] * np.sqrt(k[1:-1] * (k[1:-1] + 1.0)))
+            )
+        else:
+            a2_mean = 0.0 + 0.0j
+        n_mean = float(np.sum(k * np.abs(amps) ** 2))
+        x = 2.0 * (np.conj(c1) * a_mean).real
+        x2 = 2.0 * (np.conj(c1) ** 2 * a2_mean).real + abs(c1) ** 2 * (2.0 * n_mean + 1.0)
+        return x, x2
+
+    x_u, x2_u = x_moments(state.branch_up.mode_amplitudes)
+    x_d, x2_d = x_moments(state.branch_down.mode_amplitudes)
+    s_u = float(state.branch_up.spin_sign)
+    s_d = float(state.branch_down.spin_sign)
+    x_mean = 0.5 * (x_u + x_d)
+    s_mean = 0.5 * (s_u + s_d)
+    return CorrelationSet(
+        var_x1=0.5 * (x2_u + x2_d) - x_mean**2,
+        var_sz1=0.5 * (s_u**2 + s_d**2) - s_mean**2,
+        cov_x1_sz1=0.5 * (x_u * s_u + x_d * s_d) - x_mean * s_mean,
+        cov_x1_x2=0.5 * (x_u**2 + x_d**2) - x_mean**2,
+        cov_sz1_sz2=0.5 * (s_u**2 + s_d**2) - s_mean**2,
+        cov_x1_sz2=0.5 * (x_u * s_u + x_d * s_d) - x_mean * s_mean,
+    )
+
+
+finite = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    alpha=st.builds(complex, finite, finite),
+    n=st.integers(0, 2),
+    c1s=st.lists(st.builds(complex, finite, finite), min_size=1, max_size=3),
+    kind=st.sampled_from(["partial", "global"]),
+)
+def test_cached_moments_give_the_per_call_correlations_bit_for_bit(alpha, n, c1s, kind):
+    state = (
+        make_partially_entangled(alpha, n) if kind == "partial" else make_globally_entangled(alpha)
+    )
+    for c1 in c1s:  # the first call fills the cache, the later ones read it
+        assert dataclasses.astuple(correlations_generic(state, c1)) == dataclasses.astuple(
+            _per_call_correlations(state, c1)
+        )
+
+
+@pytest.mark.parametrize("kind, most", [("global", 2), ("partial", 1)])
+def test_a_tau_scan_computes_the_mode_moments_once(monkeypatch, kind, most):
+    calls = []
+    real = states._mode_moments
+
+    def counted(amps):
+        calls.append(amps.size)
+        return real(amps)
+
+    monkeypatch.setattr(states, "_mode_moments", counted)
+    cfg = load_config(None, [
+        f"state.kind={kind}", "state.n=1", "sweep.variable=tau", "sweep.scale=linear",
+        "sweep.start=0.5", "sweep.stop=30.0", "sweep.points=400",
+    ])
+    assert len(run_scan_tau(cfg)["rows"]) == 400
+    assert 1 <= len(calls) <= most
+    assert kind == "global" or len(calls) == 1
+
+
+def test_moments_wait_for_the_first_correlation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(states, "_mode_moments", lambda amps: calls.append(1))
+    make_globally_entangled(0.7 - 0.2j)
+    make_partially_entangled(0.7 - 0.2j, 2)
+    assert calls == []
+
+
+def _amplitudes_by_mask(alpha, n, d):
+    """displaced_fock_amplitudes with boolean masks over all levels."""
+    alpha = complex(alpha)
+    m = np.arange(d)
+    x = abs(alpha) ** 2
+    theta = np.angle(alpha)
+    out = np.zeros(d, dtype=complex)
+    hi = m >= n
+    k = m[hi] - n
+    log_mag = 0.5 * (gammaln(n + 1) - gammaln(m[hi] + 1)) + k * math.log(abs(alpha))
+    out[hi] = np.exp(log_mag - x / 2.0) * np.exp(1j * k * theta) * eval_genlaguerre(n, k, x)
+    lo = ~hi
+    k = n - m[lo]
+    log_mag = 0.5 * (gammaln(m[lo] + 1) - gammaln(n + 1)) + k * math.log(abs(alpha))
+    out[lo] = (
+        np.exp(log_mag - x / 2.0) * (-np.exp(-1j * theta)) ** k * eval_genlaguerre(m[lo], k, x)
+    )
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    alpha=st.builds(complex, finite, finite).filter(lambda a: a != 0),
+    n=st.integers(0, 4),
+    extra=st.integers(1, 40),
+)
+def test_sliced_amplitudes_equal_the_masked_ones_bit_for_bit(alpha, n, extra):
+    d = n + extra
+    assert np.array_equal(displaced_fock_amplitudes(alpha, n, d), _amplitudes_by_mask(alpha, n, d))
