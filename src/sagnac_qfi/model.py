@@ -21,14 +21,30 @@ generator built from this factorization is
 whose scalar coefficients this module evaluates in closed form for
 piecewise-constant profiles (a constant drive is the one-segment case) and by
 composite Simpson quadrature for sampled profiles.  Only sampled profiles
-need scipy.integrate, so the four functions that integrate them import it
-where they use it: importing the package does not load it.
+need scipy.integrate, and only its `simpson`: the four functions that call it
+(`DrivingProfile.sampled`, `profile_integral`, `_c2_integral` and
+`_eta_phi_sampled`) import it where they use it, so importing the package
+does not load it.  The running integrals inside Phi come from
+`_cumulative_simpson`, which returns the bits of
+scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0) while evaluating
+only the sub-interval integrals that scipy keeps.
+
+A sampled profile integrates its drive once per (params, tau): it remembers
+the CoefficientSet of its last COEFFICIENT_MEMO_SIZE distinct pairs, keyed by
+their exact float bits, so the oracle's repeated calls on one profile (the
+closed evolution of both spins, each rotation rate of a finite difference)
+reuse one quadrature.  Piecewise profiles skip the memo: their closed form
+is cheap, and the scans that build them rarely repeat a (params, tau) on one
+profile, so remembering them would cost more than it saves.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +52,14 @@ from .exceptions import ProfileError
 
 # Relative slack on |integral - pi| accepted by strict normalization.
 STRICT_NORMALIZATION_RTOL = 1e-8
+
+# Distinct (params, tau) whose coefficients a sampled profile remembers: the
+# most that one oracle call evaluates on one profile.  qfi_fidelity_numeric
+# makes seven (Omega, up to five adapted Omega + delta, then Omega + delta/2);
+# generator_numeric makes five (Omega, Omega +/- delta, Omega +/- delta/2).
+COEFFICIENT_MEMO_SIZE = 7
+# Guards the evict-then-store of a memo that threads may share with the profile.
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -123,6 +147,25 @@ class DrivingProfile:
     segments: tuple[tuple[float, float], ...] = ()
     times: np.ndarray | None = field(default=None, repr=False)
     values: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def _coefficient_memo(self) -> dict:
+        """(params, tau) bits -> CoefficientSet, filled by `coefficients`.
+
+        Not a field, so it takes no part in ==, hash or repr, a profile
+        pays for it only on first use, and `dataclasses.replace` starts a
+        new one."""
+        return {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.segments == other.segments
+            and np.array_equal(self.times, other.times)
+            and np.array_equal(self.values, other.values)
+        )
 
     @staticmethod
     def constant(value: float) -> "DrivingProfile":
@@ -334,6 +377,31 @@ def _eta_phi_segments(params: PhysicalParams, segments, spin_sign: int):
     return complex(eta), float(phi), float(eta_bound)
 
 
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0), bit for bit.
+
+    scipy integrates every sub-interval [t_k, t_k+1] twice, from the parabola
+    through t_k..t_k+2 and from the one through t_k-1..t_k+1, and keeps the
+    first at even k and the second at odd k and at the last interval.  This
+    evaluates only the kept ones, with scipy's expression, and sums them in
+    its order.  The leading 0.0 of the running sum is scipy's `+ initial`,
+    which turns a -0.0 total into 0.0.  Two samples fall back to the
+    trapezoid, as in scipy.
+    """
+    sub = np.empty(y.size)
+    sub[0] = 0.0
+    if y.size == 2:
+        sub[1] = h * (y[1] + y[0]) / 2.0
+        return np.cumsum(sub)
+    left, mid, right = y[:-2:2], y[1:-1:2], y[2::2]
+    third = h / 3
+    sub[1:-1:2] = third * (5 * left / 4 + 2 * mid - right / 4)
+    sub[2::2] = third * (5 * right / 4 + 2 * mid - left / 4)
+    if y.size % 2 == 0:
+        sub[-1] = third * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
+    return np.cumsum(sub)
+
+
 def _eta_phi_sampled(
     params: PhysicalParams,
     profile: DrivingProfile,
@@ -345,15 +413,15 @@ def _eta_phi_sampled(
     Phi = int f(t) [sin(wt) Fc(t) - cos(wt) Fs(t)] dt with cumulative Simpson
     for the inner integrals.  cos_wt and sin_wt are cos(wt) and sin(wt) on
     the profile's grid, shared by both spins."""
-    from scipy.integrate import cumulative_simpson, simpson
+    from scipy.integrate import simpson
 
     h = _grid_step(profile.times)
     fv = drive_amplitude(params, profile.values, spin_sign)
     f_cos = fv * cos_wt
     f_sin = fv * sin_wt
     eta = -complex(simpson(f_cos, dx=h), simpson(f_sin, dx=h))
-    fc = cumulative_simpson(f_cos, dx=h, initial=0.0)
-    fs = cumulative_simpson(f_sin, dx=h, initial=0.0)
+    fc = _cumulative_simpson(f_cos, h)
+    fs = _cumulative_simpson(f_sin, h)
     phi = float(simpson(fv * (sin_wt * fc - cos_wt * fs), dx=h))
     return eta, phi
 
@@ -375,15 +443,42 @@ def _c2_integral(params: PhysicalParams, profile: DrivingProfile, tau: float) ->
     return total
 
 
+def _memo_key(params: PhysicalParams, tau: float) -> bytes | None:
+    """The exact bits of every float `coefficients` reads, so 0.0 and -0.0
+    are distinct keys; None (no memo) if one of them is not a float."""
+    values = (*vars(params).values(), tau)
+    if not all(isinstance(v, float) for v in values):
+        return None
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 def coefficients(
     params: PhysicalParams, profile: DrivingProfile, tau: float
 ) -> CoefficientSet:
     """Evaluate C0, C1, C2 and the per-branch eta, Phi.
 
     Piecewise profiles use exact per-segment antiderivatives; sampled
-    profiles use composite Simpson on their grid.  The profile must be
-    normalized to int omega_p dt = pi over tau.
+    profiles use composite Simpson on their grid, once per (params, tau):
+    the profile keeps the sets of its last COEFFICIENT_MEMO_SIZE distinct
+    pairs.  The profile must be normalized to int omega_p dt = pi over tau.
     """
+    key = _memo_key(params, tau) if profile.kind == "sampled" else None
+    if key is None:
+        return _coefficients(params, profile, tau)
+    memo = profile._coefficient_memo
+    coeffs = memo.get(key)
+    if coeffs is None:
+        coeffs = _coefficients(params, profile, tau)
+        with _MEMO_LOCK:
+            if key not in memo and len(memo) >= COEFFICIENT_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = coeffs
+    return coeffs
+
+
+def _coefficients(
+    params: PhysicalParams, profile: DrivingProfile, tau: float
+) -> CoefficientSet:
     integral = profile_integral(profile, tau)
     _check_strict(integral)
 

@@ -48,6 +48,13 @@ class BranchState:
         amps.setflags(write=False)
         object.__setattr__(self, "mode_amplitudes", amps)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.spin_sign == other.spin_sign and np.array_equal(
+            self.mode_amplitudes, other.mode_amplitudes
+        )
+
     @property
     def truncation(self) -> int:
         return self.mode_amplitudes.size

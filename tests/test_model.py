@@ -376,3 +376,28 @@ def test_path_bound_of_constant_drive_is_circle_diameter(turns):
         amp = float(drive_amplitude(params, profile.segments[0][1], spin))
         _, _, bound = _eta_phi_segments(params, profile.segments, spin)
         assert bound == pytest.approx(2.0 * abs(amp) / w, rel=1e-12, abs=1e-12)
+
+
+def test_piecewise_profiles_compare_by_value_and_stay_hashable():
+    a = DrivingProfile.piecewise([(1.0, 2.0), (2.0, (math.pi - 2.0) / 2.0)])
+    b = DrivingProfile.piecewise([(1.0, 2.0), (2.0, (math.pi - 2.0) / 2.0)])
+    assert a == b and hash(a) == hash(b)
+    assert a != DrivingProfile.constant_for(3.0)
+    assert len({a, b, DrivingProfile.constant_for(3.0)}) == 2
+
+
+def test_sampled_profiles_compare_by_value():
+    times = np.linspace(0.0, 2.0, 401)
+    values = 1.0 + 0.3 * np.sin(2.0 * times)
+    a = DrivingProfile.sampled(times, values, normalization="rescale")
+    b = DrivingProfile.sampled(times, values, normalization="rescale")
+    c = DrivingProfile.sampled(times, values + 0.1, normalization="rescale")
+    assert (a == b) is True
+    assert (a == c) is False
+    assert (a != c) is True
+    assert (a == DrivingProfile.constant_for(2.0)) is False
+    # The coefficient memo is not part of the value.
+    coefficients(UNIT, a, 2.0)
+    assert a._coefficient_memo and not b._coefficient_memo
+    assert a == b
+    assert "_coefficient_memo" not in repr(a)

@@ -1,0 +1,222 @@
+"""Coefficients of sampled profiles: the cumulative Simpson kernel and the
+per-profile memo of coefficient sets."""
+
+import dataclasses
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
+
+from sagnac_qfi import (
+    DrivingProfile,
+    PhysicalParams,
+    ProfileError,
+    coefficients,
+    make_partially_entangled,
+    qfi_fidelity_numeric,
+)
+from sagnac_qfi import model
+from sagnac_qfi.model import COEFFICIENT_MEMO_SIZE, _cumulative_simpson
+from sagnac_qfi.oracle import site_generator_numeric
+
+TAU = 2.5
+
+
+def _profile(samples=401, amp=0.3):
+    times = np.linspace(0.0, TAU, samples)
+    shape = 1.0 + amp * np.sin(2.0 * times / TAU)
+    return DrivingProfile.sampled(times, shape, normalization="rescale")
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+    log_h=st.floats(-5.0, 5.0),
+)
+@example(n=2, seed=0, log_h=0.0)
+@example(n=3, seed=1, log_h=-5.0)
+@example(n=20000, seed=2, log_h=-3.0)
+@example(n=20001, seed=3, log_h=-4.0)
+def test_kernel_equals_scipy_cumulative_simpson_bit_for_bit(n, seed, log_h):
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(-5.0, 5.0, n)
+    y = rng.choice([-1.0, 1.0], n) * magnitudes
+    h = 10.0**log_h
+    want = cumulative_simpson(y, dx=h, initial=0.0)
+    assert _bits(_cumulative_simpson(y, h)) == _bits(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_keeps_scipys_signed_zeros(n):
+    y = np.full(n, -0.0)
+    want = cumulative_simpson(y, dx=0.5, initial=0.0)
+    assert _bits(_cumulative_simpson(y, 0.5)) == _bits(want)
+
+
+@pytest.mark.parametrize("samples", [2, 3, 400, 401, 20001])
+@pytest.mark.parametrize("rotation_rate", [-0.3, -0.0, 0.0, 0.2])
+def test_sampled_coefficients_equal_scipy_reference_bit_for_bit(
+    monkeypatch, samples, rotation_rate
+):
+    params = PhysicalParams(ring_radius=1.5, rotation_rate=rotation_rate)
+    profile = _profile(samples)
+    got = coefficients(params, profile, TAU)
+    monkeypatch.setattr(
+        model, "_cumulative_simpson",
+        lambda y, h: cumulative_simpson(y, dx=h, initial=0.0),
+    )
+    want = coefficients(params, _profile(samples), TAU)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        assert _bits([complex(a).real, complex(a).imag]) == _bits(
+            [complex(b).real, complex(b).imag]
+        ), field.name
+
+
+def _count_passes(monkeypatch) -> list:
+    """Record the (params, tau) of every quadrature pass `coefficients` makes."""
+    passes = []
+    inner = model._coefficients
+
+    def counted(params, profile, tau):
+        passes.append((params, tau))
+        return inner(params, profile, tau)
+
+    monkeypatch.setattr(model, "_coefficients", counted)
+    return passes
+
+
+def test_repeated_call_makes_no_quadrature_pass(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    profile = _profile()
+    params = PhysicalParams(rotation_rate=0.1)
+    first = coefficients(params, profile, TAU)
+    again = coefficients(PhysicalParams(rotation_rate=0.1), profile, TAU)
+    assert again is first
+    assert len(passes) == 1
+
+
+def test_other_params_or_tau_miss(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    profile = _profile()
+    base = coefficients(PhysicalParams(), profile, TAU)
+    other = coefficients(PhysicalParams(ring_radius=1.25), profile, TAU)
+    # Within _check_tau's 1e-9 slack, so the same profile accepts it.
+    near = coefficients(PhysicalParams(), profile, math.nextafter(TAU, 3.0))
+    assert len(passes) == 3
+    assert other.eta_up != base.eta_up
+    assert near.c1 != base.c1
+
+
+@pytest.mark.parametrize("order", [(-0.0, 0.0), (0.0, -0.0)])
+def test_signed_zero_rotation_rates_are_separate_entries(order):
+    profile = _profile()
+    for rate in order + order:
+        c0 = coefficients(PhysicalParams(rotation_rate=rate), profile, TAU).c0
+        assert math.copysign(1.0, c0) == math.copysign(1.0, rate)
+    assert len(profile._coefficient_memo) == 2
+
+
+def test_failed_call_stores_nothing_and_raises_again():
+    profile = _profile()
+    for _ in range(2):
+        with pytest.raises(ProfileError, match="does not match"):
+            coefficients(PhysicalParams(), profile, 3.0)
+        assert profile._coefficient_memo == {}
+
+
+def test_memo_never_exceeds_its_bound(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    profile = _profile()
+    rates = [0.01 * k for k in range(COEFFICIENT_MEMO_SIZE + 5)]
+    for rate in rates:
+        coefficients(PhysicalParams(rotation_rate=rate), profile, TAU)
+        assert len(profile._coefficient_memo) <= COEFFICIENT_MEMO_SIZE
+    assert len(passes) == len(rates)
+    # The newest entries stay; the oldest was dropped and is integrated again.
+    coefficients(PhysicalParams(rotation_rate=rates[-1]), profile, TAU)
+    assert len(passes) == len(rates)
+    coefficients(PhysicalParams(rotation_rate=rates[0]), profile, TAU)
+    assert len(passes) == len(rates) + 1
+
+
+def test_replaced_and_rebuilt_profiles_start_empty():
+    profile = _profile()
+    coefficients(PhysicalParams(), profile, TAU)
+    assert len(profile._coefficient_memo) == 1
+    assert dataclasses.replace(profile)._coefficient_memo == {}
+    assert _profile()._coefficient_memo == {}
+
+
+def test_non_float_inputs_bypass_the_memo(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    profile = _profile()
+    params = PhysicalParams(ring_radius=2)
+    assert coefficients(params, profile, TAU) == coefficients(params, profile, TAU)
+    assert len(passes) == 2
+    assert profile._coefficient_memo == {}
+
+
+def test_piecewise_profiles_bypass_the_memo(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    profile = DrivingProfile.constant_for(TAU)
+    coefficients(PhysicalParams(), profile, TAU)
+    coefficients(PhysicalParams(), profile, TAU)
+    assert len(passes) == 2
+    assert profile._coefficient_memo == {}
+
+
+def test_one_oracle_call_fits_in_the_memo(monkeypatch):
+    """Each distinct (params, tau) of one oracle call on one profile is
+    integrated once, and there are no more of them than the memo holds."""
+    passes = _count_passes(monkeypatch)
+    params = PhysicalParams(rotation_rate=0.2)
+    state = make_partially_entangled(0.4 + 0.1j, 1)
+
+    site_generator_numeric(params, _profile(), TAU, 48)
+    assert len(passes) == len(set(passes)) == 5
+
+    passes.clear()
+    qfi_fidelity_numeric(state, params, _profile(), TAU)
+    assert len(passes) == len(set(passes)) <= COEFFICIENT_MEMO_SIZE
+
+
+def test_threads_sharing_a_profile_keep_the_memo_bounded():
+    profile = _profile(101)
+    rates = [0.01 * k for k in range(2 * COEFFICIENT_MEMO_SIZE)]
+    want = {rate: coefficients(PhysicalParams(rotation_rate=rate), _profile(101), TAU)
+            for rate in rates}
+    errors = []
+
+    def work(shift):
+        try:
+            for rate in (rates[shift:] + rates[:shift]) * 5:
+                got = coefficients(PhysicalParams(rotation_rate=rate), profile, TAU)
+                assert got == want[rate]
+                assert len(profile._coefficient_memo) <= COEFFICIENT_MEMO_SIZE
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

@@ -346,3 +346,22 @@ def _amplitudes_by_mask(alpha, n, d):
 def test_sliced_amplitudes_equal_the_masked_ones_bit_for_bit(alpha, n, extra):
     d = n + extra
     assert np.array_equal(displaced_fock_amplitudes(alpha, n, d), _amplitudes_by_mask(alpha, n, d))
+
+
+def test_states_compare_by_value():
+    amps = np.zeros(4)
+    amps[0] = 1.0
+    up = BranchState(spin_sign=+1, mode_amplitudes=amps)
+    assert (up == BranchState(spin_sign=+1, mode_amplitudes=amps.copy())) is True
+    assert (up == BranchState(spin_sign=-1, mode_amplitudes=amps)) is False
+    assert (up == BranchState(spin_sign=+1, mode_amplitudes=np.roll(amps, 1))) is False
+    assert (up == BranchState(spin_sign=+1, mode_amplitudes=np.zeros(5) + (np.arange(5) == 0))) is False
+
+    partial = make_partially_entangled(0.5 + 0.2j, 1)
+    assert (partial == make_partially_entangled(0.5 + 0.2j, 1)) is True
+    assert (partial == make_partially_entangled(0.5 + 0.2j, 2)) is False
+    assert (partial == make_partially_entangled(0.5 + 0.2j, 1, n_particles=2)) is False
+    assert (partial == make_globally_entangled(0.5 + 0.2j)) is False
+    # Cached mode moments are not part of the value.
+    correlations_generic(partial, 0.3 + 0.1j)
+    assert partial == make_partially_entangled(0.5 + 0.2j, 1)
