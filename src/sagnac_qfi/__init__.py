@@ -20,9 +20,11 @@ from .model import (
     CoefficientSet,
     DerivedConstants,
     DrivingProfile,
+    GeneratorCoefficients,
     PhysicalParams,
     coefficients,
     derive_constants,
+    generator_coefficients,
     profile_integral,
 )
 from .oracle import (
@@ -79,6 +81,7 @@ __all__ = [
     "CorrelationSet",
     "DerivedConstants",
     "DrivingProfile",
+    "GeneratorCoefficients",
     "GhzProductState",
     "PhysicalParams",
     "ProfileError",
@@ -100,6 +103,7 @@ __all__ = [
     "derive_constants",
     "displaced_fock_amplitudes",
     "generator_analytic",
+    "generator_coefficients",
     "generator_numeric",
     "load_config",
     "make_globally_entangled",

@@ -20,7 +20,12 @@ generator built from this factorization is
 
 whose scalar coefficients this module evaluates in closed form for
 piecewise-constant profiles (a constant drive is the one-segment case) and by
-composite Simpson quadrature for sampled profiles.  Only sampled profiles
+composite Simpson quadrature for sampled profiles.  The work comes in two
+parts: `generator_coefficients` gives C0, C1 and C2 and runs every check on
+the profile, and the evolution part adds eta and Phi for each spin;
+`coefficients` joins them into a CoefficientSet.  A QFI reads only C1 and
+C2, so the scan rows call the generator part alone and never pay for the
+eta and Phi passes they would not print.  Only sampled profiles
 need scipy.integrate, and only its `simpson`: the four functions that call it
 (`DrivingProfile.sampled`, `profile_integral`, `_c2_integral` and
 `_eta_phi_sampled`) import it where they use it, so importing the package
@@ -308,18 +313,25 @@ def profile_integral(profile: DrivingProfile, tau: float) -> float:
 
 
 @dataclass(frozen=True)
-class CoefficientSet:
+class GeneratorCoefficients:
     """Scalar coefficients of the generator for a given (params, profile, tau).
 
     c0 multiplies the identity (after division by omega), c1 the quadrature
-    a^dag (with its conjugate on a), c2 the sigma_z term.  eta and phi are the
-    per-branch displacement amplitude and global phase of the factorized
-    evolution operator.
+    a^dag (with its conjugate on a), c2 the sigma_z term.
     """
 
     c0: float
     c1: complex
     c2: float
+
+
+@dataclass(frozen=True)
+class CoefficientSet(GeneratorCoefficients):
+    """The generator's coefficients and the evolution's: eta and phi are the
+    per-branch displacement amplitude and global phase of the factorized
+    evolution operator.
+    """
+
     eta_up: complex
     eta_down: complex
     phi_up: float
@@ -455,7 +467,8 @@ def _memo_key(params: PhysicalParams, tau: float) -> bytes | None:
 def coefficients(
     params: PhysicalParams, profile: DrivingProfile, tau: float
 ) -> CoefficientSet:
-    """Evaluate C0, C1, C2 and the per-branch eta, Phi.
+    """Evaluate C0, C1, C2 (`generator_coefficients`) and the per-branch
+    eta, Phi.
 
     Piecewise profiles use exact per-segment antiderivatives; sampled
     profiles use composite Simpson on their grid, once per (params, tau):
@@ -476,40 +489,39 @@ def coefficients(
     return coeffs
 
 
+def generator_coefficients(
+    params: PhysicalParams, profile: DrivingProfile, tau: float
+) -> GeneratorCoefficients:
+    """C0, C1 and C2 alone, with every check `coefficients` makes on the
+    profile (duration, strict pulse area, C2 in [0, 1] for a piecewise
+    drive) and the same bits, but no eta or Phi pass.  What a QFI row needs.
+    """
+    _check_strict(profile_integral(profile, tau))
+    w = params.trap_frequency
+    wt = w * tau
+    c0 = (derive_constants(params).sagnac_phase / (2.0 * math.pi)) * (wt - math.sin(wt))
+    c1 = 1j * math.sin(wt / 2.0) * np.exp(1j * wt / 2.0)
+    c2 = 0.5 * (1.0 - _c2_integral(params, profile, tau) / math.pi)
+    if profile.kind == "piecewise" and not -1e-12 <= c2 <= 1.0 + 1e-12:
+        # Nonnegative normalized profiles bound |int omega_p cos| by pi.
+        raise ProfileError(f"C2 = {c2} outside [0, 1] for a nonnegative profile")
+    return GeneratorCoefficients(c0=float(c0), c1=complex(c1), c2=float(c2))
+
+
 def _coefficients(
     params: PhysicalParams, profile: DrivingProfile, tau: float
 ) -> CoefficientSet:
-    integral = profile_integral(profile, tau)
-    _check_strict(integral)
-
-    w = params.trap_frequency
-    wt = w * tau
-    constants = derive_constants(params)
-    c0 = (constants.sagnac_phase / (2.0 * math.pi)) * (wt - math.sin(wt))
-    c1 = 1j * math.sin(wt / 2.0) * np.exp(1j * wt / 2.0)
-    c2 = 0.5 * (1.0 - _c2_integral(params, profile, tau) / math.pi)
-
+    generator = generator_coefficients(params, profile, tau)
     if profile.kind == "sampled":
-        wt_grid = w * profile.times
+        wt_grid = params.trap_frequency * profile.times
         cos_wt, sin_wt = np.cos(wt_grid), np.sin(wt_grid)
         eta_up, phi_up = _eta_phi_sampled(params, profile, +1, cos_wt, sin_wt)
         eta_down, phi_down = _eta_phi_sampled(params, profile, -1, cos_wt, sin_wt)
     else:
         eta_up, phi_up, _ = _eta_phi_segments(params, profile.segments, +1)
         eta_down, phi_down, _ = _eta_phi_segments(params, profile.segments, -1)
-
-    if profile.kind == "piecewise" and not -1e-12 <= c2 <= 1.0 + 1e-12:
-        # Nonnegative normalized profiles bound |int omega_p cos| by pi.
-        raise ProfileError(f"C2 = {c2} outside [0, 1] for a nonnegative profile")
-
     return CoefficientSet(
-        c0=float(c0),
-        c1=complex(c1),
-        c2=float(c2),
-        eta_up=eta_up,
-        eta_down=eta_down,
-        phi_up=phi_up,
-        phi_down=phi_down,
+        generator.c0, generator.c1, generator.c2, eta_up, eta_down, phi_up, phi_down
     )
 
 

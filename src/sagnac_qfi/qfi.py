@@ -16,7 +16,7 @@ coefficients lambda1..3 on R^2..R^4; both decompositions are computed and
 cross-checked on every call.  gamma = 0 gives shot-noise scaling 4 beta N;
 nonzero gamma drives the N^2 Heisenberg term.  Every QFI function takes the
 generator as (constants, coeffs): T_C and T_S from DerivedConstants, C1 and C2
-from CoefficientSet.
+from GeneratorCoefficients, or from the CoefficientSet that extends it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import ConsistencyError
-from .model import CoefficientSet, DerivedConstants, PhysicalParams, re_c1_alpha
+from .model import DerivedConstants, GeneratorCoefficients, PhysicalParams, re_c1_alpha
 from .states import CorrelationSet
 
 
@@ -51,7 +51,7 @@ def qfi_general(
     corr: CorrelationSet,
     n_particles: int,
     constants: DerivedConstants,
-    coeffs: CoefficientSet,
+    coeffs: GeneratorCoefficients,
 ) -> QfiBreakdown:
     """Evaluate F from correlations, in both the (beta, gamma) and the
     radius-polynomial forms, and insist they agree.
@@ -95,7 +95,7 @@ def qfi_general(
         raise ConsistencyError(
             f"computed QFI is negative ({qfi}); correlation input is inconsistent"
         )
-    if abs(poly - qfi) > 1e-10 * scale:
+    if not abs(poly - qfi) <= 1e-10 * scale:  # a NaN fails too
         raise ConsistencyError(
             f"decompositions disagree: F(beta,gamma) = {qfi} vs "
             f"F(lambda,R) = {poly}; generator and constants are inconsistent"
@@ -113,7 +113,7 @@ def qfi_general(
 
 
 def qfi_partial_closed(
-    n: int, n_particles: int, constants: DerivedConstants, coeffs: CoefficientSet
+    n: int, n_particles: int, constants: DerivedConstants, coeffs: GeneratorCoefficients
 ) -> float:
     """F for the partially entangled state with D(alpha)|n> branches:
     4 (2n+1) N t_c^2 |C1|^2 + 4 N^2 t_s^2 C2^2.  Manifestly alpha-free."""
@@ -128,7 +128,7 @@ def qfi_global_closed(
     alpha: complex,
     n_particles: int,
     constants: DerivedConstants,
-    coeffs: CoefficientSet,
+    coeffs: GeneratorCoefficients,
 ) -> float:
     """F for the globally entangled state with |alpha>, |-alpha> branches:
     4 N^2 [2 t_c Re(C1 alpha*) + t_s C2]^2 + 4 N t_c^2 |C1|^2."""
@@ -165,7 +165,7 @@ def qfi_difference(
     alpha: complex,
     n_particles: int,
     constants: DerivedConstants,
-    coeffs: CoefficientSet,
+    coeffs: GeneratorCoefficients,
 ) -> QfiComparison:
     """F_{alpha,-alpha} - F_{alpha,alpha} = 16 N^2 [t_c re + t_s C2] [t_c re]
     with re = Re(C1 alpha*); compares the global state against the partial

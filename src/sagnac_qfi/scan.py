@@ -5,8 +5,11 @@ bare.  `coeffs`, `qfi` and the three sweeps are built from one row evaluator:
 each row carries the closed-form QFIs, the general-form QFI recomputed from
 correlations, and the (beta, gamma) and radius-polynomial decompositions;
 rows where the general form drifts from the matching closed form beyond 1e-10
-relative abort the run.  `qfi` is a one-row run whose global-minus-partial
-difference must match the difference of the two closed forms.
+relative (or is NaN) abort the run.  A row reads C1 and C2 only, so rows
+take the generator part (`model.generator_coefficients`) and make no eta or
+Phi pass; `coeffs`, which prints eta and Phi, takes the full set.  `qfi` is
+a one-row run whose global-minus-partial difference must match the
+difference of the two closed forms.
 `oracle-check` runs `oracle.identity_suite` on the configured parameters.
 `format_result` renders any of these results as CSV or JSON,
 byte-deterministically at a fixed BLAS thread count: fixed column order,
@@ -25,12 +28,13 @@ import numpy as np
 
 from .exceptions import ConfigError, ConsistencyError
 from .model import (
-    CoefficientSet,
     DerivedConstants,
     DrivingProfile,
+    GeneratorCoefficients,
     PhysicalParams,
     coefficients,
     derive_constants,
+    generator_coefficients,
 )
 from .oracle import identity_suite
 from .qfi import (
@@ -207,9 +211,10 @@ ROW_FIELDS = (
 )
 
 
-def _coefficients_at(params: PhysicalParams, tau: float) -> CoefficientSet:
-    """Coefficients of the constant profile normalized for duration tau."""
-    return coefficients(params, DrivingProfile.constant_for(tau), tau)
+def _generator_at(params: PhysicalParams, tau: float) -> GeneratorCoefficients:
+    """C0, C1, C2 of the constant profile normalized for duration tau: all a
+    row reads, so no row pays for eta and Phi."""
+    return generator_coefficients(params, DrivingProfile.constant_for(tau), tau)
 
 
 def _correlator(cfg: ScanConfig, alpha: complex) -> Callable[[complex], CorrelationSet]:
@@ -240,7 +245,7 @@ def _evaluate_row(
     value: float,
     cfg: ScanConfig,
     constants: DerivedConstants,
-    coeffs: CoefficientSet,
+    coeffs: GeneratorCoefficients,
     n_particles: int,
     alpha: complex,
     corr: CorrelationSet,
@@ -274,7 +279,7 @@ def _evaluate_row(
         f"f_{kind}",
         4.0 * (2.0 * n + 1.0) * n_particles * constants.t_c**2 * abs(coeffs.c1) ** 2,
     )
-    if abs(breakdown.qfi - reference) > ROW_CROSS_CHECK_RTOL * max(1.0, abs(reference)):
+    if not abs(breakdown.qfi - reference) <= ROW_CROSS_CHECK_RTOL * max(1.0, abs(reference)):
         raise ConsistencyError(
             f"row value {float(value)!r}: general-form QFI {float(breakdown.qfi)!r} "
             f"disagrees with the {kind} closed form {float(reference)!r}"
@@ -314,7 +319,7 @@ def run_coeffs(cfg: ScanConfig) -> dict:
     params = cfg.params()
     tau, omega_p = cfg.resolve_tau()
     constants = derive_constants(params)
-    coeffs = _coefficients_at(params, tau)
+    coeffs = coefficients(params, DrivingProfile.constant_for(tau), tau)
     return {
         "tau": tau,
         "omega_p": omega_p,
@@ -347,13 +352,13 @@ def run_qfi(cfg: ScanConfig) -> dict:
     n_particles = cfg["n_particles"]
     alpha = cfg.alpha()
     constants = derive_constants(params)
-    coeffs = _coefficients_at(params, tau)
+    coeffs = _generator_at(params, tau)
     corr = _correlator(cfg, alpha)(coeffs.c1)
     row, breakdown = _evaluate_row(tau, cfg, constants, coeffs, n_particles, alpha, corr)
     comparison = qfi_difference(alpha, n_particles, constants, coeffs)
     # F_global - F_partial(n = 0) is the difference by a second route.
     reference = row["f_global"] - qfi_partial_closed(0, n_particles, constants, coeffs)
-    if abs(comparison.difference - reference) > ROW_CROSS_CHECK_RTOL * max(
+    if not abs(comparison.difference - reference) <= ROW_CROSS_CHECK_RTOL * max(
         1.0, abs(row["f_global"])
     ):
         raise ConsistencyError(
@@ -378,7 +383,7 @@ def run_qfi(cfg: ScanConfig) -> dict:
         commensurate = qfi_commensurate(n_particles, params)
         # N^2 T_S^2 is the law by a second route, from the derived constants.
         reference = (float(n_particles) * constants.t_s) ** 2
-        if abs(commensurate - reference) > ROW_CROSS_CHECK_RTOL * max(1.0, reference):
+        if not abs(commensurate - reference) <= ROW_CROSS_CHECK_RTOL * max(1.0, reference):
             raise ConsistencyError(
                 f"commensurate-law QFI {float(commensurate)!r} disagrees with "
                 f"N^2 T_S^2 = {reference!r}"
@@ -404,7 +409,7 @@ def run_scan_n(cfg: ScanConfig) -> dict:
     if n_values.size < 2:
         raise ConfigError("sweep over N collapsed to fewer than 2 distinct values")
     constants = derive_constants(params)
-    coeffs = _coefficients_at(params, tau)
+    coeffs = _generator_at(params, tau)
     alpha = cfg.alpha()
     corr = _correlator(cfg, alpha)(coeffs.c1)  # N changes neither the state nor C1
     rows = [
@@ -441,7 +446,7 @@ def run_scan_alpha(cfg: ScanConfig) -> dict:
     base = cfg.alpha()
     values = _sweep_values(cfg)
     constants = derive_constants(params)
-    coeffs = _coefficients_at(params, tau)
+    coeffs = _generator_at(params, tau)
     rows = []
     for value in values:
         if variable == "theta_alpha":
@@ -480,7 +485,7 @@ def run_scan_tau(cfg: ScanConfig) -> dict:
     rows = []
     for value in taus:
         tau = float(value)
-        coeffs = _coefficients_at(params, tau)
+        coeffs = _generator_at(params, tau)
         corr = correlate(coeffs.c1)
         row, _ = _evaluate_row(tau, cfg, constants, coeffs, n_particles, alpha, corr)
         row["omega_p"] = math.pi / tau
@@ -513,18 +518,31 @@ def _steady_onset(taus: np.ndarray, rows: list, t0: float) -> float | None:
     """First tau (in T0 units) from which F_partial/N^2 varies by less than 1%
     relative over one T0 window.  The sweep grid `taus` is sorted, so the
     window of taus in [tau, tau + T0] is the slice that searchsorted bounds,
-    repeated grid values included."""
+    repeated grid values included, and the windows that fit in the sweep
+    are a prefix.
+
+    Every window's max and min come from two exact reductions.  A window
+    passes only if its mean is positive and its spread is below 1% of the
+    mean; the mean is at most the max, up to a roundoff far below 1%, so a
+    window whose max is not positive or whose spread reaches 1.01% of its
+    max cannot pass.  Only the other windows compute a mean, exactly as the
+    test below states it."""
     values = np.array([row["f_partial_per_n2"] for row in rows])
     reach = taus + t0
     starts = np.searchsorted(taus, taus, side="left")
     ends = np.searchsorted(taus, reach, side="right")
-    last = taus[-1] + 1e-12
-    for i in range(len(taus)):
-        if reach[i] > last:
-            break  # window would run past the sweep; no verdict there
+    # Windows that would run past the sweep get no verdict.
+    fits = np.searchsorted(reach, taus[-1] + 1e-12, side="right")
+    starts, ends = starts[:fits], ends[:fits]
+    # reduceat over (start, end) pairs reduces each window; an end may equal
+    # len(values), which the padding keeps in range.
+    padded = np.append(values, 0.0)
+    bounds = np.column_stack((starts, ends)).ravel()
+    highs = np.maximum.reduceat(padded, bounds)[::2]
+    lows = np.minimum.reduceat(padded, bounds)[::2]
+    possible = (ends - starts >= 2) & (highs > 0) & (highs - lows < 0.0101 * highs)
+    for i in np.flatnonzero(possible):
         window = values[starts[i]:ends[i]]
-        if window.size < 2:
-            continue
         mean = float(window.mean())
         if mean > 0 and (window.max() - window.min()) / mean < 0.01:
             return float(taus[i] / t0)

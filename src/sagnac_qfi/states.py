@@ -13,13 +13,21 @@ weight average of per-branch expectations.  That branch-average rule is what
 correlations_generic implements; correlations_closed_form carries the
 tabulated special cases for D(alpha)|n> branches (partially entangled) and
 |alpha>, |-alpha> coherent branches (globally entangled).
+
+Two bounded caches hold the factors that repeat across a sweep, as read-only
+arrays: the log-Gamma and Laguerre factors of D(alpha)|n>, keyed by
+(n, d, |alpha|) (FOCK_FACTOR_CACHE_SIZE entries), and the sqrt(k) weights of
+the mode moments, keyed by d (MOMENT_WEIGHT_CACHE_SIZE entries).  Each result
+has the bits it would have without them.  A non-finite alpha raises
+ValueError before it reaches either.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
@@ -27,6 +35,11 @@ from scipy.special import eval_genlaguerre, gammaln
 from .exceptions import TruncationError
 
 DEFAULT_LEAKAGE = 1e-10
+# Distinct (n, d, |alpha|) whose displaced-Fock factors stay cached.  A sweep
+# of the phase of alpha meets a few |alpha| (their bits vary in the last place).
+FOCK_FACTOR_CACHE_SIZE = 32
+# Distinct truncations d whose moment weights stay cached.
+MOMENT_WEIGHT_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -43,7 +56,7 @@ class BranchState:
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("mode_amplitudes must be a nonempty 1-d vector")
         norm = float((np.abs(amps) ** 2).sum())
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN fails too
             raise ValueError(f"branch not normalized: sum |amp|^2 = {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "mode_amplitudes", amps)
@@ -109,13 +122,40 @@ class CorrelationSet:
     cov_x1_sz2: float
 
     def __post_init__(self):
-        if self.var_x1 < -1e-12 or self.var_sz1 < -1e-12:
-            raise ValueError("variances must be nonnegative")
+        if not (self.var_x1 >= -1e-12 and self.var_sz1 >= -1e-12):
+            raise ValueError(
+                f"variances must be nonnegative, got {self.var_x1} and {self.var_sz1}"
+            )
         bound = math.sqrt(max(self.var_x1, 0.0) * max(self.var_sz1, 0.0))
-        if abs(self.cov_x1_sz1) > bound + 1e-10:
+        if not abs(self.cov_x1_sz1) <= bound + 1e-10:
             raise ValueError(
                 f"Cauchy-Schwarz violated: |{self.cov_x1_sz1}| > sqrt({self.var_x1} * {self.var_sz1})"
             )
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=FOCK_FACTOR_CACHE_SIZE, typed=True)
+def _fock_factors(n: int, d: int, radius: float):
+    """The factors of <m|D(alpha)|n> that depend on |alpha| = radius but not
+    on the phase of alpha: (k, magnitude, Laguerre value) on the levels
+    m >= n, then on the levels m < n (None when n = 0), as read-only arrays."""
+    m = np.arange(d)
+    x = radius**2
+    hi = m[n:]  # the levels m >= n
+    k = hi - n
+    log_mag = 0.5 * (gammaln(n + 1) - gammaln(hi + 1)) + k * math.log(radius)
+    upper = _read_only(k, np.exp(log_mag - x / 2.0), eval_genlaguerre(n, k, x))
+    if n == 0:
+        return upper, None  # no m < n levels
+    lo = m[:n]
+    k = n - lo
+    log_mag = 0.5 * (gammaln(lo + 1) - gammaln(n + 1)) + k * math.log(radius)
+    return upper, _read_only(k, np.exp(log_mag - x / 2.0), eval_genlaguerre(lo, k, x))
 
 
 def displaced_fock_amplitudes(alpha: complex, n: int, d: int) -> np.ndarray:
@@ -123,7 +163,11 @@ def displaced_fock_amplitudes(alpha: complex, n: int, d: int) -> np.ndarray:
 
     Associated-Laguerre closed form, evaluated through log-Gamma so large
     factorial ratios never overflow.  This is the independent counterpart of
-    the oracle's matrix-exponential displacement column.
+    the oracle's matrix-exponential displacement column.  The log-Gamma and
+    Laguerre factors depend on (n, d, |alpha|) only, so they come from a
+    cache of the last FOCK_FACTOR_CACHE_SIZE such triples: a sweep of the
+    phase of alpha, and the |-alpha> branch after the |alpha> one, reuse
+    them.  Only the phase factor is computed on every call.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -132,33 +176,19 @@ def displaced_fock_amplitudes(alpha: complex, n: int, d: int) -> np.ndarray:
     if n >= d:
         raise ValueError(f"Fock level n = {n} does not fit in truncation d = {d}")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha == 0:
         amps = np.zeros(d, dtype=complex)
         amps[n] = 1.0
         return amps
-    m = np.arange(d)
-    x = abs(alpha) ** 2
     theta = np.angle(alpha)
     out = np.zeros(d, dtype=complex)
-
-    hi = m[n:]  # the levels m >= n
-    k = hi - n
-    log_mag = 0.5 * (gammaln(n + 1) - gammaln(hi + 1)) + k * math.log(abs(alpha))
-    out[n:] = (
-        np.exp(log_mag - x / 2.0)
-        * np.exp(1j * k * theta)
-        * eval_genlaguerre(n, k, x)
-    )
-    if n == 0:
-        return out  # no m < n levels
-    lo = m[:n]
-    k = n - lo
-    log_mag = 0.5 * (gammaln(lo + 1) - gammaln(n + 1)) + k * math.log(abs(alpha))
-    out[:n] = (
-        np.exp(log_mag - x / 2.0)
-        * (-np.exp(-1j * theta)) ** k
-        * eval_genlaguerre(lo, k, x)
-    )
+    (k, mag, lag), lower = _fock_factors(n, d, abs(alpha))
+    out[n:] = mag * np.exp(1j * k * theta) * lag
+    if lower is not None:
+        k, mag, lag = lower
+        out[:n] = mag * (-np.exp(-1j * theta)) ** k * lag
     return out
 
 
@@ -166,6 +196,8 @@ def auto_truncation(alpha: complex, n: int = 0, leakage: float = DEFAULT_LEAKAGE
     """Smallest d with Poisson(|alpha|^2) tail mass below the leakage bound,
     plus n + 10 headroom levels.  The headroom pushes the realized tail of
     D(alpha)|n> orders of magnitude below the bound."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return n + 11
@@ -232,15 +264,21 @@ def make_globally_entangled(
     )
 
 
+@lru_cache(maxsize=MOMENT_WEIGHT_CACHE_SIZE)
+def _moment_weights(d: int):
+    """k, sqrt(k) and sqrt(k (k + 1)) on the levels that <n>, <a> and <a^2>
+    weigh, as read-only arrays."""
+    k = np.arange(d, dtype=float)
+    return _read_only(k, np.sqrt(k[1:]), np.sqrt(k[1:-1] * (k[1:-1] + 1.0)))
+
+
 def _mode_moments(amps: np.ndarray):
     """<a>, <a^2>, <n> of a truncated mode state."""
     d = amps.size
-    k = np.arange(d, dtype=float)
-    a_mean = complex((amps[:-1].conj() * amps[1:] * np.sqrt(k[1:])).sum())
+    k, root_k, root_kk = _moment_weights(d)
+    a_mean = complex((amps[:-1].conj() * amps[1:] * root_k).sum())
     if d >= 3:
-        a2_mean = complex(
-            (amps[:-2].conj() * amps[2:] * np.sqrt(k[1:-1] * (k[1:-1] + 1.0))).sum()
-        )
+        a2_mean = complex((amps[:-2].conj() * amps[2:] * root_kk).sum())
     else:
         a2_mean = 0.0 + 0.0j
     n_mean = float((k * np.abs(amps) ** 2).sum())

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sagnac_qfi import (
+    CoefficientSet,
     DrivingProfile,
+    GeneratorCoefficients,
     PhysicalParams,
     ProfileError,
     coefficients,
     derive_constants,
+    generator_coefficients,
     profile_integral,
 )
 from sagnac_qfi.model import _eta_phi_segments, drive_amplitude
@@ -401,3 +404,65 @@ def test_sampled_profiles_compare_by_value():
     assert a._coefficient_memo and not b._coefficient_memo
     assert a == b
     assert "_coefficient_memo" not in repr(a)
+
+
+def _generator_bits(coeffs):
+    return tuple(float.hex(x) for x in (coeffs.c0, coeffs.c1.real, coeffs.c1.imag, coeffs.c2))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    params=st.builds(
+        PhysicalParams,
+        mass=st.floats(0.5, 2.0),
+        trap_frequency=st.floats(0.5, 2.0),
+        ring_radius=st.floats(0.0, 2.0),
+        rotation_rate=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5)),
+    ),
+    kind=st.sampled_from(["piecewise", "sampled"]),
+    values=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=4),
+    tau=st.floats(0.2, 12.0),
+    samples=st.integers(3, 201),
+)
+def test_generator_part_equals_the_coefficient_set_bit_for_bit(
+    params, kind, values, tau, samples
+):
+    if kind == "piecewise":
+        width = tau / len(values)
+        profile = DrivingProfile.piecewise(
+            [(width, v) for v in values], normalization="rescale"
+        )
+        tau = profile.duration
+    else:
+        times = np.linspace(0.0, tau, samples)
+        profile = DrivingProfile.sampled(
+            times, np.interp(times, np.linspace(0.0, tau, len(values)), values),
+            normalization="rescale",
+        )
+    generator = generator_coefficients(params, profile, tau)
+    full = coefficients(params, profile, tau)
+    assert type(generator) is GeneratorCoefficients
+    assert isinstance(full, CoefficientSet) and isinstance(full, GeneratorCoefficients)
+    assert _generator_bits(generator) == _generator_bits(full)
+
+
+# Strict area pi, but C2 = (1 - 18/pi)/2 < 0: only a negative segment gets
+# there, and only by bypassing the piecewise constructor's checks.
+_NEGATIVE_DRIVE = DrivingProfile(
+    kind="piecewise", segments=((math.pi / 2.0, -8.0), (math.pi / 2.0, 10.0))
+)
+
+
+@pytest.mark.parametrize("evaluate", [coefficients, generator_coefficients])
+@pytest.mark.parametrize(
+    "profile, tau, match",
+    [
+        (DrivingProfile.constant_for(2.0), 2.5, "does not match"),
+        (DrivingProfile(kind="piecewise", segments=((1.0, 1.0),)), 1.0, "strict tolerance"),
+        (_NEGATIVE_DRIVE, math.pi, "outside \\[0, 1\\]"),
+    ],
+    ids=["duration", "area", "c2-range"],
+)
+def test_generator_part_runs_every_profile_check(evaluate, profile, tau, match):
+    with pytest.raises(ProfileError, match=match):
+        evaluate(UNIT, profile, tau)

@@ -1,12 +1,15 @@
 """Closed-form and general-form QFI for the rotation-rate generator."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from sagnac_qfi import (
+    ConsistencyError,
     DrivingProfile,
+    GeneratorCoefficients,
     PhysicalParams,
     coefficients,
     correlations_closed_form,
@@ -202,3 +205,28 @@ def test_partial_qfi_alpha_free():
         assert qfi_general(corr, 2, constants, coeffs).qfi == pytest.approx(
             base, rel=1e-12
         )
+
+
+@pytest.mark.parametrize("field", ["cov_x1_x2", "cov_sz1_sz2", "cov_x1_sz2"])
+def test_nan_decomposition_is_a_disagreement(field):
+    # CorrelationSet does not bound the two-site covariances, so a NaN there
+    # reaches qfi_general, whose decomposition check must not let it pass.
+    constants, coeffs = _unit_setup(2.0)
+    corr = correlations_closed_form("global", -1.0, coeffs.c1)
+    with pytest.raises(ConsistencyError, match="decompositions disagree"):
+        qfi_general(dataclasses.replace(corr, **{field: math.nan}), 5, constants, coeffs)
+
+
+def test_closed_forms_read_only_the_generator_part():
+    constants, coeffs = _unit_setup(2.0)
+    generator = GeneratorCoefficients(coeffs.c0, coeffs.c1, coeffs.c2)
+    corr = correlations_closed_form("global", 0.4 - 0.7j, coeffs.c1)
+    for full, part in [
+        (qfi_general(corr, 9, constants, coeffs), qfi_general(corr, 9, constants, generator)),
+        (qfi_partial_closed(1, 9, constants, coeffs), qfi_partial_closed(1, 9, constants, generator)),
+        (qfi_global_closed(0.4 - 0.7j, 9, constants, coeffs),
+         qfi_global_closed(0.4 - 0.7j, 9, constants, generator)),
+        (qfi_difference(0.4 - 0.7j, 9, constants, coeffs),
+         qfi_difference(0.4 - 0.7j, 9, constants, generator)),
+    ]:
+        assert full == part

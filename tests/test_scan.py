@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sagnac_qfi import (
     ConfigError,
+    model,
     ConsistencyError,
     ProfileError,
     TruncationError,
@@ -21,6 +22,7 @@ from sagnac_qfi import (
 from sagnac_qfi.cli import main
 from sagnac_qfi.scan import (
     CSV_HEADER,
+    run_coeffs,
     run_oracle_check,
     run_qfi,
     run_scan_alpha,
@@ -403,3 +405,77 @@ def test_steady_onset_slices_the_window_the_mask_selects(start, ulps, points, t0
         for _ in taus
     ]
     assert scan._steady_onset(taus, rows, t0) == _steady_onset_by_mask(taus, rows, t0)
+
+
+@pytest.mark.parametrize(
+    "patched, overrides, match",
+    [
+        ("qfi_partial_closed", {"state.kind": "partial"}, "general-form QFI"),
+        ("qfi_commensurate", {"profile.tau": 2.0 * math.pi}, "commensurate-law QFI"),
+    ],
+    ids=["row", "commensurate"],
+)
+def test_nan_fails_every_cross_check(monkeypatch, patched, overrides, match):
+    monkeypatch.setattr(scan, patched, lambda *args: math.nan)
+    with pytest.raises(ConsistencyError, match=match):
+        run_qfi(cfg_with(**{"profile.tau": 2.0, **overrides}))
+
+
+def test_nan_difference_fails_its_cross_check(monkeypatch):
+    real = scan.qfi_difference
+
+    def nan_difference(*args):
+        return dataclasses.replace(real(*args), difference=math.nan)
+
+    monkeypatch.setattr(scan, "qfi_difference", nan_difference)
+    with pytest.raises(ConsistencyError, match="global-minus-partial difference"):
+        run_qfi(cfg_with(**{"profile.tau": 2.0}))
+
+
+def _count_eta_phi_passes(monkeypatch) -> list:
+    calls = []
+    for name in ("_eta_phi_segments", "_eta_phi_sampled"):
+        real = getattr(model, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["global", "partial", "product"])
+def test_rows_make_no_eta_phi_pass(monkeypatch, kind):
+    calls = _count_eta_phi_passes(monkeypatch)
+    tau_sweep = {"sweep.variable": "tau", "sweep.start": 1.0, "sweep.stop": 20.0,
+                 "sweep.scale": "linear", "sweep.points": 60}
+    assert len(run_scan_tau(cfg_with(**{"state.kind": kind, **tau_sweep}))["rows"]) == 60
+    run_qfi(cfg_with(**{"state.kind": kind, "profile.tau": 2.0}))
+    run_scan_n(cfg_with(**{"state.kind": kind, "profile.tau": 2.0}))
+    run_scan_alpha(cfg_with(**{"state.kind": kind, "profile.tau": 2.0,
+                               "sweep.variable": "abs_alpha", "sweep.start": 0.1,
+                               "sweep.stop": 2.0, "sweep.scale": "linear"}))
+    assert calls == []
+    # coeffs prints eta and Phi, so it still makes one pass per spin.
+    assert run_coeffs(cfg_with(**{"profile.tau": 2.0}))["phi_up"] > 0.0
+    assert len(calls) == 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    points=st.integers(2, 60),
+    width=st.floats(0.05, 1.5),
+    level=st.floats(1e-6, 1e6),
+    data=st.data(),
+)
+def test_pruned_steady_onset_equals_the_mask_at_the_one_percent_edge(points, width, level, data):
+    # Spreads straddle the 1% test and the 1.01% pruning bound; zeros and
+    # negative values make means that are not positive.
+    taus = np.linspace(1.0, 5.0, points)
+    offsets = st.one_of(
+        st.floats(0.0, 0.0102),
+        st.sampled_from([0.0, 0.00999, 0.01, 0.01001, 0.0101, 0.01011, -1.0, -2.0]),
+    )
+    rows = [{"f_partial_per_n2": level * (1.0 + data.draw(offsets))} for _ in taus]
+    assert scan._steady_onset(taus, rows, width) == _steady_onset_by_mask(taus, rows, width)

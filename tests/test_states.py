@@ -22,6 +22,7 @@ from sagnac_qfi import (
     load_config,
     make_globally_entangled,
     make_partially_entangled,
+    run_scan_alpha,
     run_scan_tau,
     states,
 )
@@ -337,15 +338,29 @@ def _amplitudes_by_mask(alpha, n, d):
     return out
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+# Angles 0, pi, -pi and -0.0 exactly, as np.angle reads them.
+EDGE_DIRECTIONS = [complex(1.0, 0.0), complex(-1.0, 0.0), complex(-1.0, -0.0), complex(1.0, -0.0)]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(
-    alpha=st.builds(complex, finite, finite).filter(lambda a: a != 0),
+    alpha=st.one_of(
+        st.builds(complex, finite, finite).filter(lambda a: a != 0),
+        st.builds(
+            lambda r, u: complex(r * u.real, r * u.imag),
+            st.floats(0.05, 3.0),
+            st.sampled_from(EDGE_DIRECTIONS),
+        ),
+    ),
     n=st.integers(0, 4),
     extra=st.integers(1, 40),
 )
-def test_sliced_amplitudes_equal_the_masked_ones_bit_for_bit(alpha, n, extra):
+def test_cached_amplitudes_equal_the_masked_ones_bit_for_bit(alpha, n, extra):
+    # The factors of alpha, then -alpha, then alpha again: a miss or a hit,
+    # then hits, each with the bits of the uncached formula.
     d = n + extra
-    assert np.array_equal(displaced_fock_amplitudes(alpha, n, d), _amplitudes_by_mask(alpha, n, d))
+    for a in (alpha, -alpha, alpha):
+        assert displaced_fock_amplitudes(a, n, d).tobytes() == _amplitudes_by_mask(a, n, d).tobytes()
 
 
 def test_states_compare_by_value():
@@ -365,3 +380,70 @@ def test_states_compare_by_value():
     # Cached mode moments are not part of the value.
     correlations_generic(partial, 0.3 + 0.1j)
     assert partial == make_partially_entangled(0.5 + 0.2j, 1)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 0.0)]
+
+
+@pytest.mark.parametrize("alpha", NON_FINITE, ids=repr)
+def test_non_finite_alpha_is_rejected(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        displaced_fock_amplitudes(alpha, 1, 12)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        auto_truncation(alpha, 1)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        make_globally_entangled(alpha)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        make_partially_entangled(alpha, 1)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        make_globally_entangled(alpha, d=12)
+
+
+def test_nan_branch_amplitudes_are_not_normalized():
+    with pytest.raises(ValueError, match="not normalized"):
+        BranchState(spin_sign=+1, mode_amplitudes=np.array([math.nan, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "field, match",
+    [("var_x1", "nonnegative"), ("var_sz1", "nonnegative"), ("cov_x1_sz1", "Cauchy-Schwarz")],
+)
+def test_nan_correlations_are_rejected(field, match):
+    values = dict(var_x1=1.0, var_sz1=1.0, cov_x1_sz1=0.5,
+                  cov_x1_x2=0.0, cov_sz1_sz2=0.0, cov_x1_sz2=0.0)
+    values[field] = math.nan
+    with pytest.raises(ValueError, match=match):
+        CorrelationSet(**values)
+
+
+def test_cached_factors_are_read_only():
+    upper, lower = states._fock_factors(2, 12, 0.8)
+    for array in (*upper, *lower, *states._moment_weights(12)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # What a caller gets back is its own, writable array.
+    displaced_fock_amplitudes(0.8, 2, 12)[0] = 0.0
+
+
+def test_theta_sweep_evaluates_laguerre_once_per_magnitude(monkeypatch):
+    states._fock_factors.cache_clear()
+    calls = []
+    real = states.eval_genlaguerre
+
+    def counted(n, k, x):
+        calls.append((n, k.size, x))
+        return real(n, k, x)
+
+    monkeypatch.setattr(states, "eval_genlaguerre", counted)
+    base = 0.9 - 1.3j
+    cfg = load_config(None, [
+        "state.kind=global", f"state.alpha_re={base.real!r}", f"state.alpha_im={base.imag!r}",
+        "profile.tau=2.0", "sweep.variable=theta_alpha", "sweep.scale=linear",
+        "sweep.start=0.0", "sweep.stop=6.283185307179586", "sweep.points=50",
+    ])
+    result = run_scan_alpha(cfg)
+    alphas = [complex(abs(base) * np.exp(1j * row["value"])) for row in result["rows"]]
+    distinct = {(0, auto_truncation(a), abs(a)) for a in alphas}
+    assert len(alphas) == 50 and 1 <= len(distinct) < len(alphas)
+    # Both branches of all 50 states: one evaluation per distinct (n, d, |alpha|).
+    assert len(calls) == len(distinct)
