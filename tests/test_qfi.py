@@ -220,13 +220,12 @@ def test_nan_decomposition_is_a_disagreement(field):
 def test_closed_forms_read_only_the_generator_part():
     constants, coeffs = _unit_setup(2.0)
     generator = GeneratorCoefficients(coeffs.c0, coeffs.c1, coeffs.c2)
-    corr = correlations_closed_form("global", 0.4 - 0.7j, coeffs.c1)
-    for full, part in [
-        (qfi_general(corr, 9, constants, coeffs), qfi_general(corr, 9, constants, generator)),
-        (qfi_partial_closed(1, 9, constants, coeffs), qfi_partial_closed(1, 9, constants, generator)),
-        (qfi_global_closed(0.4 - 0.7j, 9, constants, coeffs),
-         qfi_global_closed(0.4 - 0.7j, 9, constants, generator)),
-        (qfi_difference(0.4 - 0.7j, 9, constants, coeffs),
-         qfi_difference(0.4 - 0.7j, 9, constants, generator)),
-    ]:
-        assert full == part
+    alpha = 0.4 - 0.7j
+    corr = correlations_closed_form("global", alpha, coeffs.c1)
+    for qfi in (
+        lambda c: qfi_general(corr, 9, constants, c),
+        lambda c: qfi_partial_closed(1, 9, constants, c),
+        lambda c: qfi_global_closed(alpha, 9, constants, c),
+        lambda c: qfi_difference(alpha, 9, constants, c),
+    ):
+        assert qfi(coeffs) == qfi(generator)
