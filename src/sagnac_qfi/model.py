@@ -25,22 +25,26 @@ parts: `generator_coefficients` gives C0, C1 and C2 and runs every check on
 the profile, and the evolution part adds eta and Phi for each spin;
 `coefficients` joins them into a CoefficientSet.  A QFI reads only C1 and
 C2, so the scan rows call the generator part alone and never pay for the
-eta and Phi passes they would not print.  Only sampled profiles
-need scipy.integrate, and only its `simpson`: the four functions that call it
-(`DrivingProfile.sampled`, `profile_integral`, `_c2_integral` and
-`_eta_phi_sampled`) import it where they use it, so importing the package
-does not load it.  The running integrals inside Phi come from
-`_cumulative_simpson`, which returns the bits of
-scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0) while evaluating
-only the sub-interval integrals that scipy keeps.
+eta and Phi passes they would not print.
 
-A sampled profile integrates its drive once per (params, tau): it remembers
+The quadrature is the package's own, so nothing loads scipy.integrate,
+whose import pulls in scipy.optimize, sparse, fft and spatial (about
+0.4 s and 18 MB per process).  `_simpson` returns the bits of
+scipy.integrate.simpson(y, dx=h) and (y, x=t) for 1-d y, and
+`_cumulative_simpson` those of
+scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0) while evaluating
+only the sub-interval integrals that scipy keeps.  Both follow scipy's
+expressions operation by operation, and, like the rest of the sampled pass
+and the checks in `DrivingProfile.sampled`, evaluate them into a few
+reused buffers rather than a fresh full-grid temporary per operation: in
+the smaller heap that freed temporaries leave once scipy.integrate is gone,
+each fresh one is paged in again on every call.
+
+A profile evaluates its coefficients once per (params, tau): it remembers
 the CoefficientSet of its last COEFFICIENT_MEMO_SIZE distinct pairs, keyed by
 their exact float bits, so the oracle's repeated calls on one profile (the
 closed evolution of both spins, each rotation rate of a finite difference)
-reuse one quadrature.  Piecewise profiles skip the memo: their closed form
-is cheap, and the scans that build them rarely repeat a (params, tau) on one
-profile, so remembering them would cost more than it saves.
+reuse one pass.  Scan rows call `generator_coefficients`, which has no memo.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .exceptions import ProfileError
 # Relative slack on |integral - pi| accepted by strict normalization.
 STRICT_NORMALIZATION_RTOL = 1e-8
 
-# Distinct (params, tau) whose coefficients a sampled profile remembers: the
+# Distinct (params, tau) whose coefficients a profile remembers: the
 # most that one oracle call evaluates on one profile.  qfi_fidelity_numeric
 # makes seven (Omega, up to five adapted Omega + delta, then Omega + delta/2);
 # generator_numeric makes five (Omega, Omega +/- delta, Omega +/- delta/2).
@@ -227,21 +231,26 @@ class DrivingProfile:
             raise ProfileError("times and values must be 1-d arrays of equal length")
         if t.size < 2:
             raise ProfileError("sampled profile needs at least 2 samples")
-        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        # One boolean buffer takes every check's mask in turn.
+        ok = np.isfinite(t)
+        if not (ok.all() and np.isfinite(v, out=ok).all()):
             raise ProfileError("sample times and values must be finite")
         if t[0] != 0.0:
             raise ProfileError(f"sample grid must start at t = 0, got {t[0]}")
         steps = np.diff(t)
-        if np.any(steps <= 0):
+        ok = ok[1:]
+        if np.less_equal(steps, 0.0, out=ok).any():
             raise ProfileError("sample times must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        # np.allclose(steps, first, rtol=1e-9, atol=0.0), which for finite
+        # steps is |step - first| <= 1e-9 |first| at every step.
+        first = steps[0]
+        spread = np.abs(np.subtract(steps, first, out=steps), out=steps)
+        if not np.less_equal(spread, 1e-9 * first, out=ok).all():
             raise ProfileError("sample grid must be uniform")
-        from scipy.integrate import simpson
-
         # x=t, not the uniform step dx: a constant drive of area pi then
         # integrates to pi exactly, so "rescale" returns the caller's values
         # unchanged (dx sums in another order and lands one ulp low).
-        v *= _normalization_scale(float(simpson(v, x=t)), normalization)
+        v *= _normalization_scale(float(_simpson(v, x=t)), normalization)
         t.setflags(write=False)
         v.setflags(write=False)
         return DrivingProfile(kind="sampled", times=t, values=v)
@@ -306,9 +315,7 @@ def profile_integral(profile: DrivingProfile, tau: float) -> float:
     """int_0^tau omega_p(t) dt.  Equals pi for normalized profiles."""
     _check_tau(profile, tau)
     if profile.kind == "sampled":
-        from scipy.integrate import simpson
-
-        return float(simpson(profile.values, dx=_grid_step(profile.times)))
+        return float(_simpson(profile.values, dx=_grid_step(profile.times)))
     return sum(dur * val for dur, val in profile.segments)
 
 
@@ -389,29 +396,107 @@ def _eta_phi_segments(params: PhysicalParams, segments, spin_sign: int):
     return complex(eta), float(phi), float(eta_bound)
 
 
+def _basic_simpson(y: np.ndarray, stop: int, x: np.ndarray | None, dx: float):
+    """Composite Simpson over the parabolas through samples 0..stop+2 of y:
+    scipy.integrate._quadrature._basic_simpson for 1-d y, with each of its
+    array expressions evaluated in scipy's order into reused buffers.  x is
+    None for the uniform step dx."""
+    y0, y1, y2 = y[0:stop:2], y[1:stop + 1:2], y[2:stop + 2:2]
+    if x is None:
+        # sum(y0 + 4 y1 + y2) * dx / 3
+        acc = np.multiply(4.0, y1)
+        np.add(y0, acc, out=acc)
+        np.add(acc, y2, out=acc)
+        result = acc.sum()
+        result *= dx / 3.0
+        return result
+    # sum(hsum/6 * (y0 (2 - 1/r) + y1 hsum (hsum/hprod) + y2 (2 - r))) with
+    # r = h0/h1, each quotient 0 where its denominator is.
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = np.add(h0, h1)
+    hprod = np.multiply(h0, h1)
+    ratio = np.divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    acc = np.divide(1.0, ratio, out=np.zeros_like(ratio), where=ratio != 0)
+    np.subtract(2.0, acc, out=acc)
+    np.multiply(y0, acc, out=acc)
+    term = np.divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+    np.multiply(hsum, term, out=term)
+    np.multiply(y1, term, out=term)
+    np.add(acc, term, out=acc)
+    np.subtract(2.0, ratio, out=ratio)
+    np.multiply(y2, ratio, out=ratio)
+    np.add(acc, ratio, out=acc)
+    np.multiply(np.divide(hsum, 6.0, out=hsum), acc, out=acc)
+    return acc.sum()
+
+
+def _last_interval_weight(num, den):
+    """num / den, or 0 where den is 0, as scipy weighs the last interval."""
+    return num / den if den != 0 else 0.0
+
+
+def _simpson(y: np.ndarray, x: np.ndarray | None = None, *, dx: float = 1.0):
+    """scipy.integrate.simpson(y, x=x, dx=dx) for 1-d y, bit for bit.
+
+    An odd number of samples is one `_basic_simpson`.  An even number sums
+    the parabolas up to the third-to-last sample and adds the correction
+    for the last interval (Cartwright) from the last two steps, which
+    scipy holds as np.float64 scalars under dx and as 0-d arrays under x;
+    numpy raises the two types to a power differently, so they are kept.
+    The `+ 0.0` is scipy's and turns a -0.0 total into 0.0.  Two samples
+    give the trapezoid.
+    """
+    n = y.size
+    if n % 2:
+        return _basic_simpson(y, n - 2, x, dx)
+    if n == 2:
+        last_dx = dx if x is None else x[-1] - x[-2]
+        return 0.0 + 0.5 * last_dx * (y[-1] + y[-2])
+    result = _basic_simpson(y, n - 3, x, dx)
+    if x is None:
+        h0 = h1 = np.float64(dx)
+    else:
+        h0, h1 = np.asarray(x[-2] - x[-3]), np.asarray(x[-1] - x[-2])
+    alpha = _last_interval_weight(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _last_interval_weight(h1**2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _last_interval_weight(1 * h1**3, 6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result + 0.0
+
+
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     """scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0), bit for bit.
 
     scipy integrates every sub-interval [t_k, t_k+1] twice, from the parabola
     through t_k..t_k+2 and from the one through t_k-1..t_k+1, and keeps the
     first at even k and the second at odd k and at the last interval.  This
-    evaluates only the kept ones, with scipy's expression, and sums them in
-    its order.  The leading 0.0 of the running sum is scipy's `+ initial`,
-    which turns a -0.0 total into 0.0.  Two samples fall back to the
-    trapezoid, as in scipy.
+    evaluates only the kept ones, with scipy's expression in its order,
+    straight into the slots of the result, and sums them in its order.  The
+    leading 0.0 of the running sum is scipy's `+ initial`, which turns a
+    -0.0 total into 0.0.  Two samples fall back to the trapezoid, as in
+    scipy.
     """
     sub = np.empty(y.size)
     sub[0] = 0.0
     if y.size == 2:
         sub[1] = h * (y[1] + y[0]) / 2.0
-        return np.cumsum(sub)
+        return np.cumsum(sub, out=sub)
     left, mid, right = y[:-2:2], y[1:-1:2], y[2::2]
     third = h / 3
-    sub[1:-1:2] = third * (5 * left / 4 + 2 * mid - right / 4)
-    sub[2::2] = third * (5 * right / 4 + 2 * mid - left / 4)
+    two_mid = np.multiply(2, mid)
+    quarter = np.empty_like(two_mid)
+    # third * (5 * near / 4 + 2 * mid - far / 4) into the slots `kept`
+    for near, far, kept in ((left, right, sub[1:-1:2]), (right, left, sub[2::2])):
+        np.multiply(5, near, out=kept)
+        np.divide(kept, 4, out=kept)
+        np.add(kept, two_mid, out=kept)
+        np.divide(far, 4, out=quarter)
+        np.subtract(kept, quarter, out=kept)
+        np.multiply(third, kept, out=kept)
     if y.size % 2 == 0:
         sub[-1] = third * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
-    return np.cumsum(sub)
+    return np.cumsum(sub, out=sub)
 
 
 def _eta_phi_sampled(
@@ -425,16 +510,19 @@ def _eta_phi_sampled(
     Phi = int f(t) [sin(wt) Fc(t) - cos(wt) Fs(t)] dt with cumulative Simpson
     for the inner integrals.  cos_wt and sin_wt are cos(wt) and sin(wt) on
     the profile's grid, shared by both spins."""
-    from scipy.integrate import simpson
-
     h = _grid_step(profile.times)
     fv = drive_amplitude(params, profile.values, spin_sign)
-    f_cos = fv * cos_wt
-    f_sin = fv * sin_wt
-    eta = -complex(simpson(f_cos, dx=h), simpson(f_sin, dx=h))
+    f_cos = np.multiply(fv, cos_wt)
+    f_sin = np.multiply(fv, sin_wt)
+    eta = -complex(_simpson(f_cos, dx=h), _simpson(f_sin, dx=h))
     fc = _cumulative_simpson(f_cos, h)
     fs = _cumulative_simpson(f_sin, h)
-    phi = float(simpson(fv * (sin_wt * fc - cos_wt * fs), dx=h))
+    # fv * (sin_wt * fc - cos_wt * fs), in the buffers of fc and fs
+    np.multiply(sin_wt, fc, out=fc)
+    np.multiply(cos_wt, fs, out=fs)
+    np.subtract(fc, fs, out=fc)
+    np.multiply(fv, fc, out=fc)
+    phi = float(_simpson(fc, dx=h))
     return eta, phi
 
 
@@ -442,10 +530,13 @@ def _c2_integral(params: PhysicalParams, profile: DrivingProfile, tau: float) ->
     """int_0^tau omega_p(t) cos(w (t - tau)) dt."""
     w = params.trap_frequency
     if profile.kind == "sampled":
-        from scipy.integrate import simpson
-
+        # values * cos(w * (t - tau)), in one buffer
         t = profile.times
-        return float(simpson(profile.values * np.cos(w * (t - tau)), dx=_grid_step(t)))
+        y = np.subtract(t, tau)
+        np.multiply(w, y, out=y)
+        np.cos(y, out=y)
+        np.multiply(profile.values, y, out=y)
+        return float(_simpson(y, dx=_grid_step(t)))
     total = 0.0
     t0 = 0.0
     for dur, wp in profile.segments:
@@ -471,11 +562,12 @@ def coefficients(
     eta, Phi.
 
     Piecewise profiles use exact per-segment antiderivatives; sampled
-    profiles use composite Simpson on their grid, once per (params, tau):
-    the profile keeps the sets of its last COEFFICIENT_MEMO_SIZE distinct
-    pairs.  The profile must be normalized to int omega_p dt = pi over tau.
+    profiles use composite Simpson on their grid.  Either is evaluated once
+    per (params, tau): the profile keeps the sets of its last
+    COEFFICIENT_MEMO_SIZE distinct pairs.  The profile must be normalized to
+    int omega_p dt = pi over tau.
     """
-    key = _memo_key(params, tau) if profile.kind == "sampled" else None
+    key = _memo_key(params, tau)
     if key is None:
         return _coefficients(params, profile, tau)
     memo = profile._coefficient_memo
@@ -514,7 +606,7 @@ def _coefficients(
     generator = generator_coefficients(params, profile, tau)
     if profile.kind == "sampled":
         wt_grid = params.trap_frequency * profile.times
-        cos_wt, sin_wt = np.cos(wt_grid), np.sin(wt_grid)
+        cos_wt, sin_wt = np.cos(wt_grid), np.sin(wt_grid, out=wt_grid)
         eta_up, phi_up = _eta_phi_sampled(params, profile, +1, cos_wt, sin_wt)
         eta_down, phi_down = _eta_phi_sampled(params, profile, -1, cos_wt, sin_wt)
     else:

@@ -1,4 +1,4 @@
-"""The package loads scipy.integrate only when a sampled profile needs it.
+"""The package never loads scipy.integrate: its Simpson quadrature is its own.
 
 Each check runs in a fresh interpreter: other test modules import
 scipy.integrate into the pytest process, so sys.modules there says nothing
@@ -56,16 +56,51 @@ def test_closed_scan_and_piecewise_oracle_do_not_load_scipy_integrate(tmp_path):
     assert out.split() == ["0", "False", "True", "False"]
 
 
-def test_sampled_profile_loads_scipy_integrate_on_use():
+def test_sampled_profile_coefficients_and_stepped_evolution_do_not_load_scipy_integrate():
     out = _run("""
         import math, sys
         import numpy as np
         from sagnac_qfi.model import DrivingProfile, PhysicalParams, coefficients
+        from sagnac_qfi.oracle import build_evolution_stepped
 
         tau = 2.5
-        times = np.linspace(0.0, tau, 401)
-        profile = DrivingProfile.sampled(times, np.full_like(times, math.pi / tau))
-        coeffs = coefficients(PhysicalParams(), profile, tau)
-        print(0.0 <= coeffs.c2 <= 1.0, "scipy.integrate" in sys.modules)
+        for samples in (400, 401):
+            times = np.linspace(0.0, tau, samples)
+            shape = 1.0 + 0.3 * np.sin(2.0 * times / tau)
+            profile = DrivingProfile.sampled(times, shape, normalization="rescale")
+            print("scipy.integrate" in sys.modules)
+            coeffs = coefficients(PhysicalParams(ring_radius=0.5), profile, tau)
+            print(0.0 <= coeffs.c2 <= 1.0, "scipy.integrate" in sys.modules)
+            u = build_evolution_stepped(PhysicalParams(ring_radius=0.5), profile, tau, 1, 12, 100)
+            print(u.shape == (12, 12), "scipy.integrate" in sys.modules)
     """)
-    assert out.split() == ["True", "True"]
+    assert out.split() == ["False", "True", "False", "True", "False"] * 2
+
+
+def test_every_cli_subcommand_leaves_scipy_integrate_unloaded(tmp_path):
+    out = _run(f"""
+        import sys
+        from sagnac_qfi import cli
+
+        for command, sets in [
+            ("coeffs", []),
+            ("qfi", ["state.kind=partial", "state.n=1"]),
+            ("scan-n", ["sweep.points=4"]),
+            ("scan-alpha", ["sweep.variable=abs_alpha", "sweep.scale=linear",
+                            "sweep.start=0.1", "sweep.stop=2", "sweep.points=4"]),
+            ("scan-tau", ["sweep.variable=tau", "sweep.scale=linear",
+                          "sweep.start=1", "sweep.stop=9", "sweep.points=4"]),
+            ("oracle-check", ["oracle.n_max=1"]),
+        ]:
+            argv = [command, "--out", {str(tmp_path)!r} + "/" + command + ".csv"]
+            if command != "scan-tau":
+                sets = ["profile.tau=3.141592653589793", *sets]
+            for item in sets:
+                argv += ["--set", item]
+            print(command, cli.main(argv), "scipy.integrate" in sys.modules)
+    """)
+    assert out.split() == [
+        word
+        for command in ("coeffs", "qfi", "scan-n", "scan-alpha", "scan-tau", "oracle-check")
+        for word in (command, "0", "False")
+    ]

@@ -138,6 +138,37 @@ def test_sampled_profile_requires_uniform_grid():
         DrivingProfile.sampled(times, np.ones_like(times))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.integers(3, 200),
+    index=st.integers(1, 199),
+    log_shift=st.floats(-11.0, -7.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_sampled_profile_accepts_exactly_the_grids_allclose_calls_uniform(
+    samples, index, log_shift, sign
+):
+    """The uniformity check is np.allclose(steps, steps[0], rtol=1e-9,
+    atol=0.0); a grid with one sample moved by about 1e-9 of a step lies on
+    either side of it."""
+    times = np.linspace(0.0, 2.0, samples)
+    index = min(index, samples - 1)
+    times[index] += sign * 10.0**log_shift * times[1]
+    steps = np.diff(times)
+    values = np.full(samples, 1.0)
+    if np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        DrivingProfile.sampled(times, values, normalization="rescale")
+    else:
+        with pytest.raises(ProfileError, match="uniform"):
+            DrivingProfile.sampled(times, values, normalization="rescale")
+
+
+def test_sampled_profile_requires_increasing_times():
+    for times in ([0.0, 1.0, 1.0], [0.0, 1.0, 0.5]):
+        with pytest.raises(ProfileError, match="strictly increasing"):
+            DrivingProfile.sampled(times, np.ones(3), normalization="rescale")
+
+
 def test_sampled_profile_rescale_hits_pi():
     times = np.linspace(0.0, 2.0, 401)
     values = 1.0 + 0.3 * np.sin(2.0 * times)

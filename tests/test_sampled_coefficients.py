@@ -1,7 +1,8 @@
-"""Coefficients of sampled profiles: the cumulative Simpson kernel and the
-per-profile memo of coefficient sets."""
+"""Coefficients of sampled profiles: the Simpson kernels, which must return
+scipy.integrate's bits, and the per-profile memo of coefficient sets."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, simpson
 
 from sagnac_qfi import (
     DrivingProfile,
@@ -21,8 +22,8 @@ from sagnac_qfi import (
     qfi_fidelity_numeric,
 )
 from sagnac_qfi import model
-from sagnac_qfi.model import COEFFICIENT_MEMO_SIZE, _cumulative_simpson
-from sagnac_qfi.oracle import site_generator_numeric
+from sagnac_qfi.model import COEFFICIENT_MEMO_SIZE, _cumulative_simpson, _simpson
+from sagnac_qfi.oracle import qfi_variance_numeric, site_generator_numeric
 
 TAU = 2.5
 
@@ -63,6 +64,129 @@ def test_kernel_keeps_scipys_signed_zeros(n):
     assert _bits(_cumulative_simpson(y, 0.5)) == _bits(want)
 
 
+def _drawn_samples(rng, n):
+    """Signed magnitudes over ten decades, with a drawn share of signed zeros."""
+    y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+    zeros = rng.random(n) < rng.choice([0.0, 0.3, 1.0])
+    y[zeros] = rng.choice([-0.0, 0.0], n)[zeros]
+    return y
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+    log_h=st.floats(-5.0, 5.0),
+    direction=st.sampled_from([1.0, -1.0]),
+    grid=st.sampled_from(["dx", "uniform x", "nonuniform x"]),
+)
+@example(n=2, seed=0, log_h=0.0, direction=1.0, grid="dx")
+@example(n=2, seed=0, log_h=0.0, direction=1.0, grid="nonuniform x")
+@example(n=3, seed=1, log_h=-5.0, direction=1.0, grid="dx")
+@example(n=4, seed=4, log_h=1.0, direction=-1.0, grid="nonuniform x")
+@example(n=20000, seed=2, log_h=-3.0, direction=1.0, grid="dx")
+@example(n=20001, seed=3, log_h=-4.0, direction=1.0, grid="dx")
+@example(n=20000, seed=5, log_h=-3.0, direction=1.0, grid="uniform x")
+@example(n=20001, seed=6, log_h=2.0, direction=1.0, grid="nonuniform x")
+def test_simpson_kernel_equals_scipy_simpson_bit_for_bit(n, seed, log_h, direction, grid):
+    """dx is any step, and x any strictly monotone grid: the sampled
+    profiles' grids are uniform and increasing, but the kernel follows
+    scipy everywhere."""
+    rng = np.random.default_rng(seed)
+    y = _drawn_samples(rng, n)
+    h = direction * 10.0**log_h
+    if grid == "dx":
+        got, want = _simpson(y, dx=h), simpson(y, dx=h)
+    else:
+        if grid == "uniform x":
+            x = np.linspace(0.0, h * (n - 1), n)
+        else:
+            steps = h * 10.0 ** rng.uniform(-3.0, 3.0, n - 1)
+            x = rng.uniform(-1.0, 1.0) * h + np.cumsum(np.concatenate([[0.0], steps]))
+        assert np.all(direction * np.diff(x) > 0)
+        got, want = _simpson(y, x=x), simpson(y, x=x)
+    assert type(got) is type(want)
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("h", [0.5, -0.5])
+def test_simpson_kernel_keeps_scipys_signed_zeros(n, h):
+    x = np.linspace(0.0, (n - 1) * h, n)
+    for signs in itertools.product([-0.0, 0.0], repeat=n):
+        y = np.array(signs)
+        assert _bits(_simpson(y, dx=h)) == _bits(simpson(y, dx=h)), signs
+        assert _bits(_simpson(y, x=x)) == _bits(simpson(y, x=x)), signs
+
+
+def _steps_whose_powers_depend_on_type(count=40):
+    """Steps h for which numpy's np.float64 scalar and 0-d array give a
+    different h**2 or h**3."""
+    rng = np.random.default_rng(7)
+    found = []
+    while len(found) < count:
+        h = rng.uniform(0.5, 2.0)
+        if (np.float64(h) ** 2 != np.asarray(h) ** 2
+                or np.float64(h) ** 3 != np.asarray(h) ** 3):
+            found.append(h)
+    return found
+
+
+def test_simpson_kernel_weighs_the_last_interval_with_scipys_types():
+    """Each y isolates one weight of the last-interval correction (the
+    parabola sum over the first three samples is 0), so a weight computed
+    from the other type of step shows in the result."""
+    weights = [[0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 1.0, 0.0], [-4.0, 1.0, 0.0, 0.0]]
+    for h in _steps_whose_powers_depend_on_type():
+        x = np.array([0.0, 1.0, 1.0 + h, 1.0 + h + h])
+        for y in map(np.array, weights):
+            assert _bits(_simpson(y, dx=h)) == _bits(simpson(y, dx=h))
+            assert _bits(_simpson(y, x=x)) == _bits(simpson(y, x=x))
+
+
+def _assert_same_bits(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        assert _bits([complex(a).real, complex(a).imag]) == _bits(
+            [complex(b).real, complex(b).imag]
+        ), field.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    samples=st.integers(2, 600),
+    amp=st.floats(-0.9, 0.9),
+    wavenumber=st.floats(0.0, 6.0),
+    rotation_rate=st.floats(-0.5, 0.5),
+    ring_radius=st.floats(0.0, 2.0),
+    normalization=st.sampled_from(["rescale", "strict"]),
+)
+@example(samples=20001, amp=0.3, wavenumber=2.0, rotation_rate=0.1, ring_radius=1.0,
+         normalization="rescale")
+@example(samples=20000, amp=0.0, wavenumber=0.0, rotation_rate=-0.0, ring_radius=1.5,
+         normalization="strict")
+def test_sampled_coefficients_keep_their_bits_with_scipys_simpson(
+    samples, amp, wavenumber, rotation_rate, ring_radius, normalization
+):
+    def build():
+        times = np.linspace(0.0, TAU, samples)
+        shape = 1.0 + amp * np.sin(wavenumber * times / TAU)
+        if normalization == "strict":
+            shape = np.full(samples, math.pi / TAU)
+        return DrivingProfile.sampled(times, shape, normalization=normalization)
+
+    params = PhysicalParams(ring_radius=ring_radius, rotation_rate=rotation_rate)
+    profile = build()
+    got = coefficients(params, profile, TAU)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_simpson", simpson)
+        reference = build()
+        want = coefficients(params, reference, TAU)
+    assert _bits(profile.values) == _bits(reference.values)
+    _assert_same_bits(got, want)
+
+
 @pytest.mark.parametrize("samples", [2, 3, 400, 401, 20001])
 @pytest.mark.parametrize("rotation_rate", [-0.3, -0.0, 0.0, 0.2])
 def test_sampled_coefficients_equal_scipy_reference_bit_for_bit(
@@ -76,12 +200,7 @@ def test_sampled_coefficients_equal_scipy_reference_bit_for_bit(
         lambda y, h: cumulative_simpson(y, dx=h, initial=0.0),
     )
     want = coefficients(params, _profile(samples), TAU)
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert type(a) is type(b), field.name
-        assert _bits([complex(a).real, complex(a).imag]) == _bits(
-            [complex(b).real, complex(b).imag]
-        ), field.name
+    _assert_same_bits(got, want)
 
 
 def _count_passes(monkeypatch) -> list:
@@ -168,13 +287,32 @@ def test_non_float_inputs_bypass_the_memo(monkeypatch):
     assert profile._coefficient_memo == {}
 
 
-def test_piecewise_profiles_bypass_the_memo(monkeypatch):
+def test_piecewise_profiles_use_the_memo(monkeypatch):
     passes = _count_passes(monkeypatch)
     profile = DrivingProfile.constant_for(TAU)
-    coefficients(PhysicalParams(), profile, TAU)
-    coefficients(PhysicalParams(), profile, TAU)
-    assert len(passes) == 2
-    assert profile._coefficient_memo == {}
+    first = coefficients(PhysicalParams(), profile, TAU)
+    assert coefficients(PhysicalParams(), profile, TAU) is first
+    assert len(passes) == 1
+    assert len(profile._coefficient_memo) == 1
+
+
+def test_variance_oracle_on_a_piecewise_profile_makes_one_pass_per_key(monkeypatch):
+    """generator_numeric evaluates Omega and Omega +/- delta, +/- delta/2 for
+    each spin: 13 calls on 5 distinct (params, tau), one pass each."""
+    passes = _count_passes(monkeypatch)
+    calls = []
+    traced = model.coefficients
+
+    def counted(params, profile, tau):
+        calls.append(params)
+        return traced(params, profile, tau)
+
+    monkeypatch.setattr(sys.modules["sagnac_qfi.oracle"], "coefficients", counted)
+    state = make_partially_entangled(0.4 + 0.1j, 1)
+    qfi_variance_numeric(state, PhysicalParams(rotation_rate=0.2),
+                         DrivingProfile.constant_for(2.0), 2.0)
+    assert len(calls) == 13
+    assert len(passes) == len(set(passes)) == 5
 
 
 def test_one_oracle_call_fits_in_the_memo(monkeypatch):
