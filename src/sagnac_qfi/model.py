@@ -29,16 +29,15 @@ eta and Phi passes they would not print.
 
 The quadrature is the package's own, so nothing loads scipy.integrate,
 whose import pulls in scipy.optimize, sparse, fft and spatial (about
-0.4 s and 18 MB per process).  `_simpson` returns the bits of
-scipy.integrate.simpson(y, dx=h) and (y, x=t) for 1-d y, and
-`_cumulative_simpson` those of
-scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0) while evaluating
-only the sub-interval integrals that scipy keeps.  Both follow scipy's
-expressions operation by operation, and, like the rest of the sampled pass
-and the checks in `DrivingProfile.sampled`, evaluate them into a few
-reused buffers rather than a fresh full-grid temporary per operation: in
-the smaller heap that freed temporaries leave once scipy.integrate is gone,
-each fresh one is paged in again on every call.
+0.4 s and 18 MB per process).  Every integral of a sampled drive, its pulse
+area included, is composite Simpson on the grid's uniform step h:
+`_simpson` and `_cumulative_simpson` return the bits of scipy.integrate's
+simpson(y, dx=h) and cumulative_simpson(y, dx=h, initial=0.0) for 1-d y,
+the second evaluating only the sub-interval integrals that scipy keeps.
+Both, the rest of the sampled pass and the checks in
+`DrivingProfile.sampled` follow scipy's expressions in its order, into a
+few reused buffers: in the heap left without scipy.integrate, each fresh
+full-grid temporary would be paged in again on every call.
 
 A profile evaluates its coefficients once per (params, tau): it remembers
 the CoefficientSet of its last COEFFICIENT_MEMO_SIZE distinct pairs, keyed by
@@ -157,6 +156,10 @@ class DrivingProfile:
     times: np.ndarray | None = field(default=None, repr=False)
     values: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.kind not in ("piecewise", "sampled"):
+            raise ProfileError(f"unknown profile kind {self.kind!r}")
+
     @cached_property
     def _coefficient_memo(self) -> dict:
         """(params, tau) bits -> CoefficientSet, filled by `coefficients`.
@@ -247,10 +250,7 @@ class DrivingProfile:
         spread = np.abs(np.subtract(steps, first, out=steps), out=steps)
         if not np.less_equal(spread, 1e-9 * first, out=ok).all():
             raise ProfileError("sample grid must be uniform")
-        # x=t, not the uniform step dx: a constant drive of area pi then
-        # integrates to pi exactly, so "rescale" returns the caller's values
-        # unchanged (dx sums in another order and lands one ulp low).
-        v *= _normalization_scale(float(_simpson(v, x=t)), normalization)
+        v *= _normalization_scale(float(_simpson(v, dx=_grid_step(t))), normalization)
         t.setflags(write=False)
         v.setflags(write=False)
         return DrivingProfile(kind="sampled", times=t, values=v)
@@ -275,7 +275,8 @@ class DrivingProfile:
 
 
 def _check_strict(integral: float) -> None:
-    if abs(integral - math.pi) > STRICT_NORMALIZATION_RTOL * math.pi:
+    # not <=, so that a NaN area fails too
+    if not abs(integral - math.pi) <= STRICT_NORMALIZATION_RTOL * math.pi:
         raise ProfileError(
             f"profile integral {integral!r} differs from pi beyond the strict "
             f"tolerance; construct with normalization='rescale' to force it"
@@ -290,7 +291,8 @@ def _normalization_scale(integral: float, normalization: str) -> float:
         _check_strict(integral)
         return 1.0
     if normalization == "rescale":
-        if integral <= 0:
+        # NaN, inf, and an area so small that pi/integral overflows fail
+        if not (0 < integral < math.inf and math.pi / integral < math.inf):
             raise ProfileError(f"cannot rescale profile with integral {integral} to pi")
         return math.pi / integral
     raise ProfileError(f"unknown normalization policy {normalization!r}")
@@ -396,39 +398,15 @@ def _eta_phi_segments(params: PhysicalParams, segments, spin_sign: int):
     return complex(eta), float(phi), float(eta_bound)
 
 
-def _basic_simpson(y: np.ndarray, stop: int, x: np.ndarray | None, dx: float):
+def _basic_simpson(y: np.ndarray, stop: int, dx: float):
     """Composite Simpson over the parabolas through samples 0..stop+2 of y:
-    scipy.integrate._quadrature._basic_simpson for 1-d y, with each of its
-    array expressions evaluated in scipy's order into reused buffers.  x is
-    None for the uniform step dx."""
+    scipy.integrate._quadrature._basic_simpson for 1-d y and the step dx,
+    sum(y0 + 4 y1 + y2) * dx / 3 evaluated in scipy's order in one buffer."""
     y0, y1, y2 = y[0:stop:2], y[1:stop + 1:2], y[2:stop + 2:2]
-    if x is None:
-        # sum(y0 + 4 y1 + y2) * dx / 3
-        acc = np.multiply(4.0, y1)
-        np.add(y0, acc, out=acc)
-        np.add(acc, y2, out=acc)
-        result = acc.sum()
-        result *= dx / 3.0
-        return result
-    # sum(hsum/6 * (y0 (2 - 1/r) + y1 hsum (hsum/hprod) + y2 (2 - r))) with
-    # r = h0/h1, each quotient 0 where its denominator is.
-    h = np.diff(x)
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = np.add(h0, h1)
-    hprod = np.multiply(h0, h1)
-    ratio = np.divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
-    acc = np.divide(1.0, ratio, out=np.zeros_like(ratio), where=ratio != 0)
-    np.subtract(2.0, acc, out=acc)
-    np.multiply(y0, acc, out=acc)
-    term = np.divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
-    np.multiply(hsum, term, out=term)
-    np.multiply(y1, term, out=term)
-    np.add(acc, term, out=acc)
-    np.subtract(2.0, ratio, out=ratio)
-    np.multiply(y2, ratio, out=ratio)
-    np.add(acc, ratio, out=acc)
-    np.multiply(np.divide(hsum, 6.0, out=hsum), acc, out=acc)
-    return acc.sum()
+    acc = np.multiply(4.0, y1)
+    np.add(y0, acc, out=acc)
+    np.add(acc, y2, out=acc)
+    return acc.sum() * (dx / 3.0)
 
 
 def _last_interval_weight(num, den):
@@ -436,28 +414,24 @@ def _last_interval_weight(num, den):
     return num / den if den != 0 else 0.0
 
 
-def _simpson(y: np.ndarray, x: np.ndarray | None = None, *, dx: float = 1.0):
-    """scipy.integrate.simpson(y, x=x, dx=dx) for 1-d y, bit for bit.
+def _simpson(y: np.ndarray, *, dx: float):
+    """scipy.integrate.simpson(y, dx=dx) for 1-d y, bit for bit.
 
-    An odd number of samples is one `_basic_simpson`.  An even number sums
-    the parabolas up to the third-to-last sample and adds the correction
-    for the last interval (Cartwright) from the last two steps, which
-    scipy holds as np.float64 scalars under dx and as 0-d arrays under x;
-    numpy raises the two types to a power differently, so they are kept.
-    The `+ 0.0` is scipy's and turns a -0.0 total into 0.0.  Two samples
-    give the trapezoid.
+    An odd number of samples is one `_basic_simpson`, and two give the
+    trapezoid.  Other even counts sum the parabolas up to the third-to-last
+    sample and add scipy's correction for the last interval (Cartwright),
+    with the step as an np.float64, scipy's own type: numpy raises a 0-d
+    array to a power with other bits.  Below |dx| ~ 1e-162 the denominator
+    6 h0 (h0 + h1) underflows to 0, and scipy weighs 0 there.  The `+ 0.0`
+    is scipy's and turns a -0.0 total into 0.0.
     """
     n = y.size
     if n % 2:
-        return _basic_simpson(y, n - 2, x, dx)
+        return _basic_simpson(y, n - 2, dx)
     if n == 2:
-        last_dx = dx if x is None else x[-1] - x[-2]
-        return 0.0 + 0.5 * last_dx * (y[-1] + y[-2])
-    result = _basic_simpson(y, n - 3, x, dx)
-    if x is None:
-        h0 = h1 = np.float64(dx)
-    else:
-        h0, h1 = np.asarray(x[-2] - x[-3]), np.asarray(x[-1] - x[-2])
+        return 0.0 + 0.5 * dx * (y[-1] + y[-2])
+    result = _basic_simpson(y, n - 3, dx)
+    h0 = h1 = np.float64(dx)
     alpha = _last_interval_weight(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
     beta = _last_interval_weight(h1**2 + 3.0 * h0 * h1, 6 * h0)
     eta = _last_interval_weight(1 * h1**3, 6 * h0 * (h0 + h1))

@@ -345,8 +345,9 @@ def run_coeffs(cfg: ScanConfig) -> dict:
 
 def run_qfi(cfg: ScanConfig) -> dict:
     """The configured point as a one-row run, with the global-vs-partial
-    comparison (checked against F_global - F_partial(n = 0)) and, at whole
-    trap periods, the commensurate law (checked against N^2 T_S^2)."""
+    comparison (checked against F_global - F_partial(n = 0)) and, for the
+    partial and global states at whole trap periods, the commensurate law
+    (checked against N^2 T_S^2)."""
     params = cfg.params()
     tau, _ = cfg.resolve_tau()
     n_particles = cfg["n_particles"]
@@ -379,7 +380,9 @@ def run_qfi(cfg: ScanConfig) -> dict:
         "qcrb_bound_time2": 1.0 / row["f_general"] if row["f_general"] > 0 else math.inf,
     }
     cycles = params.trap_frequency * tau / (2.0 * math.pi)
-    if abs(cycles - round(cycles)) < 1e-9 and round(cycles) >= 1:
+    whole_periods = abs(cycles - round(cycles)) < 1e-9 and round(cycles) >= 1
+    # The product state's F is shot noise, 0 at whole periods: no such law.
+    if whole_periods and cfg["state.kind"] in ("partial", "global"):
         commensurate = qfi_commensurate(n_particles, params)
         # N^2 T_S^2 is the law by a second route, from the derived constants.
         reference = (float(n_particles) * constants.t_s) ** 2

@@ -182,11 +182,47 @@ def test_sampled_profile_leaves_caller_arrays_alone(normalization):
     values = np.full_like(times, math.pi / 2.0)
     before = values.copy()
     profile = DrivingProfile.sampled(times, values, normalization=normalization)
+    stored = profile.values.copy()
+    if normalization == "strict":
+        assert np.array_equal(stored, before)
     assert times.flags.writeable and values.flags.writeable
     assert not profile.times.flags.writeable and not profile.values.flags.writeable
     times[0] = 0.0
     values[0] = 0.0
-    assert profile.values[0] == before[0]
+    assert profile.values[0] == stored[0]
+
+
+_SHAPES = {
+    "sine": lambda x, amp, k: 1.0 + amp * np.sin(k * x),
+    "ramp": lambda x, amp, k: x ** (1.0 + abs(amp) * k),
+    "pulse": lambda x, amp, k: np.exp(-((x - 0.5) ** 2) * (1.0 + k) * 10.0),
+    # Area at least 1 and sum |values| at most 3.4 times it: no cancellation.
+    "signed": lambda x, amp, k: 1.0 + (1.5 + amp) * np.sin(k * x),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(sorted(_SHAPES)),
+    samples=st.integers(3, 2001),
+    tau=st.floats(0.1, 10.0),
+    amp=st.floats(-0.9, 0.9),
+    wavenumber=st.floats(0.0, 12.0),
+    jitter=st.floats(0.0, 2e-10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rescale_scales_to_the_area_the_coefficients_see(
+    shape, samples, tau, amp, wavenumber, jitter, seed
+):
+    """The constructor's pulse area and profile_integral are one rule, so a
+    rescaled profile integrates to pi, also on a grid whose interior times
+    are off by up to 2e-10 of a step (still uniform to the constructor)."""
+    times = np.linspace(0.0, tau, samples)
+    offsets = np.random.default_rng(seed).uniform(-1.0, 1.0, samples - 2)
+    times[1:-1] += jitter * times[1] * offsets
+    values = _SHAPES[shape](times / tau, amp, wavenumber)
+    profile = DrivingProfile.sampled(times, values, normalization="rescale")
+    assert profile_integral(profile, tau) == pytest.approx(math.pi, rel=1e-14)
 
 
 def _sampled_with(bad, index, column, normalization="strict"):
@@ -213,6 +249,47 @@ def _sampled_with(bad, index, column, normalization="strict"):
 def test_non_finite_profile_inputs_rejected(build, bad):
     with pytest.raises(ProfileError, match="finite"):
         build(bad)
+
+
+_FIVE = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        # Finite samples whose Simpson sum is inf - inf: a NaN area.
+        (lambda: DrivingProfile.sampled(_FIVE, [0.0, 1e308, 0.0, -1e308, 0.0]),
+         "strict tolerance"),
+        (lambda: DrivingProfile.sampled(
+            _FIVE, [0.0, 1e308, 0.0, -1e308, 0.0], normalization="rescale"),
+         "cannot rescale"),
+        (lambda: DrivingProfile.sampled(_FIVE, [1e308] * 5), "strict tolerance"),
+        (lambda: DrivingProfile.sampled(_FIVE, [1e308] * 5, normalization="rescale"),
+         "cannot rescale"),
+        (lambda: DrivingProfile.piecewise([(1e300, 1e300)]), "strict tolerance"),
+        (lambda: DrivingProfile.piecewise([(1e300, 1e300)], normalization="rescale"),
+         "cannot rescale"),
+        # A finite area so small that pi/area overflows.
+        (lambda: DrivingProfile.piecewise([(1.0, 1e-320)], normalization="rescale"),
+         "cannot rescale"),
+    ],
+    ids=["sampled-nan-strict", "sampled-nan-rescale", "sampled-inf-strict",
+         "sampled-inf-rescale", "piecewise-inf-strict", "piecewise-inf-rescale",
+         "piecewise-tiny-rescale"],
+)
+def test_non_finite_pulse_areas_rejected(build, match):
+    # numpy's overflow warnings on the way are not the point: the error is.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ProfileError, match=match
+    ):
+        build()
+
+
+@pytest.mark.parametrize("kind", ["Piecewise", "constant", ""])
+def test_unknown_profile_kind_rejected(kind):
+    # Read as piecewise, this drive would get C2 = -2.36 with no error.
+    with pytest.raises(ProfileError, match="unknown profile kind"):
+        DrivingProfile(kind=kind, segments=((math.pi / 2.0, -8.0), (math.pi / 2.0, 10.0)))
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf])

@@ -78,33 +78,18 @@ def _drawn_samples(rng, n):
     seed=st.integers(0, 2**32 - 1),
     log_h=st.floats(-5.0, 5.0),
     direction=st.sampled_from([1.0, -1.0]),
-    grid=st.sampled_from(["dx", "uniform x", "nonuniform x"]),
 )
-@example(n=2, seed=0, log_h=0.0, direction=1.0, grid="dx")
-@example(n=2, seed=0, log_h=0.0, direction=1.0, grid="nonuniform x")
-@example(n=3, seed=1, log_h=-5.0, direction=1.0, grid="dx")
-@example(n=4, seed=4, log_h=1.0, direction=-1.0, grid="nonuniform x")
-@example(n=20000, seed=2, log_h=-3.0, direction=1.0, grid="dx")
-@example(n=20001, seed=3, log_h=-4.0, direction=1.0, grid="dx")
-@example(n=20000, seed=5, log_h=-3.0, direction=1.0, grid="uniform x")
-@example(n=20001, seed=6, log_h=2.0, direction=1.0, grid="nonuniform x")
-def test_simpson_kernel_equals_scipy_simpson_bit_for_bit(n, seed, log_h, direction, grid):
-    """dx is any step, and x any strictly monotone grid: the sampled
-    profiles' grids are uniform and increasing, but the kernel follows
-    scipy everywhere."""
+@example(n=2, seed=0, log_h=0.0, direction=1.0)
+@example(n=3, seed=1, log_h=-5.0, direction=1.0)
+@example(n=20000, seed=2, log_h=-3.0, direction=1.0)
+@example(n=20001, seed=3, log_h=-4.0, direction=1.0)
+def test_simpson_kernel_equals_scipy_simpson_bit_for_bit(n, seed, log_h, direction):
+    """dx is any step: the sampled profiles' steps are positive, but the
+    kernel follows scipy everywhere."""
     rng = np.random.default_rng(seed)
     y = _drawn_samples(rng, n)
     h = direction * 10.0**log_h
-    if grid == "dx":
-        got, want = _simpson(y, dx=h), simpson(y, dx=h)
-    else:
-        if grid == "uniform x":
-            x = np.linspace(0.0, h * (n - 1), n)
-        else:
-            steps = h * 10.0 ** rng.uniform(-3.0, 3.0, n - 1)
-            x = rng.uniform(-1.0, 1.0) * h + np.cumsum(np.concatenate([[0.0], steps]))
-        assert np.all(direction * np.diff(x) > 0)
-        got, want = _simpson(y, x=x), simpson(y, x=x)
+    got, want = _simpson(y, dx=h), simpson(y, dx=h)
     assert type(got) is type(want)
     assert _bits(got) == _bits(want)
 
@@ -112,11 +97,9 @@ def test_simpson_kernel_equals_scipy_simpson_bit_for_bit(n, seed, log_h, directi
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("h", [0.5, -0.5])
 def test_simpson_kernel_keeps_scipys_signed_zeros(n, h):
-    x = np.linspace(0.0, (n - 1) * h, n)
     for signs in itertools.product([-0.0, 0.0], repeat=n):
         y = np.array(signs)
         assert _bits(_simpson(y, dx=h)) == _bits(simpson(y, dx=h)), signs
-        assert _bits(_simpson(y, x=x)) == _bits(simpson(y, x=x)), signs
 
 
 def _steps_whose_powers_depend_on_type(count=40):
@@ -135,13 +118,12 @@ def _steps_whose_powers_depend_on_type(count=40):
 def test_simpson_kernel_weighs_the_last_interval_with_scipys_types():
     """Each y isolates one weight of the last-interval correction (the
     parabola sum over the first three samples is 0), so a weight computed
-    from the other type of step shows in the result."""
+    from a step of another type than scipy's np.float64 shows in the
+    result."""
     weights = [[0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 1.0, 0.0], [-4.0, 1.0, 0.0, 0.0]]
     for h in _steps_whose_powers_depend_on_type():
-        x = np.array([0.0, 1.0, 1.0 + h, 1.0 + h + h])
         for y in map(np.array, weights):
             assert _bits(_simpson(y, dx=h)) == _bits(simpson(y, dx=h))
-            assert _bits(_simpson(y, x=x)) == _bits(simpson(y, x=x))
 
 
 def _assert_same_bits(got, want):

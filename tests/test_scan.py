@@ -170,6 +170,22 @@ def test_commensurate_law_checked_against_derived_constants(monkeypatch, capsys)
     assert "commensurate-law QFI" in capsys.readouterr().err
 
 
+def test_commensurate_law_printed_and_checked_for_entangled_states_only(monkeypatch):
+    # The product state's F vanishes at whole periods, far from the law.
+    def cfg_for(kind):
+        return cfg_with(**{"profile.tau": 2.0 * math.pi, "state.kind": kind})
+
+    assert "f_commensurate" not in run_qfi(cfg_for("product"))
+    for kind in ("global", "partial"):
+        assert run_qfi(cfg_for(kind))["f_commensurate"] == pytest.approx(
+            100**2 * (2.0 * math.pi) ** 2, rel=1e-12
+        )
+    monkeypatch.setattr(scan, "qfi_commensurate", lambda n_particles, params: math.nan)
+    assert "f_commensurate" not in run_qfi(cfg_for("product"))
+    with pytest.raises(ConsistencyError, match="commensurate-law QFI"):
+        run_qfi(cfg_for("global"))
+
+
 @pytest.mark.parametrize(
     "runner, overrides",
     [
