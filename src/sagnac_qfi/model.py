@@ -250,7 +250,11 @@ class DrivingProfile:
         spread = np.abs(np.subtract(steps, first, out=steps), out=steps)
         if not np.less_equal(spread, 1e-9 * first, out=ok).all():
             raise ProfileError("sample grid must be uniform")
-        v *= _normalization_scale(float(_simpson(v, dx=_grid_step(t))), normalization)
+        # Finite samples near the float limit can sum to an infinite or NaN
+        # area; the policy check below rejects it, not numpy's warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            area = float(_simpson(v, dx=_grid_step(t)))
+        v *= _normalization_scale(area, normalization)
         t.setflags(write=False)
         v.setflags(write=False)
         return DrivingProfile(kind="sampled", times=t, values=v)

@@ -33,6 +33,10 @@ piecewise drive eta(t) follows a circular arc, and `model._eta_phi_segments`
 bounds it by the arc's farthest point.  The single-site builders refuse d
 above DENSE_GUARD before allocating anything, since one dense exponential
 costs O(d^2) memory and O(d^3) time however small N is.
+
+The module's `expm` and `eigh_tridiagonal` forward to scipy.linalg, which
+they import on their first call, so importing this module loads no scipy
+module: only a dense builder does.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ import math
 import operator
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
 
 from .exceptions import (
     ConfigError,
@@ -93,6 +96,20 @@ STEP_NODES = 12
 _STEP_REACH = tuple(
     (2.0**-54 * math.factorial(m)) ** (1.0 / m) for m in range(1, STEP_NODES + 1)
 )
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, with scipy.linalg imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.linalg.eigh_tridiagonal, imported on the first call like `expm`."""
+    from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+
+    return scipy_eigh_tridiagonal(d, e)
 
 
 def ladder(d: int) -> np.ndarray:

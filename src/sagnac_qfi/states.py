@@ -14,12 +14,20 @@ correlations_generic implements; correlations_closed_form carries the
 tabulated special cases for D(alpha)|n> branches (partially entangled) and
 |alpha>, |-alpha> coherent branches (globally entangled).
 
-Two bounded caches hold the factors that repeat across a sweep, as read-only
-arrays: the log-Gamma and Laguerre factors of D(alpha)|n>, keyed by
-(n, d, |alpha|) (FOCK_FACTOR_CACHE_SIZE entries), and the sqrt(k) weights of
-the mode moments, keyed by d (MOMENT_WEIGHT_CACHE_SIZE entries).  Each result
-has the bits it would have without them.  A non-finite alpha raises
-ValueError before it reaches either.
+Bounded caches hold the factors that repeat across a sweep, as read-only
+arrays: the log-Gamma factors of D(alpha)|n>, keyed by (n, d), and its
+magnitudes and Laguerre values, keyed by (n, d, |alpha|) (each
+FOCK_FACTOR_CACHE_SIZE entries), and the sqrt(k) weights of the mode moments,
+keyed by d (MOMENT_WEIGHT_CACHE_SIZE entries).  Each result has the bits it
+would have without them.  A non-finite alpha raises ValueError before it
+reaches any of them.
+
+`gammaln` and `eval_genlaguerre` return the bits of scipy.special's functions
+of those names on the integer arguments used here: they are ports of
+Cephes' lgam (S. L. Moshier, Methods and Programs for Mathematical Functions,
+1989) and of scipy's eval_genlaguerre_l, so the closed route loads no scipy
+module.  Only a Laguerre value that scipy does not take from its integer
+binomial product, at a Fock level n >= 20, imports scipy.special.
 """
 
 from __future__ import annotations
@@ -30,13 +38,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .exceptions import TruncationError
 
 DEFAULT_LEAKAGE = 1e-10
-# Distinct (n, d, |alpha|) whose displaced-Fock factors stay cached.  A sweep
-# of the phase of alpha meets a few |alpha| (their bits vary in the last place).
+# Distinct (n, d, |alpha|), and distinct (n, d), whose displaced-Fock factors
+# stay cached.  A sweep of the phase of alpha meets a few |alpha| (their bits
+# vary in the last place); a sweep of |alpha| meets a few d.
 FOCK_FACTOR_CACHE_SIZE = 32
 # Distinct truncations d whose moment weights stay cached.
 MOMENT_WEIGHT_CACHE_SIZE = 32
@@ -139,23 +147,163 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+# Cephes' lgam: Stirling's series at x >= 13 with these coefficients, highest
+# power first, and log(sqrt(2 pi)).
+_LGAM_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
+# scipy's binom(n, k) multiplies integers only while min(k, n - k) < 20.
+_BINOM_PRODUCT_LIMIT = 20
+
+
+def _lgam(x: float) -> float:
+    """Cephes' lgam at a whole x >= 1, in its operations and order."""
+    if x < 13.0:
+        z = 1.0
+        while x >= 3.0:
+            x -= 1.0
+            z *= x
+        return math.log(z)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    series = 0.0
+    for coef in _LGAM_STIRLING:
+        series = series * p + coef
+    return q + series / x
+
+
+# Read-only tables of values at whole arguments, grown on demand: "gammaln",
+# and binom(n + a, n) over a under ("binom", n).
+_tables: dict = {}
+_NO_TABLE = np.empty(0)
+
+
+def _tabulated(key, index, entry):
+    """_tables[key][index], after growing that table (to twice its size at
+    least) with entry(i) at each missing i.  index is an int >= 0 or an
+    array of them."""
+    table = _tables.get(key, _NO_TABLE)
+    try:
+        return table[index]
+    except IndexError:
+        pass
+    top = table.size
+    size = max(int(np.max(index)) + 1, 2 * top)
+    grown = np.concatenate([table, [entry(i) for i in range(top, size)]])
+    _tables[key] = _read_only(grown)[0]
+    return grown[index]
+
+
+def gammaln(m):
+    """scipy.special.gammaln at an integer m >= 0, or an integer array, bit for
+    bit: Cephes' lgam, evaluated once per integer into a read-only table, so a
+    call is an index into it."""
+    return _tabulated("gammaln", m, lambda i: _lgam(float(i)) if i else math.inf)
+
+
+def _binom(n: float, k: float) -> float:
+    """scipy's binom(n, k) at whole n >= k >= 0: its product of integers,
+    which it takes while min(k, n - k) < _BINOM_PRODUCT_LIMIT."""
+    kx = n - k if k > n / 2 else k
+    num = den = 1.0
+    for i in range(1, int(kx) + 1):
+        num *= i + n - kx
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den
+
+
+def _binoms(n: int, alpha):
+    """binom(n + alpha, n) at whole alpha >= 0 (an int or an int array), from
+    the table of scipy's products for the degree n."""
+    return _tabulated(("binom", n), alpha, lambda a: _binom(float(n + a), float(n)))
+
+
+def _laguerre(n: int, alpha, x: float, binom):
+    """scipy's eval_genlaguerre_l at a degree n >= 1 for a whole alpha >= 0 (a
+    float or a float array), given binom(n + alpha, n).  (j + alpha) + 1 is
+    written alpha + (j + 1), the same float while alpha is a whole number."""
+    if n == 1:
+        return -x + alpha + 1.0
+    t = alpha + 1.0
+    d = -x / t
+    p = d + 1.0
+    for j in range(1, n):
+        t = alpha + (j + 1.0)
+        d = -x / t * p + j / t * d
+        p = d + p
+    return binom * p
+
+
+def eval_genlaguerre(n, alpha, x: float):
+    """scipy.special.eval_genlaguerre(n, alpha, x) bit for bit, for integers
+    n, alpha >= 0 and a float x: an int n with an integer array alpha, or
+    integer arrays n and alpha of one shape.
+
+    This is scipy's recurrence in the degree times scipy's integer product
+    for binom(n + alpha, n), in scipy's operations and order; numpy rounds
+    + - * / elementwise as scalar code does.  Where scipy leaves that
+    product, at min(n, alpha) >= 20, scipy.special is imported and called.
+    """
+    if isinstance(n, np.ndarray):  # one degree per element, as below a Fock level
+        pairs = list(zip(n.tolist(), alpha.tolist()))
+        if all(min(pair) < _BINOM_PRODUCT_LIMIT for pair in pairs):
+            return np.array([
+                _laguerre(m, float(a), x, _binoms(m, a)) if m else 1.0 for m, a in pairs
+            ])
+    elif n < _BINOM_PRODUCT_LIMIT:
+        if n == 0:
+            return np.ones(np.shape(alpha))
+        return _laguerre(n, np.asarray(alpha, dtype=float), x, _binoms(n, alpha))
+    from scipy.special import eval_genlaguerre as scipy_eval_genlaguerre
+
+    return scipy_eval_genlaguerre(n, alpha, x)
+
+
+@lru_cache(maxsize=FOCK_FACTOR_CACHE_SIZE)
+def _fock_levels(n: int, d: int):
+    """The factors of <m|D(alpha)|n> that do not depend on alpha: (Laguerre
+    degree, k = |m - n|, log sqrt(min(m, n)! / max(m, n)!)) on the levels
+    m >= n, then on the levels m < n (None when n = 0), as read-only arrays."""
+    m = np.arange(d)
+    hi = m[n:]
+    upper = (n, *_read_only(hi - n, 0.5 * (gammaln(n + 1) - gammaln(hi + 1))))
+    if n == 0:
+        return upper, None  # no m < n levels
+    lo = m[:n]
+    return upper, (lo, *_read_only(n - lo, 0.5 * (gammaln(lo + 1) - gammaln(n + 1))))
+
+
 @lru_cache(maxsize=FOCK_FACTOR_CACHE_SIZE, typed=True)
 def _fock_factors(n: int, d: int, radius: float):
     """The factors of <m|D(alpha)|n> that depend on |alpha| = radius but not
     on the phase of alpha: (k, magnitude, Laguerre value) on the levels
     m >= n, then on the levels m < n (None when n = 0), as read-only arrays."""
-    m = np.arange(d)
     x = radius**2
-    hi = m[n:]  # the levels m >= n
-    k = hi - n
-    log_mag = 0.5 * (gammaln(n + 1) - gammaln(hi + 1)) + k * math.log(radius)
-    upper = _read_only(k, np.exp(log_mag - x / 2.0), eval_genlaguerre(n, k, x))
-    if n == 0:
-        return upper, None  # no m < n levels
-    lo = m[:n]
-    k = n - lo
-    log_mag = 0.5 * (gammaln(lo + 1) - gammaln(n + 1)) + k * math.log(radius)
-    return upper, _read_only(k, np.exp(log_mag - x / 2.0), eval_genlaguerre(lo, k, x))
+    log_radius = math.log(radius)
+
+    def factors(levels):
+        degree, k, log_ratio = levels
+        return _read_only(
+            k, np.exp(log_ratio + k * log_radius - x / 2.0), eval_genlaguerre(degree, k, x)
+        )
+
+    upper, lower = _fock_levels(n, d)
+    return factors(upper), lower and factors(lower)
 
 
 def displaced_fock_amplitudes(alpha: complex, n: int, d: int) -> np.ndarray:

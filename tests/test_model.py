@@ -285,6 +285,17 @@ def test_non_finite_pulse_areas_rejected(build, match):
         build()
 
 
+@pytest.mark.parametrize("normalization", ["strict", "rescale"])
+@pytest.mark.parametrize(
+    "values", [[0.0, 1e308, 0.0, -1e308, 0.0], [1e308] * 5], ids=["nan-area", "inf-area"]
+)
+def test_overflowing_sampled_area_raises_profile_error_not_a_warning(values, normalization):
+    # Under the suite's warnings-as-errors policy, with no np.errstate here:
+    # the area's overflow must surface as the profile's own error.
+    with pytest.raises(ProfileError, match="strict tolerance|cannot rescale"):
+        DrivingProfile.sampled(_FIVE, values, normalization=normalization)
+
+
 @pytest.mark.parametrize("kind", ["Piecewise", "constant", ""])
 def test_unknown_profile_kind_rejected(kind):
     # Read as piecewise, this drive would get C2 = -2.36 with no error.

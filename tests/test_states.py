@@ -26,6 +26,7 @@ from sagnac_qfi import (
     run_scan_tau,
     states,
 )
+from sagnac_qfi.oracle import DENSE_GUARD
 
 
 def test_displaced_vacuum_is_coherent_state():
@@ -362,6 +363,57 @@ def test_sliced_amplitudes_equal_the_masked_ones_bit_for_bit(alpha, n, extra):
     for a in (alpha, -alpha, alpha):
         want = _amplitudes_by_mask(a, n, d).tobytes()
         assert displaced_fock_amplitudes(a, n, d).tobytes() == want
+
+
+def test_gammaln_port_equals_scipy_on_every_level_bit_for_bit():
+    # Up to 10,100: above the largest truncation auto_truncation returns
+    # (10,000 + n + 10), so every level it can size is covered.
+    m = np.arange(1, 10_101)
+    assert states.gammaln(m).tobytes() == gammaln(m).tobytes()
+    for i in (1, 2, 12, 13, 999, 1000, 10_100):
+        assert states.gammaln(i).tobytes() == gammaln(i).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 25),
+    k=st.lists(st.integers(0, DENSE_GUARD), min_size=1, max_size=40),
+    pairs=st.lists(st.tuples(st.integers(0, 25), st.integers(0, 25)), min_size=1, max_size=25),
+    x=st.floats(0.0, 50.0),
+)
+def test_laguerre_port_equals_scipy_bit_for_bit(n, k, pairs, x):
+    # n on both sides of 20, where scipy's binomial leaves its integer product.
+    k = np.array(k)
+    assert states.eval_genlaguerre(n, k, x).tobytes() == eval_genlaguerre(n, k, x).tobytes()
+    # One degree per element, as on the levels below a Fock level.
+    degrees, alphas = (np.array(column) for column in zip(*pairs))
+    want = eval_genlaguerre(degrees, alphas, x)
+    assert states.eval_genlaguerre(degrees, alphas, x).tobytes() == want.tobytes()
+    lo = np.arange(n)
+    want = eval_genlaguerre(lo, n - lo, x)
+    assert states.eval_genlaguerre(lo, n - lo, x).tobytes() == want.tobytes()
+
+
+def _scipy_fock_factors(n, d, radius):
+    """The displaced-Fock factors built with scipy.special's functions."""
+    m = np.arange(d)
+    x = radius**2
+    hi, lo = m[n:], m[:n]
+    log_mag = 0.5 * (gammaln(n + 1) - gammaln(hi + 1)) + (hi - n) * math.log(radius)
+    upper = (hi - n, np.exp(log_mag - x / 2.0), eval_genlaguerre(n, hi - n, x))
+    log_mag = 0.5 * (gammaln(lo + 1) - gammaln(n + 1)) + (n - lo) * math.log(radius)
+    return upper, (n - lo, np.exp(log_mag - x / 2.0), eval_genlaguerre(lo, n - lo, x))
+
+
+@pytest.mark.parametrize("n", [19, 20, 21])
+def test_fock_factors_equal_scipy_reference_bit_for_bit(n):
+    for d in (n + 1, n + 37, 4 * n + 60):
+        for radius in (0.05, 0.7, 1.9999999999999998, 4.5):
+            got = states._fock_factors(n, d, radius)
+            want = _scipy_fock_factors(n, d, radius)
+            for got_branch, want_branch in zip(got, want):
+                for got_array, want_array in zip(got_branch, want_branch):
+                    assert got_array.tobytes() == want_array.tobytes(), (n, d, radius)
 
 
 def test_states_compare_by_value():
