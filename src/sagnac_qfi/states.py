@@ -285,7 +285,7 @@ def _fock_levels(n: int, d: int):
     if n == 0:
         return upper, None  # no m < n levels
     lo = m[:n]
-    return upper, (lo, *_read_only(n - lo, 0.5 * (gammaln(lo + 1) - gammaln(n + 1))))
+    return upper, _read_only(lo, n - lo, 0.5 * (gammaln(lo + 1) - gammaln(n + 1)))
 
 
 @lru_cache(maxsize=FOCK_FACTOR_CACHE_SIZE, typed=True)
