@@ -20,7 +20,7 @@ evolution (see `build_evolution_stepped`).
 Truncation discipline: evolving inside a truncated space reflects amplitude
 off the Fock cap, while truncating the exact evolution clips it, so the two
 only agree on columns whose displaced images stay well below the cap.  Column
-k is trusted iff (sqrt(k) + |eta|)^2 + margin <= d; the margin (default 20)
+k is trusted iff (sqrt(k) + |eta|)^2 + TRUST_MARGIN <= d; that margin (20)
 buys the sub-Gaussian tail of a displaced Fock state about eight digits.
 
 `identity_suite` sizes every space it builds by one rule,
@@ -147,10 +147,10 @@ def build_displacement(eta: complex, d: int) -> np.ndarray:
     return phase[:, None] * core * phase.conj()[None, :]
 
 
-def trusted_columns(d: int, eta_abs: float, margin: float = TRUST_MARGIN) -> int:
+def trusted_columns(d: int, eta_abs: float) -> int:
     """Number of leading Fock columns on which truncated evolution is reliable
     under a displacement of magnitude eta_abs."""
-    root = math.sqrt(max(d - margin, 0.0)) - eta_abs
+    root = math.sqrt(max(d - TRUST_MARGIN, 0.0)) - eta_abs
     if root < 0.0:
         return 0
     return min(d, int(math.floor(root * root)) + 1)

@@ -15,25 +15,27 @@ tabulated special cases for D(alpha)|n> branches (partially entangled) and
 |alpha>, |-alpha> coherent branches (globally entangled).
 
 Bounded caches hold the factors that repeat across a sweep, as read-only
-arrays: the log-Gamma factors of D(alpha)|n>, keyed by (n, d), and its
-magnitudes and Laguerre values, keyed by (n, d, |alpha|) (each
-FOCK_FACTOR_CACHE_SIZE entries), and the sqrt(k) weights of the mode moments,
-keyed by d (MOMENT_WEIGHT_CACHE_SIZE entries).  Each result has the bits it
-would have without them.  A non-finite alpha raises ValueError before it
-reaches any of them.
+arrays: the log-factorial ratios and binomials of D(alpha)|n>, keyed by
+(n, d), and its magnitudes and Laguerre values, keyed by (n, d, |alpha|)
+(each FOCK_FACTOR_CACHE_SIZE entries), and the sqrt(k) weights of the mode
+moments, keyed by d (MOMENT_WEIGHT_CACHE_SIZE entries).  Each result has the
+bits it would have without them.  A non-finite alpha raises ValueError before
+it reaches any of them.
 
-`gammaln` and `eval_genlaguerre` return the bits of scipy.special's functions
-of those names on the integer arguments used here: they are ports of
+The log-Gamma and Laguerre values have the bits of scipy.special's gammaln
+and eval_genlaguerre on the integer arguments used here: they are ports of
 Cephes' lgam (S. L. Moshier, Methods and Programs for Mathematical Functions,
-1989) and of scipy's eval_genlaguerre_l, so the closed route loads no scipy
-module.  Only a Laguerre value that scipy does not take from its integer
-binomial product, at a Fock level n >= 20, imports scipy.special.
+1989) and of scipy's eval_genlaguerre_l with its integer binomial product, so
+the closed route loads no scipy module.  Only a Laguerre value whose degree
+and order are both at least 20, where scipy leaves that product, imports
+scipy.special.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -184,39 +186,12 @@ def _lgam(x: float) -> float:
     return q + series / x
 
 
-# Read-only tables of values at whole arguments, grown on demand: "gammaln",
-# and binom(n + a, n) over a under ("binom", n).
-_tables: dict = {}
-_NO_TABLE = np.empty(0)
-
-
-def _tabulated(key, index, entry):
-    """_tables[key][index], after growing that table (to twice its size at
-    least) with entry(i) at each missing i.  index is an int >= 0 or an
-    array of them."""
-    table = _tables.get(key, _NO_TABLE)
-    try:
-        return table[index]
-    except IndexError:
-        pass
-    top = table.size
-    size = max(int(np.max(index)) + 1, 2 * top)
-    grown = np.concatenate([table, [entry(i) for i in range(top, size)]])
-    _tables[key] = _read_only(grown)[0]
-    return grown[index]
-
-
-def gammaln(m):
-    """scipy.special.gammaln at an integer m >= 0, or an integer array, bit for
-    bit: Cephes' lgam, evaluated once per integer into a read-only table, so a
-    call is an index into it."""
-    return _tabulated("gammaln", m, lambda i: _lgam(float(i)) if i else math.inf)
-
-
 def _binom(n: float, k: float) -> float:
-    """scipy's binom(n, k) at whole n >= k >= 0: its product of integers,
-    which it takes while min(k, n - k) < _BINOM_PRODUCT_LIMIT."""
+    """scipy's binom(n, k) at whole n >= k >= 0 where scipy takes its product
+    of integers, min(k, n - k) < _BINOM_PRODUCT_LIMIT; NaN elsewhere."""
     kx = n - k if k > n / 2 else k
+    if kx >= _BINOM_PRODUCT_LIMIT:
+        return math.nan
     num = den = 1.0
     for i in range(1, int(kx) + 1):
         num *= i + n - kx
@@ -227,16 +202,11 @@ def _binom(n: float, k: float) -> float:
     return num / den
 
 
-def _binoms(n: int, alpha):
-    """binom(n + alpha, n) at whole alpha >= 0 (an int or an int array), from
-    the table of scipy's products for the degree n."""
-    return _tabulated(("binom", n), alpha, lambda a: _binom(float(n + a), float(n)))
-
-
 def _laguerre(n: int, alpha, x: float, binom):
     """scipy's eval_genlaguerre_l at a degree n >= 1 for a whole alpha >= 0 (a
-    float or a float array), given binom(n + alpha, n).  (j + alpha) + 1 is
-    written alpha + (j + 1), the same float while alpha is a whole number."""
+    number or an array), given binom(n + alpha, n), in scipy's operations and
+    order; numpy rounds + - * / elementwise as scalar code does.  (j + alpha)
+    + 1 is written alpha + (j + 1), the same float while alpha is whole."""
     if n == 1:
         return -x + alpha + 1.0
     t = alpha + 1.0
@@ -249,43 +219,28 @@ def _laguerre(n: int, alpha, x: float, binom):
     return binom * p
 
 
-def eval_genlaguerre(n, alpha, x: float):
-    """scipy.special.eval_genlaguerre(n, alpha, x) bit for bit, for integers
-    n, alpha >= 0 and a float x: an int n with an integer array alpha, or
-    integer arrays n and alpha of one shape.
-
-    This is scipy's recurrence in the degree times scipy's integer product
-    for binom(n + alpha, n), in scipy's operations and order; numpy rounds
-    + - * / elementwise as scalar code does.  Where scipy leaves that
-    product, at min(n, alpha) >= 20, scipy.special is imported and called.
-    """
-    if isinstance(n, np.ndarray):  # one degree per element, as below a Fock level
-        pairs = list(zip(n.tolist(), alpha.tolist()))
-        if all(min(pair) < _BINOM_PRODUCT_LIMIT for pair in pairs):
-            return np.array([
-                _laguerre(m, float(a), x, _binoms(m, a)) if m else 1.0 for m, a in pairs
-            ])
-    elif n < _BINOM_PRODUCT_LIMIT:
-        if n == 0:
-            return np.ones(np.shape(alpha))
-        return _laguerre(n, np.asarray(alpha, dtype=float), x, _binoms(n, alpha))
-    from scipy.special import eval_genlaguerre as scipy_eval_genlaguerre
-
-    return scipy_eval_genlaguerre(n, alpha, x)
-
-
 @lru_cache(maxsize=FOCK_FACTOR_CACHE_SIZE)
 def _fock_levels(n: int, d: int):
     """The factors of <m|D(alpha)|n> that do not depend on alpha: (Laguerre
-    degree, k = |m - n|, log sqrt(min(m, n)! / max(m, n)!)) on the levels
-    m >= n, then on the levels m < n (None when n = 0), as read-only arrays."""
-    m = np.arange(d)
-    hi = m[n:]
-    upper = (n, *_read_only(hi - n, 0.5 * (gammaln(n + 1) - gammaln(hi + 1))))
+    degree, order k = |m - n|, log sqrt(min(m, n)! / max(m, n)!), scipy's
+    binom(degree + k, degree) from _binom) on the levels m >= n, whose one
+    degree is the int n, then on the levels m < n (None when n = 0), as
+    read-only arrays."""
+    log_factorial = np.array([_lgam(m + 1.0) for m in range(d)])
+    upper = (n, *_read_only(
+        np.arange(d - n),
+        0.5 * (log_factorial[n] - log_factorial[n:]),
+        np.array([_binom(float(m), float(n)) for m in range(n, d)]),
+    ))
     if n == 0:
         return upper, None  # no m < n levels
-    lo = m[:n]
-    return upper, _read_only(lo, n - lo, 0.5 * (gammaln(lo + 1) - gammaln(n + 1)))
+    lo = np.arange(n)
+    return upper, _read_only(
+        lo,
+        n - lo,
+        0.5 * (log_factorial[:n] - log_factorial[n]),
+        np.array([_binom(float(n), float(m)) for m in range(n)]),
+    )
 
 
 @lru_cache(maxsize=FOCK_FACTOR_CACHE_SIZE, typed=True)
@@ -296,14 +251,24 @@ def _fock_factors(n: int, d: int, radius: float):
     x = radius**2
     log_radius = math.log(radius)
 
-    def factors(levels):
-        degree, k, log_ratio = levels
-        return _read_only(
-            k, np.exp(log_ratio + k * log_radius - x / 2.0), eval_genlaguerre(degree, k, x)
-        )
+    def factors(degree, k, log_ratio, binom):
+        if isinstance(degree, np.ndarray):  # one degree per level
+            lag = np.array([
+                _laguerre(m, a, x, b) if m else 1.0
+                for m, a, b in zip(degree.tolist(), k.tolist(), binom.tolist())
+            ])
+        else:  # one degree: the recurrence runs over every order at once
+            lag = _laguerre(degree, k, x, binom) if degree else np.ones(k.size)
+        if n >= _BINOM_PRODUCT_LIMIT:  # below it every binomial is an integer product
+            far = np.isnan(binom)  # where scipy leaves that product
+            if far.any():
+                from scipy.special import eval_genlaguerre
+
+                lag[far] = eval_genlaguerre(np.broadcast_to(degree, k.shape)[far], k[far], x)
+        return _read_only(k, np.exp(log_ratio + k * log_radius - x / 2.0), lag)
 
     upper, lower = _fock_levels(n, d)
-    return factors(upper), lower and factors(lower)
+    return factors(*upper), lower and factors(*lower)
 
 
 def displaced_fock_amplitudes(alpha: complex, n: int, d: int) -> np.ndarray:
@@ -350,10 +315,16 @@ def auto_truncation(alpha: complex, n: int = 0, leakage: float = DEFAULT_LEAKAGE
     if lam == 0.0:
         return n + 11
     term = math.exp(-lam)
+    # Above lam ~ 708 e^-lam is subnormal (0 above ~ 745) and too coarse to
+    # start the recursion from, so each term comes from its logarithm instead.
+    from_log = term < sys.float_info.min
     cum = term
     d0 = 1
     while 1.0 - cum > leakage:
-        term *= lam / d0
+        if from_log:
+            term = math.exp(d0 * math.log(lam) - lam - math.lgamma(d0 + 1.0))
+        else:
+            term *= lam / d0
         cum += term
         d0 += 1
         if d0 > 10_000:

@@ -48,6 +48,17 @@ def test_qfi_commensurate_field(capsys):
     assert payload["f_global"] == pytest.approx(payload["f_commensurate"], rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["partial", "global"])
+@pytest.mark.parametrize("alpha", [27.0, 27.25, 28.0, 40.0])
+def test_qfi_sizes_states_where_exp_minus_lambda_underflows(kind, alpha, capsys):
+    # |alpha|^2 >= 729: exp(-|alpha|^2) is subnormal or 0, yet auto_truncation
+    # must size a state that keeps its leakage bound.
+    argv = ["qfi", "--set", f"state.alpha_re={alpha!r}", "--set", "profile.tau=2.0",
+            "--set", f"state.kind={kind}", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["f_general"] > 0
+
+
 def test_scan_n_writes_file(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code = main(

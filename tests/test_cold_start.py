@@ -4,7 +4,8 @@ The package never loads scipy.integrate: its Simpson quadrature is its own.
 Its log-Gamma and Laguerre values are its own too, so `import sagnac_qfi` and
 the closed-form route load no scipy module at all.  Only the dense oracle
 builders load scipy.linalg, on their first exponential or eigensolve, and
-only a displaced Fock state with n >= 20 loads scipy.special.
+only a displaced Fock state with a Laguerre degree and order both >= 20 (so
+n >= 20) loads scipy.special.
 
 Each check runs in a fresh interpreter: other test modules import scipy into
 the pytest process, so sys.modules there says nothing about what
@@ -92,16 +93,22 @@ def test_oracle_builders_load_scipy_linalg_but_not_scipy_special(tmp_path):
 
 
 def test_only_a_fock_level_from_20_loads_scipy_special():
+    # scipy.special is needed only where a Laguerre degree and order are both
+    # at least 20: none are at n = 20 and d = 40, some are at the auto-sized
+    # d >= 41.
     out = _run("""
         import sys
         from sagnac_qfi.states import make_partially_entangled
 
-        for n in (2, 19, 20):
-            make_partially_entangled(0.8 - 0.3j, n)
-            print(n, "scipy.special" in sys.modules, "scipy.linalg" in sys.modules)
+        for n, d in ((2, 0), (19, 0), (20, 40), (20, 0)):
+            state = make_partially_entangled(0.8 - 0.3j, n, d)
+            loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+            print(n, state.truncation >= 41, "scipy.special" in loaded, "scipy.linalg" in loaded)
     """)
-    assert out.split() == ["2", "False", "False", "19", "False", "False",
-                           "20", "True", "False"]
+    assert out.split() == ["2", "False", "False", "False",
+                           "19", "True", "False", "False",
+                           "20", "False", "False", "False",
+                           "20", "True", "True", "False"]
 
 
 def test_import_does_not_load_scipy_integrate():
