@@ -10,12 +10,13 @@ package's evidence; `identity_suite` checks every one of them and reports
 each error against its tolerance.  Only this module builds and sizes the
 oracle's truncated spaces.
 
-The time-ordered product of a sampled drive does not exponentiate every
-step: it interpolates the step factor in the drive amplitude between at
-most STEP_NODES exact tridiagonal eigensolves per block of steps, within
-2^-53 per step by a bound on the factor's derivatives, so it stays an
-independent witness of the closed factorization at a few eigensolves per
-evolution (see `build_evolution_stepped`).
+Every exponential is `expm(lam, vec, t)` = exp(-i t J) for a real symmetric
+tridiagonal J given its eigenpairs (numpy.linalg.eigh), in a diagonal phase
+gauge: J = X = a + a^dag, cached per d, for a displacement, and
+J = w a^dag a - f X for a time step.  A sampled drive's time-ordered product
+interpolates the step factor in f between at most STEP_NODES eigensolves per
+block of steps, within 2^-53 per step, so it stays an independent witness of
+the closed factorization (see `build_evolution_stepped`).
 
 Truncation discipline: evolving inside a truncated space reflects amplitude
 off the Fock cap, while truncating the exact evolution clips it, so the two
@@ -34,9 +35,7 @@ bounds it by the arc's farthest point.  The single-site builders refuse d
 above DENSE_GUARD before allocating anything, since one dense exponential
 costs O(d^2) memory and O(d^3) time however small N is.
 
-The module's `expm` and `eigh_tridiagonal` forward to scipy.linalg, which
-they import on their first call, so importing this module loads no scipy
-module: only a dense builder does.
+The module loads no scipy module, at import or at run time.
 """
 
 from __future__ import annotations
@@ -75,9 +74,11 @@ from .states import (
 
 SIZE_GUARD = 200_000
 # Largest single-site dimension the dense builders accept.  One complex d x d
-# matrix is 16 MB at d = 1000 and 160 GB at d = 10^5, which (2d)^N <=
-# SIZE_GUARD alone would allow at N = 1; expm holds several at once.
+# matrix is 16 MB at d = 1000 and 160 GB at d = 10^5, which (2d)^N <= SIZE_GUARD
+# alone would allow at N = 1; an eigensolve and an `expm` hold several at once.
 DENSE_GUARD = 1_000
+# Bytes of eigenvectors the displacement basis cache keeps (all d <= 170).
+BASIS_CACHE_BYTES = 16 * 2**20
 TRUST_MARGIN = 20.0
 # The QFI oracles' margin is wider: the fidelity route divides an overlap
 # deficit as small as 1e-8 by delta^2, so per-amplitude truncation noise must
@@ -98,18 +99,37 @@ _STEP_REACH = tuple(
 )
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, with scipy.linalg imported on the first call."""
-    from scipy.linalg import expm as scipy_expm
+def expm(lam: np.ndarray, vec: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t J) = V e^{-i t lam} V^T for a real symmetric J with eigenvalues
+    lam and orthonormal eigenvectors V (columns): the complex symmetric result
+    from two real products."""
+    out = np.empty((lam.size, lam.size), dtype=complex)
+    out.real = (vec * np.cos(t * lam)) @ vec.T
+    out.imag = (vec * -np.sin(t * lam)) @ vec.T
+    return out
 
-    return scipy_expm(a)
+
+def _tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a real symmetric tridiagonal matrix by numpy.linalg.eigh on
+    the dense matrix: the bits of scipy.linalg.eigh_tridiagonal, and its
+    Fortran-order eigenvectors, so that `expm`'s products round the same."""
+    lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return lam, np.asfortranarray(vec)
 
 
-def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy.linalg.eigh_tridiagonal, imported on the first call like `expm`."""
-    from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+_BASES: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # least recently used first
 
-    return scipy_eigh_tridiagonal(d, e)
+
+def _displacement_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs of X = a + a^dag on d levels (its eigenvalues are
+    sqrt(2) times the Gauss-Hermite nodes), cached up to BASIS_CACHE_BYTES."""
+    basis = _BASES.pop(d, None) or _tridiagonal_eigh(np.zeros(d), np.sqrt(np.arange(1.0, d)))
+    for array in basis:
+        array.flags.writeable = False
+    _BASES[d] = basis
+    while sum(vec.nbytes for _, vec in _BASES.values()) > BASIS_CACHE_BYTES:
+        del _BASES[next(iter(_BASES))]
+    return basis
 
 
 def ladder(d: int) -> np.ndarray:
@@ -128,23 +148,24 @@ def _check_dense(d: int) -> None:
         )
 
 
+def _gauge(d: int) -> np.ndarray:
+    """G = diag(i^k), in which a^dag - a = -i X and i (a - a^dag) = -X."""
+    return np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(d) % 4]
+
+
 def build_displacement(eta: complex, d: int) -> np.ndarray:
     """exp(eta a^dag - eta* a) on the truncated basis.
 
-    With eta = |eta| e^{i theta} and R = exp(i theta a^dag a), the result is
-    R exp(|eta| (a^dag - a)) R^dag, exactly, also when truncated, because
-    a^dag a is diagonal.  The core is the exponential of a real skew-symmetric
-    tridiagonal matrix, so it is real orthogonal and its expm runs in real
-    arithmetic; R is the diagonal phase p_k = e^{i k theta}, applied as an
-    O(d^2) similarity.  The result is unitary in exact arithmetic; its low
-    columns match the infinite-dimensional displacement to within the
-    trusted-block tolerance.
+    With eta = |eta| e^{i theta}, R = exp(i theta a^dag a) and the gauge G,
+    the result is P exp(-i |eta| X) P^dag with the diagonal P = R G,
+    p_k = i^k e^{i k theta}, exactly, also when truncated.  The core is `expm`
+    on the cached eigenpairs of X; its low columns match the
+    infinite-dimensional displacement to within the trusted-block tolerance.
     """
     _check_dense(d)
-    off = np.sqrt(np.arange(1.0, d))
-    core = expm(abs(eta) * (np.diag(off, -1) - np.diag(off, 1)))
-    phase = np.exp(1j * np.angle(eta) * np.arange(d))
-    return phase[:, None] * core * phase.conj()[None, :]
+    lam, vec = _displacement_basis(d)
+    phase = _gauge(d) * np.exp(1j * np.angle(eta) * np.arange(d))
+    return phase[:, None] * expm(lam, vec, abs(eta)) * phase.conj()[None, :]
 
 
 def trusted_columns(d: int, eta_abs: float) -> int:
@@ -179,11 +200,6 @@ def evolution_block(
     return d, trusted_columns(d, eta_path)
 
 
-def _free_rotation(params: PhysicalParams, tau: float, d: int) -> np.ndarray:
-    w = params.trap_frequency
-    return np.exp(-1j * w * tau * np.arange(d))
-
-
 def build_evolution_closed(
     params: PhysicalParams,
     profile: DrivingProfile,
@@ -201,20 +217,16 @@ def build_evolution_closed(
             f"d = {d} trusts no columns under |eta| = {abs(eta):.3f}",
             suggested_d=required_truncation(8, abs(eta)),
         )
-    return _free_rotation(params, tau, d)[:, None] * (
+    rotation = np.exp(-1j * params.trap_frequency * tau * np.arange(d))
+    return rotation[:, None] * (
         np.exp(1j * phi) * build_displacement(eta, d)
     )
 
 
 def _step_factor(diag: np.ndarray, off: np.ndarray, f_val: float, dt: float) -> np.ndarray:
     """exp(-i dt J) for J = diag + f_val * off, real symmetric and tridiagonal:
-    one eigensolve V, lam and the complex symmetric V e^{-i dt lam} V^T,
-    built from two real products."""
-    lam, vec = eigh_tridiagonal(diag, f_val * off)
-    out = np.empty((diag.size, diag.size), dtype=complex)
-    out.real = (vec * np.cos(dt * lam)) @ vec.T
-    out.imag = (vec * -np.sin(dt * lam)) @ vec.T
-    return out
+    one eigensolve and one `expm`."""
+    return expm(*_tridiagonal_eigh(diag, f_val * off), dt)
 
 
 def _step_nodes(f_block: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -287,19 +299,18 @@ def build_evolution_stepped(
     for sampled profiles a uniform grid with midpoint evaluation converges
     to the closed form at O(dt^2).
 
-    Sampled steps are taken in the gauge G = diag(i^k), where
-    J(f) = G^dag (w a^dag a + f K) G = w a^dag a + f X is real, symmetric and
-    tridiagonal, X having off-diagonal -sqrt(k+1) and ||X|| <= 2 sqrt(d-1).
-    The step factor E(f) = exp(-i dt J(f)) is interpolated in f: since
-    ||d^k E/df^k|| <= (dt ||X||)^k, m Chebyshev nodes on a drive range of
-    width W reproduce it to within 2 (W dt ||X|| / 4)^m / m!.  The time grid
-    is split greedily into blocks of consecutive steps whose width keeps
-    that bound at or below 2^-53 with at most STEP_NODES nodes; each node
-    factor is one tridiagonal eigensolve, and each step is one barycentric
-    combination of the block's factors and one complex product.  A block
-    with no more distinct drive values than the nodes it needs uses those
-    values as nodes, so its factors are exact and a call never makes more
-    eigensolves than steps.  U = G u G^dag at the end.
+    Steps are taken in the gauge G, where J(f) = G^dag (w a^dag a + f K) G
+    = w a^dag a - f X is real, symmetric and tridiagonal, ||X|| <= 2 sqrt(d-1),
+    and U = G u G^dag at the end.  A piecewise segment's factor
+    E(f) = exp(-i dt J(f)) is raised to its step count with matrix_power.  A
+    sampled drive's E(f) is interpolated in f: as ||d^k E/df^k|| <=
+    (dt ||X||)^k, m Chebyshev nodes on a drive range of width W reproduce it
+    within 2 (W dt ||X|| / 4)^m / m!.  The steps are split greedily into
+    blocks that keep this at or below 2^-53 with at most STEP_NODES nodes,
+    each one eigensolve; each step is one barycentric combination of its
+    block's node factors and one complex product.  A block with no more
+    distinct drive values than nodes takes those values as nodes, so a call
+    never makes more eigensolves than steps.
     """
     _check_tau(profile, tau)
     steps = operator.index(steps)
@@ -307,37 +318,34 @@ def build_evolution_stepped(
         raise ValueError(f"steps must be at least 100, got {steps}")
     _check_dense(d)
     w = params.trap_frequency
+    diag = w * np.arange(d, dtype=float)
+    off = -np.sqrt(np.arange(1.0, d))
 
     u = np.eye(d, dtype=complex)
     if profile.kind != "sampled":
-        a = ladder(d)
-        nop = a.conj().T @ a
-        kop = 1j * (a - a.conj().T)
         for dur, wp in profile.segments:
             n_seg = max(1, round(steps * dur / tau))
             dt = dur / n_seg
             f_val = float(drive_amplitude(params, wp, spin_sign))
-            factor = expm(-1j * (w * nop + f_val * kop) * dt)
+            factor = _step_factor(diag, off, f_val, dt)
             u = np.linalg.matrix_power(factor, n_seg) @ u
-        return u
-    dt = tau / steps
-    t_mid = (np.arange(steps) + 0.5) * dt
-    f_mid = drive_amplitude(params, profile.omega_p_at(t_mid), spin_sign)
-    if not np.all(np.isfinite(f_mid)):
-        raise ValueError("the drive amplitude must be finite at every step")
-    diag = w * np.arange(d, dtype=float)
-    off = -np.sqrt(np.arange(1.0, d))
-    scale = dt * 2.0 * math.sqrt(d - 1) / 4.0
-    start = 0
-    while start < steps:
-        # Running width of the drive from this step on; the block is the
-        # longest prefix that STEP_NODES nodes still cover.
-        rest = f_mid[start:]
-        reach = (np.maximum.accumulate(rest) - np.minimum.accumulate(rest)) * scale
-        block = rest[: np.searchsorted(reach, _STEP_REACH[-1], side="right")]
-        u = _product_over_block(u, block, diag, off, dt, scale)
-        start += block.size
-    gauge = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(d) % 4]
+    else:
+        dt = tau / steps
+        t_mid = (np.arange(steps) + 0.5) * dt
+        f_mid = drive_amplitude(params, profile.omega_p_at(t_mid), spin_sign)
+        if not np.all(np.isfinite(f_mid)):
+            raise ValueError("the drive amplitude must be finite at every step")
+        scale = dt * 2.0 * math.sqrt(d - 1) / 4.0
+        start = 0
+        while start < steps:
+            # Running width of the drive from this step on; the block is the
+            # longest prefix that STEP_NODES nodes still cover.
+            rest = f_mid[start:]
+            reach = (np.maximum.accumulate(rest) - np.minimum.accumulate(rest)) * scale
+            block = rest[: np.searchsorted(reach, _STEP_REACH[-1], side="right")]
+            u = _product_over_block(u, block, diag, off, dt, scale)
+            start += block.size
+    gauge = _gauge(d)
     return gauge[:, None] * u * gauge.conj()[None, :]
 
 
@@ -393,9 +401,7 @@ def generator_numeric(
     return h
 
 
-def generator_analytic(
-    constants, coeffs: CoefficientSet, spin_sign: int, d: int
-) -> np.ndarray:
+def generator_analytic(constants, coeffs: CoefficientSet, spin_sign: int, d: int) -> np.ndarray:
     """T_C (C1 a^dag + C1* a) + (C0/w + T_S C2 s) I on the truncated basis."""
     a = ladder(d)
     shift = coeffs.c0 / constants.trap_frequency + constants.t_s * coeffs.c2 * spin_sign
@@ -439,8 +445,7 @@ def assemble_state(state: GhzProductState, d: int = 0) -> np.ndarray:
     _check_size(d, state.n_particles)
     up = _site_vector(state.branch_up.mode_amplitudes, +1, d)
     down = _site_vector(state.branch_down.mode_amplitudes, -1, d)
-    psi_up = up
-    psi_down = down
+    psi_up, psi_down = up, down
     for _ in range(state.n_particles - 1):
         psi_up = np.kron(psi_up, up)
         psi_down = np.kron(psi_down, down)
@@ -457,10 +462,7 @@ def apply_site(op: np.ndarray, psi: np.ndarray, site: int, n_sites: int) -> np.n
 
 def apply_collective(op: np.ndarray, psi: np.ndarray, n_sites: int) -> np.ndarray:
     """Apply sum_k op^{(k)}."""
-    total = np.zeros_like(psi)
-    for k in range(n_sites):
-        total += apply_site(op, psi, k, n_sites)
-    return total
+    return sum(apply_site(op, psi, k, n_sites) for k in range(n_sites))
 
 
 def _spin_block_diag(op_up: np.ndarray, op_down: np.ndarray) -> np.ndarray:
@@ -544,11 +546,12 @@ def qfi_fidelity_numeric(
     tau: float,
     d: int = 0,
 ) -> float:
-    """QFI as fidelity susceptibility: F = 8 (1 - |<psi(Omega)|psi(Omega+delta)>|)/delta^2
-    with one Richardson level.
+    """QFI as fidelity susceptibility: F = 8 (1 - |<a|b>| / (|a| |b|))/delta^2
+    for a = psi(Omega) and b = psi(Omega+delta), with one Richardson level.
 
     The modulus removes the Omega-dependent C0 global phase, keeping this
-    route independent of the variance route.  delta is adapted until the
+    route independent of the variance route; the norms take out the
+    truncated evolutions' rounding of the norm.  delta is adapted until the
     overlap deficit sits in [1e-8, 1e-4], where the quadratic term dominates
     both roundoff and quartic corrections.
     """
@@ -559,13 +562,14 @@ def qfi_fidelity_numeric(
     n_sites = state.n_particles
     psi0 = assemble_state(state, d)
     evolved0 = _evolve_state(psi0, params, profile, tau, d, n_sites)
+    norm0 = np.linalg.norm(evolved0)
 
     def deficit(delta: float) -> float:
         p = dataclasses.replace(
             params, rotation_rate=params.rotation_rate + delta
         )
         evolved = _evolve_state(psi0, p, profile, tau, d, n_sites)
-        return 1.0 - abs(np.vdot(evolved0, evolved))
+        return 1.0 - abs(np.vdot(evolved0, evolved)) / (norm0 * np.linalg.norm(evolved))
 
     delta = _default_delta_omega(params)
     value = deficit(delta)
@@ -622,11 +626,7 @@ def covariance_reduction_check(
     a_1 = apply_site(op_a, psi, 0, n_sites)
     b_1 = apply_site(op_b, psi, 0, n_sites)
     cov_11 = _sym_cov(psi, a_1, b_1)
-    if n_sites > 1:
-        b_2 = apply_site(op_b, psi, 1, n_sites)
-        cov_12 = _sym_cov(psi, a_1, b_2)
-    else:
-        cov_12 = 0.0
+    cov_12 = _sym_cov(psi, a_1, apply_site(op_b, psi, 1, n_sites)) if n_sites > 1 else 0.0
     rhs = n_sites * cov_11 + (n_sites**2 - n_sites) * cov_12
     return abs(lhs - rhs) <= atol * max(1.0, abs(lhs))
 

@@ -307,8 +307,10 @@ def displaced_fock_amplitudes(alpha: complex, n: int, d: int) -> np.ndarray:
 
 def auto_truncation(alpha: complex, n: int = 0, leakage: float = DEFAULT_LEAKAGE) -> int:
     """Smallest d with Poisson(|alpha|^2) tail mass below the leakage bound,
-    plus n + 10 headroom levels.  The headroom pushes the realized tail of
-    D(alpha)|n> orders of magnitude below the bound."""
+    plus n + 10 headroom levels.  The headroom usually pushes the realized
+    tail of D(alpha)|n> orders of magnitude below the bound; where the spread
+    of D(alpha)|n>, about sqrt(2n + 1) |alpha|, outgrows it, the state
+    builders grow d further."""
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     lam = abs(alpha) ** 2
@@ -332,16 +334,27 @@ def auto_truncation(alpha: complex, n: int = 0, leakage: float = DEFAULT_LEAKAGE
     return d0 + n + 10
 
 
-def _build_branches(amps: np.ndarray, d: int, leakage: float, alpha, n):
+def _branch_amplitudes(alpha: complex, n: int, d: int, leakage: float) -> np.ndarray:
+    """D(alpha)|n> on d levels, renormalized after checking that it leaks at
+    most leakage.  d = 0 takes auto_truncation's d, grown a level at a time
+    while the state leaks more; a given d that leaks raises TruncationError
+    with that grown d as the suggestion."""
+    grow = d == 0
+    if grow:
+        d = auto_truncation(alpha, n, leakage)
+    amps = displaced_fock_amplitudes(alpha, n, d)
     leak = 1.0 - float((np.abs(amps) ** 2).sum())
-    if leak > leakage:
+    while grow and leak > leakage and d < 10_000:
+        d += 1
+        amps = displaced_fock_amplitudes(alpha, n, d)
+        leak = 1.0 - float((np.abs(amps) ** 2).sum())
+    if not leak <= leakage:
         raise TruncationError(
             f"truncation d = {d} leaks {leak:.3e} > {leakage:.3e} for "
             f"alpha = {alpha}, n = {n}",
-            suggested_d=auto_truncation(alpha, n, leakage),
+            suggested_d=None if grow else _branch_amplitudes(alpha, n, 0, leakage).size,
         )
-    amps = amps / math.sqrt(1.0 - leak)
-    return amps
+    return amps / math.sqrt(1.0 - leak)
 
 
 def make_partially_entangled(
@@ -353,9 +366,7 @@ def make_partially_entangled(
 ) -> GhzProductState:
     """Both branches carry the same displaced Fock state D(alpha)|n>;
     only the spins differ."""
-    if d == 0:
-        d = auto_truncation(alpha, n, leakage)
-    amps = _build_branches(displaced_fock_amplitudes(alpha, n, d), d, leakage, alpha, n)
+    amps = _branch_amplitudes(alpha, n, d, leakage)
     return GhzProductState(
         branch_up=BranchState(+1, amps),
         branch_down=BranchState(-1, amps),  # one read-only array, one moment pass
@@ -370,12 +381,8 @@ def make_globally_entangled(
     leakage: float = DEFAULT_LEAKAGE,
 ) -> GhzProductState:
     """Spin +1 branch carries |alpha>, spin -1 branch carries |-alpha>."""
-    if d == 0:
-        d = auto_truncation(alpha, 0, leakage)
-    up = _build_branches(displaced_fock_amplitudes(alpha, 0, d), d, leakage, alpha, 0)
-    down = _build_branches(
-        displaced_fock_amplitudes(-alpha, 0, d), d, leakage, -alpha, 0
-    )
+    up = _branch_amplitudes(alpha, 0, d, leakage)
+    down = _branch_amplitudes(-alpha, 0, up.size, leakage)
     return GhzProductState(
         branch_up=BranchState(+1, up),
         branch_down=BranchState(-1, down),

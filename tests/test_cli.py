@@ -59,6 +59,15 @@ def test_qfi_sizes_states_where_exp_minus_lambda_underflows(kind, alpha, capsys)
     assert json.loads(capsys.readouterr().out)["f_general"] > 0
 
 
+def test_qfi_grows_an_auto_sized_partial_state_that_leaks(capsys):
+    # At |alpha| = 5 and n = 5 the auto-sized d = 79 leaks 6.9e-10; the state
+    # builder grows it to d = 81 instead of exiting 2.
+    argv = ["qfi", *TAU, "--set", "state.kind=partial", "--set", "state.alpha_re=5",
+            "--set", "state.n=5", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["f_general"] > 0
+
+
 def test_scan_n_writes_file(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code = main(

@@ -1,10 +1,10 @@
 """What each route loads of scipy.
 
 The package never loads scipy.integrate: its Simpson quadrature is its own.
-Its log-Gamma and Laguerre values are its own too, so `import sagnac_qfi` and
-the closed-form route load no scipy module at all.  Only the dense oracle
-builders load scipy.linalg, on their first exponential or eigensolve, and
-only a displaced Fock state with a Laguerre degree and order both >= 20 (so
+Its log-Gamma and Laguerre values are its own too, and the oracle's
+exponentials and eigensolves are numpy's, so `import sagnac_qfi`, the
+closed-form route and the oracle load no scipy module at all.  Only a
+displaced Fock state with a Laguerre degree and order both >= 20 (so
 n >= 20) loads scipy.special.
 
 Each check runs in a fresh interpreter: other test modules import scipy into
@@ -72,24 +72,38 @@ def test_closed_route_subcommands_load_no_scipy_module(tmp_path):
     ]
 
 
-def test_oracle_builders_load_scipy_linalg_but_not_scipy_special(tmp_path):
+def test_oracle_routes_load_no_scipy_module(tmp_path):
+    # Both stepped paths, both QFI oracles, and oracle-check at n_max 1 and 2.
     out = _run(f"""
-        import sys
+        import math, sys
         import numpy as np
         from sagnac_qfi import cli
         from sagnac_qfi.model import DrivingProfile, PhysicalParams
-        from sagnac_qfi.oracle import build_evolution_stepped
+        from sagnac_qfi.oracle import (
+            build_evolution_stepped, qfi_fidelity_numeric, qfi_variance_numeric,
+        )
+        from sagnac_qfi.states import make_partially_entangled
+
+        def scipy_loaded():
+            return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
         times = np.linspace(0.0, 2.5, 401)
-        profile = DrivingProfile.sampled(times, 1.0 + 0.3 * np.sin(times), "rescale")
-        print("scipy.linalg" in sys.modules)
-        u = build_evolution_stepped(PhysicalParams(ring_radius=0.5), profile, 2.5, 1, 12, 100)
-        print(u.shape == (12, 12), "scipy.linalg" in sys.modules, "scipy.special" in sys.modules)
-        argv = ["oracle-check", "--out", {str(tmp_path / "o.csv")!r},
-                "--set", "profile.tau=3.141592653589793", "--set", "oracle.n_max=1"]
-        print(cli.main(argv), "scipy.special" in sys.modules)
+        sampled = DrivingProfile.sampled(times, 1.0 + 0.3 * np.sin(times), "rescale")
+        piecewise = DrivingProfile.piecewise([(1.0, 2.0), (1.5, 1.0)], normalization="rescale")
+        for profile in (sampled, piecewise):
+            u = build_evolution_stepped(PhysicalParams(ring_radius=0.5), profile, 2.5, 1, 12, 100)
+            print(u.shape == (12, 12), scipy_loaded())
+        state = make_partially_entangled(0.5 - 0.3j, 1)
+        tau = math.pi
+        for route in (qfi_variance_numeric, qfi_fidelity_numeric):
+            f = route(state, PhysicalParams(), DrivingProfile.constant_for(tau), tau)
+            print(f > 0, scipy_loaded())
+        for n_max in (1, 2):
+            argv = ["oracle-check", "--out", {str(tmp_path / "o.csv")!r},
+                    "--set", "profile.tau=3.141592653589793", "--set", f"oracle.n_max={{n_max}}"]
+            print(cli.main(argv), scipy_loaded())
     """)
-    assert out.split() == ["False", "True", "True", "False", "0", "False"]
+    assert out.split() == ["True", "[]"] * 4 + ["0", "[]"] * 2
 
 
 def test_only_a_fock_level_from_20_loads_scipy_special():

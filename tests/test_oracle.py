@@ -79,21 +79,44 @@ def test_displacement_matches_complex_expm(d):
 
 def test_variance_oracle_runs_expm_on_real_matrices(monkeypatch):
     # One N = 1 variance call builds 5 displacements per spin (Omega and
-    # +-delta, +-delta/2), each one real expm of the skew-symmetric core.
-    seen = []
-    expm_kernel = oracle.expm
+    # +-delta, +-delta/2), each one kernel call on the real eigenpairs of
+    # X = a + a^dag, and those come from one eigensolve per d.
+    seen, solved = [], []
+    expm_kernel, eigh = oracle.expm, oracle._tridiagonal_eigh
 
-    def recording(mat):
-        seen.append((mat.dtype, mat.shape))
-        return expm_kernel(mat)
+    def recording(lam, vec, t):
+        seen.append((lam.dtype, lam.shape, vec.dtype, vec.shape))
+        return expm_kernel(lam, vec, t)
+
+    def counted(diag, off):
+        solved.append(diag.size)
+        return eigh(diag, off)
 
     monkeypatch.setattr(oracle, "expm", recording)
+    monkeypatch.setattr(oracle, "_tridiagonal_eigh", counted)
+    monkeypatch.setattr(oracle, "_BASES", {})
     tau = 0.3 * T0
     state = make_partially_entangled(0.5 - 0.3j, 1)
-    qfi_variance_numeric(state, UNIT, DrivingProfile.constant_for(tau), tau)
-    assert len(seen) == 10
+    for _ in range(2):
+        qfi_variance_numeric(state, UNIT, DrivingProfile.constant_for(tau), tau)
+    assert len(seen) == 20
     d = seen[0][1][0]
-    assert seen == [(np.dtype(np.float64), (d, d))] * 10
+    assert seen == [(np.dtype(np.float64), (d,), np.dtype(np.float64), (d, d))] * 20
+    assert solved == [d]
+
+
+def test_displacement_basis_cache_is_bounded_and_read_only(monkeypatch):
+    monkeypatch.setattr(oracle, "_BASES", {})
+    monkeypatch.setattr(oracle, "BASIS_CACHE_BYTES", 2 * 8 * 60**2)
+    for d in (60, 50, 60, 40):
+        lam, vec = oracle._displacement_basis(d)
+        assert lam.shape == (d,) and vec.shape == (d, d)
+        assert not lam.flags.writeable and not vec.flags.writeable
+    # 60 was used after 50, so 50 is the one evicted to make room for 40.
+    assert list(oracle._BASES) == [60, 40]
+    # The eigenvalues of X are sqrt(2) times the Gauss-Hermite nodes.
+    nodes, _ = np.polynomial.hermite.hermgauss(40)
+    assert np.max(np.abs(lam - math.sqrt(2.0) * nodes)) <= 1e-13
 
 
 def test_trusted_columns_roundtrip():
@@ -233,9 +256,27 @@ def test_sampled_stepped_matches_per_step_expm(case, spin):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_numpy_eigh_has_the_bits_of_scipy_eigh_tridiagonal():
+    # The step factors keep the bits they had on scipy's tridiagonal
+    # eigensolver: numpy's dense eigh returns the same eigenpairs, and with
+    # the eigenvectors in scipy's Fortran order `expm` rounds the same.
+    rng = np.random.default_rng(18)
+    for _ in range(75):
+        d = int(rng.integers(20, 114))
+        diag = rng.uniform(0.5, 2.0) * np.arange(d, dtype=float)
+        off = -rng.uniform(-3.0, 3.0) * np.sqrt(np.arange(1.0, d))
+        lam, vec = oracle._tridiagonal_eigh(diag, off)
+        want_lam, want_vec = scipy.linalg.eigh_tridiagonal(diag, off)
+        assert lam.tobytes() == want_lam.tobytes()
+        assert vec.tobytes(order="A") == want_vec.tobytes(order="A")
+        assert vec.flags.f_contiguous and want_vec.flags.f_contiguous
+        dt = rng.uniform(1e-3, 5e-2)
+        assert oracle.expm(lam, vec, dt).tobytes() == oracle.expm(want_lam, want_vec, dt).tobytes()
+
+
 def _count_step_work(monkeypatch) -> dict:
     counts = {"eigensolves": 0, "block_nodes": []}
-    real_eigh, real_nodes = oracle.eigh_tridiagonal, oracle._step_nodes
+    real_eigh, real_nodes = oracle._tridiagonal_eigh, oracle._step_nodes
 
     def eigh(*args, **kwargs):
         counts["eigensolves"] += 1
@@ -246,7 +287,7 @@ def _count_step_work(monkeypatch) -> dict:
         counts["block_nodes"].append(out[0].size)
         return out
 
-    monkeypatch.setattr(oracle, "eigh_tridiagonal", eigh)
+    monkeypatch.setattr(oracle, "_tridiagonal_eigh", eigh)
     monkeypatch.setattr(oracle, "_step_nodes", nodes)
     return counts
 
@@ -357,18 +398,22 @@ def _count_kernel_calls(monkeypatch) -> dict:
 
 
 def test_stepped_kernel_calls_by_profile_kind(monkeypatch):
-    # Sampled steps are tridiagonal eigensolves; piecewise segments keep one
-    # expm and one matrix_power each.
+    # Every step factor, sampled node or piecewise segment, is one expm on
+    # one eigensolve; piecewise segments add one matrix_power each.
     tau = 0.5 * T0
     sampled = _smooth_sampled(tau)
     piecewise = DrivingProfile.piecewise(
         [(0.3 * tau, 2.0), (0.7 * tau, 1.0)], normalization="rescale"
     )
     counts = _count_kernel_calls(monkeypatch)
+    work = _count_step_work(monkeypatch)
     build_evolution_stepped(UNIT, sampled, tau, +1, 20, steps=150)
-    assert counts == {"expm": 0, "matrix_power": 0}
+    nodes = sum(work["block_nodes"])
+    assert nodes >= 1 and work["eigensolves"] == nodes
+    assert counts == {"expm": nodes, "matrix_power": 0}
     build_evolution_stepped(UNIT, piecewise, tau, +1, 20, steps=150)
-    assert counts == {"expm": 2, "matrix_power": 2}
+    assert work["eigensolves"] == nodes + 2
+    assert counts == {"expm": nodes + 2, "matrix_power": 2}
 
 
 @pytest.mark.parametrize(
@@ -476,6 +521,42 @@ def test_fidelity_oracle_respects_rotation_offset():
     got = qfi_fidelity_numeric(state, params, profile, tau)
     want = qfi_global_closed(-1.0, 1, constants, coeffs)
     assert got == pytest.approx(want, rel=1e-5)
+
+
+def _fidelity_errors() -> list[float]:
+    """Relative error of the fidelity route against the closed forms on 16
+    fixed draws like the benchmark's: N = 1, 2, both families, |alpha| in
+    [0.1, 2], tau in [0.2, 1.2] T0, rotation rates up to 0.5."""
+    rng = np.random.default_rng(2024)
+    errors = []
+    for i in range(16):
+        n_particles, partial = 1 + i % 2, (i // 2) % 2 == 0
+        tau = rng.uniform(0.2, 1.2) * T0
+        alpha = rng.uniform(0.1, 2.0) * np.exp(1j * rng.uniform(0.0, T0))
+        n = int(rng.integers(3))
+        params = PhysicalParams(rotation_rate=rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.5))
+        profile = DrivingProfile.constant_for(tau)
+        constants, coeffs = derive_constants(params), coefficients(params, profile, tau)
+        if partial:
+            state = make_partially_entangled(alpha, n, n_particles=n_particles)
+            closed = qfi_partial_closed(n, n_particles, constants, coeffs)
+        else:
+            state = make_globally_entangled(alpha, n_particles=n_particles)
+            closed = qfi_global_closed(alpha, n_particles, constants, coeffs)
+        got = qfi_fidelity_numeric(state, params, profile, tau)
+        errors.append(abs(got - closed) / abs(closed))
+    return errors
+
+
+def test_fidelity_route_error_stays_at_or_below_the_scipy_expm_route():
+    # Median and maximum of the same 16 draws with the Pade expm
+    # displacement and the unnormalized overlap: 4.435e-08 and 1.822e-07.
+    # The spectral displacement alone, unnormalized, gives 1.47e-07 and
+    # 5.4e-07; dividing the overlap by both norms brings them to 2.2e-08 and
+    # 1.1e-07.
+    errors = _fidelity_errors()
+    assert np.median(errors) <= 4.435e-08
+    assert max(errors) <= 1.822e-07
 
 
 def test_size_guard_trips():

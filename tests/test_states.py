@@ -138,6 +138,41 @@ def test_truncation_error_suggests_size():
     make_partially_entangled(3.0, 0, d=err.value.suggested_d)  # now fits
 
 
+def _raw_leak(alpha, n, d):
+    return 1.0 - float(np.sum(np.abs(displaced_fock_amplitudes(alpha, n, d)) ** 2))
+
+
+@pytest.mark.parametrize("alpha, n, auto_d, grown_d", [(5.0, 5, 79, 81), (20.0, 2, 547, 559)])
+def test_auto_sized_state_grows_until_it_meets_the_leakage_budget(alpha, n, auto_d, grown_d):
+    # auto_truncation's n + 10 levels of headroom fall short here: its d
+    # leaks above 1e-10, so the builder grows d to the first that does not.
+    assert auto_truncation(alpha, n) == auto_d
+    assert _raw_leak(alpha, n, auto_d) > 1e-10
+    state = make_partially_entangled(alpha, n)
+    assert state.truncation == grown_d
+    assert _raw_leak(alpha, n, grown_d) <= 1e-10 < _raw_leak(alpha, n, grown_d - 1)
+    # A given d that leaks suggests one that passes.
+    with pytest.raises(TruncationError) as err:
+        make_partially_entangled(alpha, n, d=auto_d)
+    assert err.value.suggested_d == grown_d
+    assert make_partially_entangled(alpha, n, d=err.value.suggested_d) == state
+
+
+def test_auto_sized_states_keep_auto_truncation_where_it_meets_the_budget():
+    grown = []
+    for alpha in (0.3, 1.0 - 0.5j, 2.5, 4.0j, 7.0):
+        for n in range(4):
+            d = auto_truncation(alpha, n)
+            got = make_partially_entangled(alpha, n).truncation
+            if _raw_leak(alpha, n, d) <= 1e-10:
+                assert got == d
+            else:
+                grown.append((alpha, n))
+                assert got > d
+        assert make_globally_entangled(alpha).truncation == auto_truncation(alpha, 0)
+    assert grown == [(7.0, 3)]  # d = 114 leaks 1.7e-10
+
+
 def test_branch_state_validation():
     good = np.zeros(4)
     good[0] = 1.0
