@@ -579,7 +579,7 @@ def test_size_guard_trips():
     ids=["displacement", "closed", "stepped"],
 )
 def test_dense_guard_trips_before_allocating(build):
-    # (2d)^N allows d = 10^5 at N = 1; one dense expm there would need ~160 GB.
+    # (2d)^N allows d = 10^5 at N = 1; one dense d x d matrix there is 160 GB.
     with pytest.raises(SizeGuardError, match="dense guard"):
         build(10**5)
 

@@ -170,7 +170,7 @@ def test_auto_sized_states_keep_auto_truncation_where_it_meets_the_budget():
                 grown.append((alpha, n))
                 assert got > d
         assert make_globally_entangled(alpha).truncation == auto_truncation(alpha, 0)
-    assert grown == [(7.0, 3)]  # d = 114 leaks 1.7e-10
+    assert grown == [(7.0, 3)]  # d = 114 leaks 1.7e-10; the state takes d = 115
 
 
 def test_branch_state_validation():
