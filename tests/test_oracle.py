@@ -115,6 +115,7 @@ def test_displacement_basis_cache_is_bounded_and_read_only(monkeypatch):
     # 60 was used after 50, so 50 is the one evicted to make room for 40.
     assert list(oracle._BASES) == [60, 40]
     # The eigenvalues of X are sqrt(2) times the Gauss-Hermite nodes.
+    lam, _ = oracle._displacement_basis(40)
     nodes, _ = np.polynomial.hermite.hermgauss(40)
     assert np.max(np.abs(lam - math.sqrt(2.0) * nodes)) <= 1e-13
 
