@@ -123,7 +123,11 @@ _BASES: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # least recently used fir
 def _displacement_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenpairs of X = a + a^dag on d levels (its eigenvalues are
     sqrt(2) times the Gauss-Hermite nodes), cached up to BASIS_CACHE_BYTES."""
-    basis = _BASES.pop(d, None) or _tridiagonal_eigh(np.zeros(d), np.sqrt(np.arange(1.0, d)))
+    basis = _BASES.pop(d, None)
+    if basis is not None:  # a hit moves to the most recently used end
+        _BASES[d] = basis
+        return basis
+    basis = _tridiagonal_eigh(np.zeros(d), np.sqrt(np.arange(1.0, d)))
     for array in basis:
         array.flags.writeable = False
     _BASES[d] = basis
@@ -165,7 +169,9 @@ def build_displacement(eta: complex, d: int) -> np.ndarray:
     _check_dense(d)
     lam, vec = _displacement_basis(d)
     phase = _gauge(d) * np.exp(1j * np.angle(eta) * np.arange(d))
-    return phase[:, None] * expm(lam, vec, abs(eta)) * phase.conj()[None, :]
+    out = expm(lam, vec, abs(eta))
+    np.multiply(phase[:, None], out, out=out)
+    return np.multiply(out, phase.conj()[None, :], out=out)
 
 
 def trusted_columns(d: int, eta_abs: float) -> int:
@@ -218,9 +224,9 @@ def build_evolution_closed(
             suggested_d=required_truncation(8, abs(eta)),
         )
     rotation = np.exp(-1j * params.trap_frequency * tau * np.arange(d))
-    return rotation[:, None] * (
-        np.exp(1j * phi) * build_displacement(eta, d)
-    )
+    u = build_displacement(eta, d)
+    np.multiply(np.exp(1j * phi), u, out=u)
+    return np.multiply(rotation[:, None], u, out=u)
 
 
 def _step_factor(diag: np.ndarray, off: np.ndarray, f_val: float, dt: float) -> np.ndarray:
@@ -369,7 +375,8 @@ def generator_numeric(
     spin_sign: int,
     d: int,
 ) -> np.ndarray:
-    """H = i (dU^dag/dOmega) U by Richardson-extrapolated central differences."""
+    """H = i (dU^dag/dOmega) U, with dU/dOmega taken by Richardson-extrapolated
+    central differences before the one product with U."""
     delta_omega = _default_delta_omega(params)
 
     def u_at(omega_rot: float) -> np.ndarray:
@@ -379,15 +386,13 @@ def generator_numeric(
     u0 = u_at(params.rotation_rate)
 
     def central(delta: float) -> np.ndarray:
-        du_dag = (
-            u_at(params.rotation_rate + delta).conj().T
-            - u_at(params.rotation_rate - delta).conj().T
+        return (
+            u_at(params.rotation_rate + delta) - u_at(params.rotation_rate - delta)
         ) / (2.0 * delta)
-        return 1j * du_dag @ u0
 
-    h_full = central(delta_omega)
-    h_half = central(delta_omega / 2.0)
-    h = (4.0 * h_half - h_full) / 3.0
+    c_full = central(delta_omega)
+    du = (4.0 * central(delta_omega / 2.0) - c_full) / 3.0
+    h = 1j * du.conj().T @ u0
 
     coeffs = coefficients(params, profile, tau)
     k_trust = trusted_columns(d, abs(coeffs.eta(spin_sign)))
@@ -412,7 +417,12 @@ def generator_analytic(constants, coeffs: CoefficientSet, spin_sign: int, d: int
 
 # ---------------------------------------------------------------------------
 # Multi-site machinery.  Site basis: spin (x) Fock, dimension 2d, spin +1
-# occupying indices [0, d) and spin -1 indices [d, 2d).
+# occupying indices [0, d) and spin -1 indices [d, 2d).  A single-site
+# operator is a stack of k diagonal blocks, shape (k, m, m) with k m = 2d.
+# The evolution and the generator commute with the site's sigma_z, so the
+# QFI oracles apply them as (2, d, d) spin-block stacks (spin +1 first) and
+# never multiply through the zero off-diagonal blocks; a dense 2d x 2d
+# operator is the one-block stack op[None].
 # ---------------------------------------------------------------------------
 
 
@@ -447,21 +457,23 @@ def assemble_state(state: GhzProductState, d: int = 0) -> np.ndarray:
     down = _site_vector(state.branch_down.mode_amplitudes, -1, d)
     psi_up, psi_down = up, down
     for _ in range(state.n_particles - 1):
-        psi_up = np.kron(psi_up, up)
-        psi_down = np.kron(psi_down, down)
+        psi_up = np.multiply.outer(psi_up, up).ravel()
+        psi_down = np.multiply.outer(psi_down, down).ravel()
     return (psi_up + psi_down) / math.sqrt(2.0)
 
 
 def apply_site(op: np.ndarray, psi: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Apply a single-site operator at the given site of an N-site vector."""
-    dim = op.shape[0]
-    tensor = psi.reshape((dim,) * n_sites)
-    out = np.tensordot(op, tensor, axes=([1], [site]))
-    return np.moveaxis(out, 0, site).reshape(-1)
+    """Apply a single-site operator, given as a (k, m, m) stack of diagonal
+    blocks, at the given site of an N-site vector: one batched product on
+    the site axis split into its k blocks."""
+    k, m, _ = op.shape
+    tensor = np.moveaxis(psi.reshape((k * m,) * n_sites), site, 0)
+    out = np.matmul(op, tensor.reshape(k, m, -1))
+    return np.moveaxis(out.reshape(tensor.shape), 0, site).reshape(-1)
 
 
 def apply_collective(op: np.ndarray, psi: np.ndarray, n_sites: int) -> np.ndarray:
-    """Apply sum_k op^{(k)}."""
+    """Apply sum_k op^{(k)} for a (k, m, m) block stack op."""
     return sum(apply_site(op, psi, k, n_sites) for k in range(n_sites))
 
 
@@ -486,16 +498,18 @@ def site_generator_numeric(
     tau: float,
     d: int,
 ) -> np.ndarray:
-    """Single-site generator (spin (x) Fock) assembled from the two
-    finite-difference spin-branch blocks, symmetrized."""
-    h_up = generator_numeric(params, profile, tau, +1, d)
-    h_down = generator_numeric(params, profile, tau, -1, d)
-    h_site = _spin_block_diag(h_up, h_down)
-    return (h_site + h_site.conj().T) / 2.0
+    """Single-site generator as the (2, d, d) stack of its two
+    finite-difference spin-branch blocks, each symmetrized."""
+    h_site = np.stack((
+        generator_numeric(params, profile, tau, +1, d),
+        generator_numeric(params, profile, tau, -1, d),
+    ))
+    return (h_site + h_site.conj().transpose(0, 2, 1)) / 2.0
 
 
 def variance_qfi(h_site: np.ndarray, psi: np.ndarray, n_sites: int) -> float:
-    """4 Var(sum_k h^{(k)}) on an explicit state vector."""
+    """4 Var(sum_k h^{(k)}) on an explicit state vector, for a (k, m, m)
+    block stack h_site."""
     h_psi = apply_collective(h_site, psi, n_sites)
     mean = np.vdot(psi, h_psi).real
     second = np.vdot(h_psi, h_psi).real
@@ -529,10 +543,10 @@ def _evolve_state(
     d: int,
     n_sites: int,
 ) -> np.ndarray:
-    u_site = _spin_block_diag(
+    u_site = np.stack((
         build_evolution_closed(params, profile, tau, +1, d),
         build_evolution_closed(params, profile, tau, -1, d),
-    )
+    ))
     out = psi
     for k in range(n_sites):
         out = apply_site(u_site, out, k, n_sites)
@@ -616,9 +630,11 @@ def covariance_reduction_check(
 ) -> bool:
     """Permutation-symmetry identity
     Cov(sum A_k, sum B_k) = N Cov(A1, B1) + (N^2 - N) Cov(A1, B2),
-    with every side evaluated on the full N-site vector."""
+    with every side evaluated on the full N-site vector, for dense 2d x 2d
+    operators A and B."""
     n_sites = state.n_particles
     psi = assemble_state(state)
+    op_a, op_b = op_a[None], op_b[None]
     a_tot = apply_collective(op_a, psi, n_sites)
     b_tot = apply_collective(op_b, psi, n_sites)
     lhs = _sym_cov(psi, a_tot, b_tot)

@@ -338,17 +338,22 @@ def test_criterion_09_rotation_independence_and_shift_invariance():
     spread = (max(values) - min(values)) / max(values)
 
     # (b) Adding c * identity to the numeric generator must not move the
-    # variance-form QFI.
+    # variance-form QFI, neither as c I_d on each block of its (2, d, d)
+    # spin-block stack nor as c I_2d on its zero-padded 2d x 2d matrix,
+    # applied as a one-block stack.
     profile = DrivingProfile.constant_for(tau)
     state = make_globally_entangled(-1.0, n_particles=2)
     d = required_truncation(state.branch_up.truncation, 2.5, margin=24.0)
     h_site = site_generator_numeric(UNIT, profile, tau, d)
+    h_dense = np.zeros((2 * d, 2 * d), dtype=complex)
+    h_dense[:d, :d], h_dense[d:, d:] = h_site
     psi = assemble_state(state, d=d)
     base = variance_qfi(h_site, psi, 2)
     worst_shift = 0.0
     for c in (1.0, 10.0):
-        shifted = variance_qfi(h_site + c * np.eye(2 * d), psi, 2)
-        worst_shift = max(worst_shift, abs(shifted - base) / base)
+        for shifted_site in (h_site + c * np.eye(d), (h_dense + c * np.eye(2 * d))[None]):
+            shifted = variance_qfi(shifted_site, psi, 2)
+            worst_shift = max(worst_shift, abs(shifted - base) / base)
 
     ok = spread <= 1e-12 and worst_shift <= 1e-12
     _verdict(

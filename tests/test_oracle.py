@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
 from sagnac_qfi import (
@@ -118,6 +120,40 @@ def test_displacement_basis_cache_is_bounded_and_read_only(monkeypatch):
     lam, _ = oracle._displacement_basis(40)
     nodes, _ = np.polynomial.hermite.hermgauss(40)
     assert np.max(np.abs(lam - math.sqrt(2.0) * nodes)) <= 1e-13
+
+
+def test_basis_cache_hit_saves_the_oldest_entry(monkeypatch):
+    scans = []
+
+    class Bases(dict):
+        def values(self):
+            scans.append(len(self))
+            return super().values()
+
+    monkeypatch.setattr(oracle, "_BASES", Bases())
+    monkeypatch.setattr(oracle, "BASIS_CACHE_BYTES", 8 * (40**2 + 30**2 + 20**2))
+    solved = []
+    eigh = oracle._tridiagonal_eigh
+
+    def counted(diag, off):
+        solved.append(diag.size)
+        return eigh(diag, off)
+
+    monkeypatch.setattr(oracle, "_tridiagonal_eigh", counted)
+    first = oracle._displacement_basis(40)
+    oracle._displacement_basis(30)
+    oracle._displacement_basis(20)
+    # A hit returns the cached arrays themselves, moves 40 to the newest end
+    # and sums no cached sizes.
+    scans.clear()
+    assert oracle._displacement_basis(40) is first
+    assert scans == []
+    assert list(oracle._BASES) == [30, 20, 40]
+    oracle._displacement_basis(25)
+    # The miss on 25 evicts the least recently used entry, 30, and keeps 40.
+    assert list(oracle._BASES) == [20, 40, 25]
+    assert solved == [40, 30, 20, 25]
+    assert sum(vec.nbytes for _, vec in oracle._BASES.values()) <= oracle.BASIS_CACHE_BYTES
 
 
 def test_trusted_columns_roundtrip():
@@ -648,6 +684,54 @@ def test_covariance_reduction_random_draws():
             op_a = 0.5 * (m1 + m1.conj().T)
             op_b = 0.5 * (m2 + m2.conj().T)
             assert covariance_reduction_check(state, op_a, op_b)
+
+
+def _tensordot_site(op, psi, site, n_sites):
+    """Reference: a dense single-site matrix contracted into the site axis."""
+    tensor = psi.reshape((op.shape[0],) * n_sites)
+    return np.moveaxis(np.tensordot(op, tensor, axes=([1], [site])), 0, site).reshape(-1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    sizes=st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(2, (60, 40, 10)[n - 1]))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_site_blocks_match_the_dense_contraction(sizes, seed):
+    n_sites, d = sizes
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    psi = draw((2 * d) ** n_sites)
+    dense = draw(2 * d, 2 * d)
+    blocks = draw(2, d, d)
+    padded = np.zeros((2 * d, 2 * d), dtype=complex)
+    padded[:d, :d], padded[d:, d:] = blocks
+    for site in range(n_sites):
+        # A dense matrix is the one-block stack, with the bits of np.tensordot.
+        got = oracle.apply_site(dense[None], psi, site, n_sites)
+        assert got.tobytes() == _tensordot_site(dense, psi, site, n_sites).tobytes()
+        # A spin-block stack acts as its zero-padded 2d x 2d matrix.
+        got = oracle.apply_site(blocks, psi, site, n_sites)
+        want = _tensordot_site(padded, psi, site, n_sites)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_qfi_oracles_never_pad_a_site_matrix(monkeypatch):
+    def padded(*_):
+        raise AssertionError("a QFI oracle built a 2d x 2d site matrix")
+
+    monkeypatch.setattr(oracle, "_spin_block_diag", padded)
+    tau = 0.4 * T0
+    profile = DrivingProfile.constant_for(tau)
+    for n_particles in (1, 2):
+        state = make_globally_entangled(0.6 - 0.2j, n_particles=n_particles)
+        qfi_variance_numeric(state, UNIT, profile, tau)
+        qfi_fidelity_numeric(state, UNIT, profile, tau)
 
 
 def test_site_operators_shapes():
