@@ -108,21 +108,6 @@ def test_variance_oracle_runs_expm_on_real_matrices(monkeypatch):
 
 
 def test_displacement_basis_cache_is_bounded_and_read_only(monkeypatch):
-    monkeypatch.setattr(oracle, "_BASES", {})
-    monkeypatch.setattr(oracle, "BASIS_CACHE_BYTES", 2 * 8 * 60**2)
-    for d in (60, 50, 60, 40):
-        lam, vec = oracle._displacement_basis(d)
-        assert lam.shape == (d,) and vec.shape == (d, d)
-        assert not lam.flags.writeable and not vec.flags.writeable
-    # 60 was used after 50, so 50 is the one evicted to make room for 40.
-    assert list(oracle._BASES) == [60, 40]
-    # The eigenvalues of X are sqrt(2) times the Gauss-Hermite nodes.
-    lam, _ = oracle._displacement_basis(40)
-    nodes, _ = np.polynomial.hermite.hermgauss(40)
-    assert np.max(np.abs(lam - math.sqrt(2.0) * nodes)) <= 1e-13
-
-
-def test_basis_cache_hit_saves_the_oldest_entry(monkeypatch):
     scans = []
 
     class Bases(dict):
@@ -131,29 +116,22 @@ def test_basis_cache_hit_saves_the_oldest_entry(monkeypatch):
             return super().values()
 
     monkeypatch.setattr(oracle, "_BASES", Bases())
-    monkeypatch.setattr(oracle, "BASIS_CACHE_BYTES", 8 * (40**2 + 30**2 + 20**2))
-    solved = []
-    eigh = oracle._tridiagonal_eigh
-
-    def counted(diag, off):
-        solved.append(diag.size)
-        return eigh(diag, off)
-
-    monkeypatch.setattr(oracle, "_tridiagonal_eigh", counted)
-    first = oracle._displacement_basis(40)
-    oracle._displacement_basis(30)
-    oracle._displacement_basis(20)
-    # A hit returns the cached arrays themselves, moves 40 to the newest end
-    # and sums no cached sizes.
-    scans.clear()
-    assert oracle._displacement_basis(40) is first
-    assert scans == []
-    assert list(oracle._BASES) == [30, 20, 40]
-    oracle._displacement_basis(25)
-    # The miss on 25 evicts the least recently used entry, 30, and keeps 40.
-    assert list(oracle._BASES) == [20, 40, 25]
-    assert solved == [40, 30, 20, 25]
+    monkeypatch.setattr(oracle, "BASIS_CACHE_BYTES", 2 * 8 * 60**2)
+    for d, hit in ((60, False), (50, False), (60, True), (40, False)):
+        scans.clear()
+        lam, vec = oracle._displacement_basis(d)
+        assert lam.shape == (d,) and vec.shape == (d, d)
+        assert not lam.flags.writeable and not vec.flags.writeable
+        # Only a miss sums the cached sizes to decide what to evict.
+        assert (not scans) == hit
+    # The hit on 60, then the oldest entry, saved it: 50 is the one evicted
+    # to make room for 40.
+    assert list(oracle._BASES) == [60, 40]
     assert sum(vec.nbytes for _, vec in oracle._BASES.values()) <= oracle.BASIS_CACHE_BYTES
+    # The eigenvalues of X are sqrt(2) times the Gauss-Hermite nodes.
+    lam, _ = oracle._displacement_basis(40)
+    nodes, _ = np.polynomial.hermite.hermgauss(40)
+    assert np.max(np.abs(lam - math.sqrt(2.0) * nodes)) <= 1e-13
 
 
 def test_trusted_columns_roundtrip():
