@@ -402,12 +402,13 @@ def _eta_phi_segments(params: PhysicalParams, segments, spin_sign: int):
     return complex(eta), float(phi), float(eta_bound)
 
 
-def _basic_simpson(y: np.ndarray, stop: int, dx: float):
+def _basic_simpson(y: np.ndarray, stop: int, dx: float, scratch: np.ndarray | None):
     """Composite Simpson over the parabolas through samples 0..stop+2 of y:
     scipy.integrate._quadrature._basic_simpson for 1-d y and the step dx,
-    sum(y0 + 4 y1 + y2) * dx / 3 evaluated in scipy's order in one buffer."""
+    sum(y0 + 4 y1 + y2) * dx / 3 evaluated in scipy's order in one buffer,
+    the head of scratch if one is given."""
     y0, y1, y2 = y[0:stop:2], y[1:stop + 1:2], y[2:stop + 2:2]
-    acc = np.multiply(4.0, y1)
+    acc = np.multiply(4.0, y1, out=None if scratch is None else scratch[: y1.size])
     np.add(y0, acc, out=acc)
     np.add(acc, y2, out=acc)
     return acc.sum() * (dx / 3.0)
@@ -418,8 +419,9 @@ def _last_interval_weight(num, den):
     return num / den if den != 0 else 0.0
 
 
-def _simpson(y: np.ndarray, *, dx: float):
-    """scipy.integrate.simpson(y, dx=dx) for 1-d y, bit for bit.
+def _simpson(y: np.ndarray, *, dx: float, scratch: np.ndarray | None = None):
+    """scipy.integrate.simpson(y, dx=dx) for 1-d y, bit for bit; scratch, if
+    given, is a buffer of at least y.size // 2 floats for its one temporary.
 
     An odd number of samples is one `_basic_simpson`, and two give the
     trapezoid.  Other even counts sum the parabolas up to the third-to-last
@@ -431,10 +433,10 @@ def _simpson(y: np.ndarray, *, dx: float):
     """
     n = y.size
     if n % 2:
-        return _basic_simpson(y, n - 2, dx)
+        return _basic_simpson(y, n - 2, dx, scratch)
     if n == 2:
         return 0.0 + 0.5 * dx * (y[-1] + y[-2])
-    result = _basic_simpson(y, n - 3, dx)
+    result = _basic_simpson(y, n - 3, dx, scratch)
     h0 = h1 = np.float64(dx)
     alpha = _last_interval_weight(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
     beta = _last_interval_weight(h1**2 + 3.0 * h0 * h1, 6 * h0)
@@ -443,8 +445,11 @@ def _simpson(y: np.ndarray, *, dx: float):
     return result + 0.0
 
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0), bit for bit.
+def _cumulative_simpson(
+    y: np.ndarray, h: float, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0), bit for bit,
+    into out (y.size floats), with scratch (as many) for its temporaries.
 
     scipy integrates every sub-interval [t_k, t_k+1] twice, from the parabola
     through t_k..t_k+2 and from the one through t_k-1..t_k+1, and keeps the
@@ -455,17 +460,16 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     -0.0 total into 0.0.  Two samples fall back to the trapezoid, as in
     scipy.
     """
-    sub = np.empty(y.size)
-    sub[0] = 0.0
+    out[0] = 0.0
     if y.size == 2:
-        sub[1] = h * (y[1] + y[0]) / 2.0
-        return np.cumsum(sub, out=sub)
+        out[1] = h * (y[1] + y[0]) / 2.0
+        return np.cumsum(out, out=out)
     left, mid, right = y[:-2:2], y[1:-1:2], y[2::2]
     third = h / 3
-    two_mid = np.multiply(2, mid)
-    quarter = np.empty_like(two_mid)
+    two_mid = np.multiply(2, mid, out=scratch[: mid.size])
+    quarter = scratch[mid.size : 2 * mid.size]
     # third * (5 * near / 4 + 2 * mid - far / 4) into the slots `kept`
-    for near, far, kept in ((left, right, sub[1:-1:2]), (right, left, sub[2::2])):
+    for near, far, kept in ((left, right, out[1:-1:2]), (right, left, out[2::2])):
         np.multiply(5, near, out=kept)
         np.divide(kept, 4, out=kept)
         np.add(kept, two_mid, out=kept)
@@ -473,34 +477,60 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
         np.subtract(kept, quarter, out=kept)
         np.multiply(third, kept, out=kept)
     if y.size % 2 == 0:
-        sub[-1] = third * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
-    return np.cumsum(sub, out=sub)
+        out[-1] = third * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
+    return np.cumsum(out, out=out)
+
+
+def _sampled_work(params: PhysicalParams, profile: DrivingProfile) -> np.ndarray:
+    """The one work block of a sampled profile's eta and Phi pass: eight rows
+    of the grid's length, cos(wt) and sin(wt) filled, the rest for
+    `_eta_phi_sampled`, which both spins run in it in turn.
+
+    One block (1.3 MB at 20001 samples) instead of the pass's two dozen
+    full-grid temporaries is what keeps the pass from page-faulting: with
+    glibc, freeing a block this large raises the dynamic mmap and trim
+    thresholds, so the block, and the smaller temporaries of later calls, are
+    reused from the heap instead of being trimmed and paged back in on every
+    call.  The same buffers as eight separate arrays still fault.
+    """
+    work = np.empty((8, profile.times.size))
+    cos_wt, sin_wt = work[0], work[1]
+    np.multiply(params.trap_frequency, profile.times, out=sin_wt)
+    np.cos(sin_wt, out=cos_wt)
+    np.sin(sin_wt, out=sin_wt)
+    return work
 
 
 def _eta_phi_sampled(
     params: PhysicalParams,
     profile: DrivingProfile,
     spin_sign: int,
-    cos_wt: np.ndarray,
-    sin_wt: np.ndarray,
+    work: np.ndarray,
 ):
     """Simpson quadrature for eta; Phi via the exact reduction
     Phi = int f(t) [sin(wt) Fc(t) - cos(wt) Fs(t)] dt with cumulative Simpson
-    for the inner integrals.  cos_wt and sin_wt are cos(wt) and sin(wt) on
-    the profile's grid, shared by both spins."""
+    for the inner integrals.  work is the `_sampled_work` block; this pass
+    reads its cos(wt) and sin(wt) rows and overwrites the other six."""
     h = _grid_step(profile.times)
-    fv = drive_amplitude(params, profile.values, spin_sign)
-    f_cos = np.multiply(fv, cos_wt)
-    f_sin = np.multiply(fv, sin_wt)
-    eta = -complex(_simpson(f_cos, dx=h), _simpson(f_sin, dx=h))
-    fc = _cumulative_simpson(f_cos, h)
-    fs = _cumulative_simpson(f_sin, h)
-    # fv * (sin_wt * fc - cos_wt * fs), in the buffers of fc and fs
+    cos_wt, sin_wt, fv, f_cos, f_sin, fc, fs, scratch = work
+    # drive_amplitude(params, profile.values, spin_sign), in its order, in fv
+    cf = math.sqrt(params.mass * params.trap_frequency / (2.0 * params.hbar))
+    np.multiply(spin_sign, profile.values, out=fv)
+    np.add(params.rotation_rate, fv, out=fv)
+    np.multiply(cf * params.ring_radius, fv, out=fv)
+    np.multiply(fv, cos_wt, out=f_cos)
+    np.multiply(fv, sin_wt, out=f_sin)
+    eta = -complex(
+        _simpson(f_cos, dx=h, scratch=scratch), _simpson(f_sin, dx=h, scratch=scratch)
+    )
+    _cumulative_simpson(f_cos, h, fc, scratch)
+    _cumulative_simpson(f_sin, h, fs, scratch)
+    # fv * (sin_wt * fc - cos_wt * fs), in the rows of fc and fs
     np.multiply(sin_wt, fc, out=fc)
     np.multiply(cos_wt, fs, out=fs)
     np.subtract(fc, fs, out=fc)
     np.multiply(fv, fc, out=fc)
-    phi = float(_simpson(fc, dx=h))
+    phi = float(_simpson(fc, dx=h, scratch=scratch))
     return eta, phi
 
 
@@ -583,10 +613,9 @@ def _coefficients(
 ) -> CoefficientSet:
     generator = generator_coefficients(params, profile, tau)
     if profile.kind == "sampled":
-        wt_grid = params.trap_frequency * profile.times
-        cos_wt, sin_wt = np.cos(wt_grid), np.sin(wt_grid, out=wt_grid)
-        eta_up, phi_up = _eta_phi_sampled(params, profile, +1, cos_wt, sin_wt)
-        eta_down, phi_down = _eta_phi_sampled(params, profile, -1, cos_wt, sin_wt)
+        work = _sampled_work(params, profile)
+        eta_up, phi_up = _eta_phi_sampled(params, profile, +1, work)
+        eta_down, phi_down = _eta_phi_sampled(params, profile, -1, work)
     else:
         eta_up, phi_up, _ = _eta_phi_segments(params, profile.segments, +1)
         eta_down, phi_down, _ = _eta_phi_segments(params, profile.segments, -1)

@@ -357,6 +357,64 @@ def test_step_interpolation_reuses_node_factors():
     assert np.array_equal(rows, np.eye(3)[::-1])
 
 
+BLOCK_D, BLOCK_DT = 30, 0.01
+BLOCK_DIAG = STEPPED_PARAMS.trap_frequency * np.arange(BLOCK_D, dtype=float)
+BLOCK_OFF = -np.sqrt(np.arange(1.0, BLOCK_D))
+BLOCK_SCALE = BLOCK_DT * 2.0 * math.sqrt(BLOCK_D - 1) / 4.0
+
+
+def _block_start():
+    """A unitary to start the block from, not the identity."""
+    rng = np.random.default_rng(20)
+    shape = (BLOCK_D, BLOCK_D)
+    q, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return q
+
+
+def _product_one_row_at_a_time(u, f_block):
+    """The block product with one barycentric combination per step, each a
+    row-times-matrix product: the stepper's rule before steps were chunked."""
+    nodes, weights = oracle._step_nodes(f_block, BLOCK_SCALE)
+    flat = np.empty((nodes.size, 2 * BLOCK_D * BLOCK_D))
+    for j, f_val in enumerate(nodes):
+        flat[j] = oracle._step_factor(BLOCK_DIAG, BLOCK_OFF, f_val, BLOCK_DT).view(float).ravel()
+    for row in oracle._barycentric_rows(nodes, weights, f_block):
+        u = (row @ flat).view(complex).reshape(BLOCK_D, BLOCK_D) @ u
+    return u
+
+
+def _block_product(u, f_block):
+    kept = u.copy()
+    got = oracle._product_over_block(u, f_block, BLOCK_DIAG, BLOCK_OFF, BLOCK_DT, BLOCK_SCALE)
+    assert np.array_equal(u, kept)  # the caller's u is never written
+    return got
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [1, oracle.STEP_CHUNK - 1, oracle.STEP_CHUNK, oracle.STEP_CHUNK + 1, 2 * oracle.STEP_CHUNK + 1],
+)
+def test_chunked_block_matches_one_row_at_a_time(steps):
+    f_block = 0.7 + 0.2 * np.sin(np.linspace(0.0, 3.0, steps))
+    u = _block_start()
+    if steps > 1:  # interpolated, not one factor per distinct drive
+        assert oracle._step_nodes(f_block, BLOCK_SCALE)[0].size < steps
+    got = _block_product(u, f_block)
+    want = _product_one_row_at_a_time(u, f_block)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_block_of_node_drives_is_the_product_of_node_factors():
+    # Three distinct drives are their own nodes, so every row is one-hot and
+    # every step applies a node factor exactly, across chunk boundaries.
+    f_block = np.array([0.6, 0.9, 0.75])[np.arange(2 * oracle.STEP_CHUNK + 1) % 3]
+    u = _block_start()
+    want = u
+    for f_val in f_block:
+        want = oracle._step_factor(BLOCK_DIAG, BLOCK_OFF, f_val, BLOCK_DT) @ want
+    assert np.array_equal(_block_product(u, f_block), want)
+
+
 @pytest.mark.parametrize(
     "profile, steps",
     [

@@ -38,6 +38,14 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _cumulative(y, h):
+    """The kernel into buffers that hold stale values, as in the work block."""
+    out, scratch = np.full((2, y.size), np.nan)
+    got = _cumulative_simpson(y, h, out, scratch)
+    assert got is out
+    return got
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(2, 400),
@@ -54,14 +62,14 @@ def test_kernel_equals_scipy_cumulative_simpson_bit_for_bit(n, seed, log_h):
     y = rng.choice([-1.0, 1.0], n) * magnitudes
     h = 10.0**log_h
     want = cumulative_simpson(y, dx=h, initial=0.0)
-    assert _bits(_cumulative_simpson(y, h)) == _bits(want)
+    assert _bits(_cumulative(y, h)) == _bits(want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_kernel_keeps_scipys_signed_zeros(n):
     y = np.full(n, -0.0)
     want = cumulative_simpson(y, dx=0.5, initial=0.0)
-    assert _bits(_cumulative_simpson(y, 0.5)) == _bits(want)
+    assert _bits(_cumulative(y, 0.5)) == _bits(want)
 
 
 def _drawn_samples(rng, n):
@@ -162,7 +170,7 @@ def test_sampled_coefficients_keep_their_bits_with_scipys_simpson(
     profile = build()
     got = coefficients(params, profile, TAU)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model, "_simpson", simpson)
+        patch.setattr(model, "_simpson", lambda y, *, dx, scratch=None: simpson(y, dx=dx))
         reference = build()
         want = coefficients(params, reference, TAU)
     assert _bits(profile.values) == _bits(reference.values)
@@ -179,10 +187,27 @@ def test_sampled_coefficients_equal_scipy_reference_bit_for_bit(
     got = coefficients(params, profile, TAU)
     monkeypatch.setattr(
         model, "_cumulative_simpson",
-        lambda y, h: cumulative_simpson(y, dx=h, initial=0.0),
+        lambda y, h, out, scratch: np.copyto(out, cumulative_simpson(y, dx=h, initial=0.0)),
     )
     want = coefficients(params, _profile(samples), TAU)
     _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("samples", [2, 3, 400, 20001])
+def test_spins_keep_their_bits_whichever_fills_the_work_block_first(samples):
+    params = PhysicalParams(ring_radius=1.5, rotation_rate=0.2)
+    profile = _profile(samples)
+    want = coefficients(params, profile, TAU)
+    for order in ((+1, -1), (-1, +1)):
+        work = model._sampled_work(params, profile)
+        work[2:] = np.nan  # rows the first spin would leave behind
+        for spin in order:
+            eta, phi = model._eta_phi_sampled(params, profile, spin, work)
+            assert _bits([eta.real, eta.imag, phi]) == _bits(
+                [want.eta(spin).real, want.eta(spin).imag, want.phi(spin)]
+            )
+            # The drive row holds drive_amplitude's bits.
+            assert _bits(work[2]) == _bits(model.drive_amplitude(params, profile.values, spin))
 
 
 def _count_passes(monkeypatch) -> list:
