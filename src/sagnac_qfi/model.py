@@ -34,10 +34,10 @@ area included, is composite Simpson on the grid's uniform step h:
 `_simpson` and `_cumulative_simpson` return the bits of scipy.integrate's
 simpson(y, dx=h) and cumulative_simpson(y, dx=h, initial=0.0) for 1-d y,
 the second evaluating only the sub-interval integrals that scipy keeps.
-Both follow scipy's expressions in its order and, like the rest of the
-sampled pass and the checks in `DrivingProfile.sampled`, evaluate into a
-few reused buffers: in the heap left without scipy.integrate, each fresh
-full-grid temporary would be paged in again on every call.
+Both follow scipy's expressions in its order.  The eta and Phi pass runs
+both spins in one work block (`_sampled_work`) that holds every full-grid
+array it needs, so, in the heap left without scipy.integrate, the pass
+does not page its memory in again on every call.
 
 A profile evaluates its coefficients once per (params, tau): it remembers
 the CoefficientSet of its last COEFFICIENT_MEMO_SIZE distinct pairs, keyed by

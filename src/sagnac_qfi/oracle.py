@@ -16,7 +16,9 @@ gauge: J = X = a + a^dag, cached per d, for a displacement, and
 J = w a^dag a - f X for a time step.  A sampled drive's time-ordered product
 interpolates the step factor in f between at most STEP_NODES eigensolves per
 block of steps, within 2^-53 per step, so it stays an independent witness of
-the closed factorization (see `build_evolution_stepped`).
+the closed factorization; one real GEMM forms the factors of STEP_CHUNK
+steps at a time, and each step is then one complex d x d product (see
+`build_evolution_stepped`).
 
 Truncation discipline: evolving inside a truncated space reflects amplitude
 off the Fock cap, while truncating the exact evolution clips it, so the two
@@ -327,8 +329,9 @@ def build_evolution_stepped(
     (dt ||X||)^k, m Chebyshev nodes on a drive range of width W reproduce it
     within 2 (W dt ||X|| / 4)^m / m!.  The steps are split greedily into
     blocks that keep this at or below 2^-53 with at most STEP_NODES nodes,
-    each one eigensolve; each step is one barycentric combination of its
-    block's node factors and one complex product.  A block with no more
+    each one eigensolve.  The barycentric combinations of STEP_CHUNK
+    consecutive steps are one real GEMM with the block's node factors, and
+    each step is then one complex d x d product.  A block with no more
     distinct drive values than nodes takes those values as nodes, so a call
     never makes more eigensolves than steps.
     """

@@ -200,7 +200,7 @@ def test_spins_keep_their_bits_whichever_fills_the_work_block_first(samples):
     want = coefficients(params, profile, TAU)
     for order in ((+1, -1), (-1, +1)):
         work = model._sampled_work(params, profile)
-        work[2:] = np.nan  # rows the first spin would leave behind
+        work[2:] = np.nan  # stale rows, as an earlier pass leaves them
         for spin in order:
             eta, phi = model._eta_phi_sampled(params, profile, spin, work)
             assert _bits([eta.real, eta.imag, phi]) == _bits(
