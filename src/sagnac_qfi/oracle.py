@@ -37,6 +37,18 @@ bounds it by the arc's farthest point.  The single-site builders refuse d
 above DENSE_GUARD before allocating anything, since one dense exponential
 costs O(d^2) memory and O(d^3) time however small N is.
 
+The QFI oracles evolve only what their input populates.  The state fills the
+leading t = state.truncation Fock levels of each site, in the two spin
+branches only, while the oracle pads each site to d levels.  So
+`build_evolution_closed` builds only the first t columns of each U(tau), and
+each site's product reads that site's t levels and writes its d evolved ones,
+over the columns that the branch populates.  The products keep every bit of
+the whole-vector products: a GEMM's sum over the t populated levels adds up
+what the sum over d did, and `_column_window` keeps each column in the same
+group of COLUMN_GROUP columns that the complex GEMM rounds together.  The
+reductions (norms, overlaps, variances) still run over the whole (2d)^N
+vector.
+
 The module loads no scipy module, at import or at run time.
 """
 
@@ -75,6 +87,10 @@ from .states import (
 )
 
 SIZE_GUARD = 200_000
+# Columns a complex GEMM rounds as one group: a product's last partial group
+# takes another kernel and other bits (OpenBLAS 0.3.31 zgemm, Haswell kernel),
+# so a product over part of the columns keeps its groups (`_column_window`).
+COLUMN_GROUP = 4
 # Largest single-site dimension the dense builders accept.  One complex d x d
 # matrix is 16 MB at d = 1000 and 160 GB at d = 10^5, which (2d)^N <= SIZE_GUARD
 # alone would allow at N = 1; an eigensolve and an `expm` hold several at once.
@@ -104,13 +120,16 @@ _STEP_REACH = tuple(
 )
 
 
-def expm(lam: np.ndarray, vec: np.ndarray, t: float) -> np.ndarray:
+def expm(lam: np.ndarray, vec: np.ndarray, t: float, columns: int | None = None) -> np.ndarray:
     """exp(-i t J) = V e^{-i t lam} V^T for a real symmetric J with eigenvalues
     lam and orthonormal eigenvectors V (columns): the complex symmetric result
-    from two real products."""
-    out = np.empty((lam.size, lam.size), dtype=complex)
-    out.real = (vec * np.cos(t * lam)) @ vec.T
-    out.imag = (vec * -np.sin(t * lam)) @ vec.T
+    from two real products.  columns = c keeps only the first c columns, each
+    with the bits of the full result's: the right operand is the strided view
+    of V^T's first c columns, and each element's sum keeps its K = d order."""
+    right = vec.T if columns is None else vec.T[:, :columns]
+    out = np.empty((lam.size, right.shape[1]), dtype=complex)
+    out.real = (vec * np.cos(t * lam)) @ right
+    out.imag = (vec * -np.sin(t * lam)) @ right
     return out
 
 
@@ -162,8 +181,16 @@ def _gauge(d: int) -> np.ndarray:
     return np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(d) % 4]
 
 
-def build_displacement(eta: complex, d: int) -> np.ndarray:
-    """exp(eta a^dag - eta* a) on the truncated basis.
+def _check_columns(columns: int | None, d: int) -> None:
+    """A column bound takes at least two columns: one column would make the
+    kernel's products matrix-vector, which round otherwise."""
+    if columns is not None and not 2 <= columns <= d:
+        raise ValueError(f"columns must lie in [2, {d}], got {columns}")
+
+
+def build_displacement(eta: complex, d: int, columns: int | None = None) -> np.ndarray:
+    """exp(eta a^dag - eta* a) on the truncated basis, or its first `columns`
+    columns, with the bits of the full matrix's.
 
     With eta = |eta| e^{i theta}, R = exp(i theta a^dag a) and the gauge G,
     the result is P exp(-i |eta| X) P^dag with the diagonal P = R G,
@@ -172,11 +199,12 @@ def build_displacement(eta: complex, d: int) -> np.ndarray:
     infinite-dimensional displacement to within the trusted-block tolerance.
     """
     _check_dense(d)
+    _check_columns(columns, d)
     lam, vec = _displacement_basis(d)
     phase = _gauge(d) * np.exp(1j * np.angle(eta) * np.arange(d))
-    out = expm(lam, vec, abs(eta))
+    out = expm(lam, vec, abs(eta), columns=columns)
     np.multiply(phase[:, None], out, out=out)
-    return np.multiply(out, phase.conj()[None, :], out=out)
+    return np.multiply(out, phase.conj()[None, : out.shape[1]], out=out)
 
 
 def trusted_columns(d: int, eta_abs: float) -> int:
@@ -217,9 +245,12 @@ def build_evolution_closed(
     tau: float,
     spin_sign: int,
     d: int,
+    columns: int | None = None,
 ) -> np.ndarray:
-    """U(tau) = exp(-i w a^dag a tau) exp(i Phi) D(eta) for one spin branch."""
+    """U(tau) = exp(-i w a^dag a tau) exp(i Phi) D(eta) for one spin branch,
+    or its first `columns` columns, with the bits of the full matrix's."""
     _check_dense(d)
+    _check_columns(columns, d)
     coeffs = coefficients(params, profile, tau)
     eta = coeffs.eta(spin_sign)
     phi = coeffs.phi(spin_sign)
@@ -229,7 +260,7 @@ def build_evolution_closed(
             suggested_d=required_truncation(8, abs(eta)),
         )
     rotation = np.exp(-1j * params.trap_frequency * tau * np.arange(d))
-    u = build_displacement(eta, d)
+    u = build_displacement(eta, d, columns)
     np.multiply(np.exp(1j * phi), u, out=u)
     return np.multiply(rotation[:, None], u, out=u)
 
@@ -435,11 +466,15 @@ def generator_analytic(constants, coeffs: CoefficientSet, spin_sign: int, d: int
 # ---------------------------------------------------------------------------
 # Multi-site machinery.  Site basis: spin (x) Fock, dimension 2d, spin +1
 # occupying indices [0, d) and spin -1 indices [d, 2d).  A single-site
-# operator is a stack of k diagonal blocks, shape (k, m, m) with k m = 2d.
-# The evolution and the generator commute with the site's sigma_z, so the
-# QFI oracles apply them as (2, d, d) spin-block stacks (spin +1 first) and
-# never multiply through the zero off-diagonal blocks; a dense 2d x 2d
-# operator is the one-block stack op[None].
+# operator is a stack of k diagonal blocks, shape (k, m, m) with k m = 2d,
+# and `apply_site` applies it to the whole (2d)^N vector; a dense 2d x 2d
+# operator is the one-block stack op[None].  The evolution and the generator
+# commute with the site's sigma_z, and the QFI oracles' input fills only the
+# leading c levels of each site in each spin branch, so the oracles apply
+# only the first c columns of each spin block, each branch on its own
+# (`_site_image`): K = c, and only the columns the branch populates, widened
+# to whole groups by `_column_window`.  At N = 1 a product is matrix-vector,
+# whose rounding depends on K, so there it keeps K = d.
 # ---------------------------------------------------------------------------
 
 
@@ -490,8 +525,44 @@ def apply_site(op: np.ndarray, psi: np.ndarray, site: int, n_sites: int) -> np.n
 
 
 def apply_collective(op: np.ndarray, psi: np.ndarray, n_sites: int) -> np.ndarray:
-    """Apply sum_k op^{(k)} for a (k, m, m) block stack op."""
-    return sum(apply_site(op, psi, k, n_sites) for k in range(n_sites))
+    """Apply sum_k op^{(k)} for a (k, m, m) block stack op, accumulated in
+    place into the first site's image."""
+    out = apply_site(op, psi, 0, n_sites)
+    for k in range(1, n_sites):
+        np.add(out, apply_site(op, psi, k, n_sites), out=out)
+    return out
+
+
+def _column_window(start: int, stop: int, size: int) -> slice:
+    """Columns [start, stop) of a product over `size` columns, widened to whole
+    groups of COLUMN_GROUP, so that each column sits in the same group, or at
+    the same place in the last partial group, as in the product over all
+    `size` columns, and rounds the same."""
+    whole = size - size % COLUMN_GROUP
+    lo = start - start % COLUMN_GROUP
+    hi = -(-stop // COLUMN_GROUP) * COLUMN_GROUP
+    return slice(lo, hi if hi <= whole else size)
+
+
+def _site_slab(
+    tensor: np.ndarray, site: int, offset: int, levels: int, window: slice
+) -> np.ndarray:
+    """View of an N-site tensor with axis `site` moved first and cut to
+    `levels` levels from `offset` on, and the last other axis cut to window."""
+    moved = np.moveaxis(tensor, site, 0)
+    cut = (slice(offset, offset + levels),) + (slice(None),) * (tensor.ndim - 2)
+    return moved[cut + (window,)]
+
+
+def _site_image(
+    op: np.ndarray, tensor: np.ndarray, site: int, offset: int, window: slice
+) -> np.ndarray:
+    """The first c columns of a d x d site operator, op of shape (d, c),
+    applied to the c levels from `offset` on at axis `site`: one matmul over
+    the slab's columns, the rest of `apply_site`'s product being zeros."""
+    slab = _site_slab(tensor, site, offset, op.shape[1], window)
+    image = np.matmul(op, slab.reshape(slab.shape[0], -1))
+    return image.reshape(op.shape[:1] + slab.shape[1:])
 
 
 def _spin_block_diag(op_up: np.ndarray, op_down: np.ndarray) -> np.ndarray:
@@ -509,6 +580,12 @@ def _oracle_truncation(state: GhzProductState, coeffs: CoefficientSet) -> int:
     return required_truncation(state.truncation, eta_max, margin=ORACLE_MARGIN)
 
 
+def _populated_columns(state: GhzProductState) -> int:
+    """Leading Fock levels per site that the QFI oracles' site products read:
+    the levels the input state populates, but at least two (`_check_columns`)."""
+    return max(state.truncation, 2)
+
+
 def site_generator_numeric(
     params: PhysicalParams,
     profile: DrivingProfile,
@@ -524,13 +601,37 @@ def site_generator_numeric(
     return (h_site + h_site.conj().transpose(0, 2, 1)) / 2.0
 
 
-def variance_qfi(h_site: np.ndarray, psi: np.ndarray, n_sites: int) -> float:
-    """4 Var(sum_k h^{(k)}) on an explicit state vector, for a (k, m, m)
-    block stack h_site."""
-    h_psi = apply_collective(h_site, psi, n_sites)
+def _four_variance(psi: np.ndarray, h_psi: np.ndarray) -> float:
     mean = np.vdot(psi, h_psi).real
     second = np.vdot(h_psi, h_psi).real
     return 4.0 * (second - mean**2)
+
+
+def variance_qfi(h_site: np.ndarray, psi: np.ndarray, n_sites: int) -> float:
+    """4 Var(sum_k h^{(k)}) on an explicit state vector, for a (k, m, m)
+    block stack h_site."""
+    return _four_variance(psi, apply_collective(h_site, psi, n_sites))
+
+
+def _collective_populated(
+    h_cols: np.ndarray, psi: np.ndarray, d: int, n_sites: int
+) -> np.ndarray:
+    """sum_k h^{(k)} psi for an assembled state psi with N >= 2 sites that
+    populates only the leading c levels of each site in each spin branch,
+    given the (2, d, c) first c columns of h's spin blocks.
+
+    Each site's image is added into one (2d)^N buffer, in site order, as in
+    `apply_collective`; each is computed only on the branch's populated
+    columns, widened by `_column_window`, and with K = c."""
+    columns = h_cols.shape[2]
+    out = np.zeros_like(psi)
+    source, target = (v.reshape((2 * d,) * n_sites) for v in (psi, out))
+    for op, offset in zip(h_cols, (0, d)):
+        window = _column_window(offset, offset + columns, 2 * d)
+        for k in range(n_sites):
+            region = _site_slab(target, k, offset, d, window)
+            np.add(region, _site_image(op, source, k, offset, window), out=region)
+    return out
 
 
 def qfi_variance_numeric(
@@ -549,24 +650,41 @@ def qfi_variance_numeric(
     _check_size(d, state.n_particles)
     h_site = site_generator_numeric(params, profile, tau, d)
     psi = assemble_state(state, d)
-    return variance_qfi(h_site, psi, state.n_particles)
+    if state.n_particles == 1:
+        return variance_qfi(h_site, psi, 1)
+    h_cols = h_site[:, :, : _populated_columns(state)]
+    return _four_variance(psi, _collective_populated(h_cols, psi, d, state.n_particles))
 
 
-def _evolve_state(
-    psi: np.ndarray,
-    params: PhysicalParams,
-    profile: DrivingProfile,
-    tau: float,
-    d: int,
-    n_sites: int,
+def _evolve_populated(
+    u_cols: list[np.ndarray], psi: np.ndarray, d: int, n_sites: int
 ) -> np.ndarray:
-    u_site = np.stack((
-        build_evolution_closed(params, profile, tau, +1, d),
-        build_evolution_closed(params, profile, tau, -1, d),
-    ))
-    out = psi
-    for k in range(n_sites):
-        out = apply_site(u_site, out, k, n_sites)
+    """U^{(x)N} psi for an assembled state psi that populates only the leading
+    c levels of each site in each spin branch, given the (d, c) first c
+    columns of each spin's U (spin +1 first).
+
+    Site by site, each branch's product reads that site's c populated levels
+    (K = c) and writes its d evolved ones, over the columns the branch
+    populates, widened by `_column_window`: a column keeps the bits it has in
+    `apply_site`'s product over the whole layout.  At N = 1 the product is
+    matrix-vector, whose rounding depends on K, so U is zero-padded back to
+    K = d columns and applied to the whole spin block."""
+    out = psi.copy()
+    tensor = out.reshape((2 * d,) * n_sites)
+    for u, offset in zip(u_cols, (0, d)):
+        columns = u.shape[1]
+        if n_sites == 1:
+            padded = np.zeros((d, d), dtype=complex)
+            padded[:, :columns] = u
+            out[offset : offset + d] = padded @ psi[offset : offset + d]
+            continue
+        for k in range(n_sites):
+            # The last axis other than k holds d levels once it is evolved.
+            last = n_sites - 1 if k < n_sites - 1 else n_sites - 2
+            width = d if last < k else columns
+            window = _column_window(offset, offset + width, 2 * d)
+            image = _site_image(u, tensor, k, offset, window)
+            _site_slab(tensor, k, offset, d, window)[...] = image
     return out
 
 
@@ -591,15 +709,20 @@ def qfi_fidelity_numeric(
         d = _oracle_truncation(state, coeffs)
     _check_size(d, state.n_particles)
     n_sites = state.n_particles
+    columns = _populated_columns(state)
     psi0 = assemble_state(state, d)
-    evolved0 = _evolve_state(psi0, params, profile, tau, d, n_sites)
+
+    def evolve(p: PhysicalParams) -> np.ndarray:
+        u_cols = [
+            build_evolution_closed(p, profile, tau, spin, d, columns) for spin in (+1, -1)
+        ]
+        return _evolve_populated(u_cols, psi0, d, n_sites)
+
+    evolved0 = evolve(params)
     norm0 = np.linalg.norm(evolved0)
 
     def deficit(delta: float) -> float:
-        p = dataclasses.replace(
-            params, rotation_rate=params.rotation_rate + delta
-        )
-        evolved = _evolve_state(psi0, p, profile, tau, d, n_sites)
+        evolved = evolve(dataclasses.replace(params, rotation_rate=params.rotation_rate + delta))
         return 1.0 - abs(np.vdot(evolved0, evolved)) / (norm0 * np.linalg.norm(evolved))
 
     delta = _default_delta_omega(params)

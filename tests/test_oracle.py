@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
@@ -86,9 +87,9 @@ def test_variance_oracle_runs_expm_on_real_matrices(monkeypatch):
     seen, solved = [], []
     expm_kernel, eigh = oracle.expm, oracle._tridiagonal_eigh
 
-    def recording(lam, vec, t):
-        seen.append((lam.dtype, lam.shape, vec.dtype, vec.shape))
-        return expm_kernel(lam, vec, t)
+    def recording(lam, vec, t, columns=None):
+        seen.append((lam.dtype, lam.shape, vec.dtype, vec.shape, columns))
+        return expm_kernel(lam, vec, t, columns=columns)
 
     def counted(diag, off):
         solved.append(diag.size)
@@ -103,7 +104,7 @@ def test_variance_oracle_runs_expm_on_real_matrices(monkeypatch):
         qfi_variance_numeric(state, UNIT, DrivingProfile.constant_for(tau), tau)
     assert len(seen) == 20
     d = seen[0][1][0]
-    assert seen == [(np.dtype(np.float64), (d,), np.dtype(np.float64), (d, d))] * 20
+    assert seen == [(np.dtype(np.float64), (d,), np.dtype(np.float64), (d, d), None)] * 20
     assert solved == [d]
 
 
@@ -768,6 +769,144 @@ def test_qfi_oracles_never_pad_a_site_matrix(monkeypatch):
         state = make_globally_entangled(0.6 - 0.2j, n_particles=n_particles)
         qfi_variance_numeric(state, UNIT, profile, tau)
         qfi_fidelity_numeric(state, UNIT, profile, tau)
+
+
+def _evolve_full(u, psi, n_sites):
+    """Reference: a (2, d, d) spin-block stack applied site by site to the
+    whole (2d)^N vector."""
+    for site in range(n_sites):
+        psi = oracle.apply_site(u, psi, site, n_sites)
+    return psi
+
+
+def _collective_full(h, psi, n_sites):
+    """Reference: every site's whole-vector image, summed from int 0."""
+    return sum(oracle.apply_site(h, psi, site, n_sites) for site in range(n_sites))
+
+
+def _values(v):
+    """The bytes of v with each zero's sign made +, so that comparing them
+    compares values bit for bit; no nonzero element changes."""
+    return (v + 0.0).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    sizes=st.integers(1, 3)
+    .flatmap(lambda n: st.tuples(st.just(n), st.integers(2, (60, 40, 10)[n - 1])))
+    .flatmap(lambda nd: st.tuples(st.just(nd[0]), st.just(nd[1]), st.integers(2, nd[1]))),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=(1, 60, 60), seed=1)
+@example(sizes=(2, 40, 40), seed=2)
+@example(sizes=(2, 40, 2), seed=3)
+@example(sizes=(3, 10, 10), seed=4)
+@example(sizes=(3, 10, 2), seed=5)
+def test_populated_blocks_have_the_bits_of_the_full_site_products(sizes, seed):
+    # A state that populates the leading t levels of each site in each spin
+    # branch, as an assembled oracle input does.  Evolving only those blocks
+    # from U's first t columns, and applying the generator's first t columns
+    # site by site into one buffer, give the bits of the whole-vector path.
+    n_sites, d, t = sizes
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    tensor = np.zeros((2 * d,) * n_sites, dtype=complex)
+    for offset in (0, d):
+        tensor[(slice(offset, offset + t),) * n_sites] = draw(*(t,) * n_sites)
+    psi = tensor.reshape(-1)
+    u, h = draw(2, d, d), draw(2, d, d)
+    u_cols = [np.ascontiguousarray(block[:, :t]) for block in u]
+    got = oracle._evolve_populated(u_cols, psi, d, n_sites)
+    assert _values(got) == _values(_evolve_full(u, psi, n_sites))
+    if n_sites > 1:
+        got = oracle._collective_populated(h[:, :, :t], psi, d, n_sites)
+        assert got.tobytes() == _collective_full(h, psi, n_sites).tobytes()
+    # apply_collective accumulates in place, with the values of the sum.
+    for op in (h, draw(1, 2 * d, 2 * d)):
+        got = oracle.apply_collective(op, psi, n_sites)
+        assert _values(got) == _values(_collective_full(op, psi, n_sites))
+
+
+def _record_builds(monkeypatch):
+    """Record (builder, d, columns, result shape) of every evolution and
+    displacement built through the oracle module's bindings."""
+    calls = []
+
+    def recording(name, build):
+        def wrapper(*args, **kwargs):
+            out = build(*args, **kwargs)
+            bound = kwargs.get("columns", args[-1] if len(args) == arity[name] else None)
+            calls.append((name, out.shape[0], bound, out.shape))
+            return out
+
+        return wrapper
+
+    arity = {"build_evolution_closed": 6, "build_displacement": 3}
+    for name in arity:
+        monkeypatch.setattr(oracle, name, recording(name, getattr(oracle, name)))
+    return calls
+
+
+def test_fidelity_evolutions_build_only_populated_columns(monkeypatch):
+    calls = _record_builds(monkeypatch)
+    tau = 0.6 * T0
+    profile = DrivingProfile.constant_for(tau)
+    params = PhysicalParams(rotation_rate=0.2)
+    for n_particles in (1, 2):
+        state = make_partially_entangled(0.8 - 0.4j, 1, n_particles=n_particles)
+        t = state.truncation
+        calls.clear()
+        qfi_fidelity_numeric(state, params, profile, tau)
+        evolutions = [c for c in calls if c[0] == "build_evolution_closed"]
+        assert len(evolutions) >= 6
+        d = evolutions[0][1]
+        assert evolutions == [("build_evolution_closed", d, t, (d, t))] * len(evolutions)
+        assert [c for c in calls if c[0] == "build_displacement"] == [
+            ("build_displacement", d, t, (d, t))
+        ] * len(evolutions)
+
+
+def test_generator_and_identity_suite_build_all_columns(monkeypatch):
+    calls = _record_builds(monkeypatch)
+    tau = 0.6 * T0
+    generator_numeric(UNIT, DrivingProfile.constant_for(tau), tau, +1, 40)
+    assert calls == [
+        (name, 40, None, (40, 40))
+        for _ in range(5)
+        for name in ("build_displacement", "build_evolution_closed")
+    ]
+    # The suite's own evolutions and generators, with the QFI oracles (checked
+    # above) stubbed out.
+    calls.clear()
+    monkeypatch.setattr(oracle, "qfi_variance_numeric", lambda *_: 0.0)
+    monkeypatch.setattr(oracle, "qfi_fidelity_numeric", lambda *_: 0.0)
+    oracle.identity_suite(UNIT, n_max=1)
+    assert len(calls) > 20
+    assert all(bound is None and shape == (d, d) for _, d, bound, shape in calls)
+
+
+def test_qfi_oracles_peak_memory_at_two_atoms():
+    # tracemalloc peak of one N = 2 call, over the bytes of one (2d)^N
+    # vector: 3.5-3.6 for either route with the populated-block products,
+    # 5.5 (fidelity) and 4.5 (variance) with whole-vector site products.
+    tau = 0.7 * T0
+    profile = DrivingProfile.constant_for(tau)
+    params = PhysicalParams(rotation_rate=0.3)
+    state = make_globally_entangled(1.2 - 0.5j, n_particles=2)
+    d = oracle._oracle_truncation(state, coefficients(params, profile, tau))
+    full_vector = (2 * d) ** 2 * np.dtype(complex).itemsize
+    for route in (qfi_fidelity_numeric, qfi_variance_numeric):
+        route(state, params, profile, tau)  # fills the displacement basis cache
+        tracemalloc.start()
+        try:
+            route(state, params, profile, tau)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * full_vector, (route.__name__, peak / full_vector)
 
 
 def test_site_operators_shapes():
