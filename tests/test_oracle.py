@@ -1,6 +1,7 @@
 """Truncated-Fock-space oracle: operators, evolution, numeric QFI routes."""
 
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -141,6 +142,27 @@ def test_trusted_columns_roundtrip():
         assert trusted_columns(d, eta) >= n_cols
         # One row short must not be enough.
         assert trusted_columns(d - 2, eta) < n_cols or d <= n_cols
+
+
+@pytest.mark.parametrize("d", [2, 12, 41, 71])
+def test_column_bound_keeps_the_bits_of_the_full_matrix(d):
+    tau = 0.7 * T0
+    params = PhysicalParams(rotation_rate=0.3)
+    profile = DrivingProfile.constant_for(tau)
+    builds = [lambda **kw: build_displacement(0.9 - 0.4j, d, **kw)]
+    if d > 36:  # an evolution needs a trusted column at |eta| = 1.16
+        builds += [
+            lambda spin=spin, **kw: build_evolution_closed(params, profile, tau, spin, d, **kw)
+            for spin in (+1, -1)
+        ]
+    for build in builds:
+        full = build()
+        for columns in range(2, d + 1):
+            got = build(columns=columns)
+            assert got.tobytes() == np.ascontiguousarray(full[:, :columns]).tobytes()
+        for columns in (0, 1, d + 1):
+            with pytest.raises(ValueError, match="columns"):
+                build(columns=columns)
 
 
 def test_closed_evolution_is_unitary():
@@ -836,16 +858,17 @@ def _record_builds(monkeypatch):
     calls = []
 
     def recording(name, build):
+        signature = inspect.signature(build)
+
         def wrapper(*args, **kwargs):
             out = build(*args, **kwargs)
-            bound = kwargs.get("columns", args[-1] if len(args) == arity[name] else None)
+            bound = signature.bind(*args, **kwargs).arguments.get("columns")
             calls.append((name, out.shape[0], bound, out.shape))
             return out
 
         return wrapper
 
-    arity = {"build_evolution_closed": 6, "build_displacement": 3}
-    for name in arity:
+    for name in ("build_evolution_closed", "build_displacement"):
         monkeypatch.setattr(oracle, name, recording(name, getattr(oracle, name)))
     return calls
 
