@@ -39,10 +39,11 @@ costs O(d^2) memory and O(d^3) time however small N is.
 
 The QFI oracles evolve only what their input populates.  The state fills the
 leading t = state.truncation Fock levels of each site, in the two spin
-branches only, while the oracle pads each site to d levels.  So
-`build_evolution_closed` builds only the first t columns of each U(tau), and
-each site's product reads that site's t levels and writes its d evolved ones,
-over the columns that the branch populates.  The products keep every bit of
+branches only, while the oracle pads each site to d levels.  So the fidelity
+route builds only the first t columns of each U(tau), the variance route at
+N >= 2 uses only the first t columns of the generator, and each site's
+product reads that site's t levels and writes its d evolved ones, over the
+columns that the branch populates.  The products keep every bit of
 the whole-vector products: a GEMM's sum over the t populated levels adds up
 what the sum over d did, and `_column_window` keeps each column in the same
 group of COLUMN_GROUP columns that the complex GEMM rounds together.  The
