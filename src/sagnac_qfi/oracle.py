@@ -39,14 +39,15 @@ costs O(d^2) memory and O(d^3) time however small N is.
 
 The QFI oracles evolve only what their input populates.  The state fills the
 leading t = state.truncation Fock levels of each site, in the two spin
-branches only, while the oracle pads each site to d levels.  So the fidelity
-route builds only the first t columns of each U(tau), the variance route at
-N >= 2 uses only the first t columns of the generator, and each site's
-product reads that site's t levels and writes its d evolved ones, over the
-columns that the branch populates.  The products keep every bit of
-the whole-vector products: a GEMM's sum over the t populated levels adds up
-what the sum over d did, and `_column_window` keeps each column in the same
-group of COLUMN_GROUP columns that the complex GEMM rounds together.  The
+branches only, while the oracle pads each site to d levels.  So at N >= 2
+both routes apply only the first t columns of each site operator (U(tau) or
+the generator), and each site's product reads that site's t levels and
+writes its d evolved ones, over the columns that the branch populates.  The
+products keep every bit of the whole-vector products: a GEMM's sum over the
+t populated levels adds up what the sum over d did, and `_column_window`
+keeps each column in the same group of COLUMN_GROUP columns that the complex
+GEMM rounds together.  At N = 1 a product is matrix-vector, whose rounding
+depends on K, so both routes apply the whole d x d blocks there.  The
 reductions (norms, overlaps, variances) still run over the whole (2d)^N
 vector.
 
@@ -121,16 +122,13 @@ _STEP_REACH = tuple(
 )
 
 
-def expm(lam: np.ndarray, vec: np.ndarray, t: float, columns: int | None = None) -> np.ndarray:
+def expm(lam: np.ndarray, vec: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t J) = V e^{-i t lam} V^T for a real symmetric J with eigenvalues
     lam and orthonormal eigenvectors V (columns): the complex symmetric result
-    from two real products.  columns = c keeps only the first c columns, each
-    with the bits of the full result's: the right operand is the strided view
-    of V^T's first c columns, and each element's sum keeps its K = d order."""
-    right = vec.T if columns is None else vec.T[:, :columns]
-    out = np.empty((lam.size, right.shape[1]), dtype=complex)
-    out.real = (vec * np.cos(t * lam)) @ right
-    out.imag = (vec * -np.sin(t * lam)) @ right
+    from two real products."""
+    out = np.empty((lam.size, lam.size), dtype=complex)
+    out.real = (vec * np.cos(t * lam)) @ vec.T
+    out.imag = (vec * -np.sin(t * lam)) @ vec.T
     return out
 
 
@@ -182,16 +180,8 @@ def _gauge(d: int) -> np.ndarray:
     return np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(d) % 4]
 
 
-def _check_columns(columns: int | None, d: int) -> None:
-    """A column bound takes at least two columns: one column would make the
-    kernel's products matrix-vector, which round otherwise."""
-    if columns is not None and not 2 <= columns <= d:
-        raise ValueError(f"columns must lie in [2, {d}], got {columns}")
-
-
-def build_displacement(eta: complex, d: int, columns: int | None = None) -> np.ndarray:
-    """exp(eta a^dag - eta* a) on the truncated basis, or its first `columns`
-    columns, with the bits of the full matrix's.
+def build_displacement(eta: complex, d: int) -> np.ndarray:
+    """exp(eta a^dag - eta* a) on the truncated basis.
 
     With eta = |eta| e^{i theta}, R = exp(i theta a^dag a) and the gauge G,
     the result is P exp(-i |eta| X) P^dag with the diagonal P = R G,
@@ -200,12 +190,11 @@ def build_displacement(eta: complex, d: int, columns: int | None = None) -> np.n
     infinite-dimensional displacement to within the trusted-block tolerance.
     """
     _check_dense(d)
-    _check_columns(columns, d)
     lam, vec = _displacement_basis(d)
     phase = _gauge(d) * np.exp(1j * np.angle(eta) * np.arange(d))
-    out = expm(lam, vec, abs(eta), columns=columns)
+    out = expm(lam, vec, abs(eta))
     np.multiply(phase[:, None], out, out=out)
-    return np.multiply(out, phase.conj()[None, : out.shape[1]], out=out)
+    return np.multiply(out, phase.conj()[None, :], out=out)
 
 
 def trusted_columns(d: int, eta_abs: float) -> int:
@@ -246,12 +235,9 @@ def build_evolution_closed(
     tau: float,
     spin_sign: int,
     d: int,
-    columns: int | None = None,
 ) -> np.ndarray:
-    """U(tau) = exp(-i w a^dag a tau) exp(i Phi) D(eta) for one spin branch,
-    or its first `columns` columns, with the bits of the full matrix's."""
+    """U(tau) = exp(-i w a^dag a tau) exp(i Phi) D(eta) for one spin branch."""
     _check_dense(d)
-    _check_columns(columns, d)
     coeffs = coefficients(params, profile, tau)
     eta = coeffs.eta(spin_sign)
     phi = coeffs.phi(spin_sign)
@@ -261,7 +247,7 @@ def build_evolution_closed(
             suggested_d=required_truncation(8, abs(eta)),
         )
     rotation = np.exp(-1j * params.trap_frequency * tau * np.arange(d))
-    u = build_displacement(eta, d, columns)
+    u = build_displacement(eta, d)
     np.multiply(np.exp(1j * phi), u, out=u)
     return np.multiply(rotation[:, None], u, out=u)
 
@@ -475,7 +461,7 @@ def generator_analytic(constants, coeffs: CoefficientSet, spin_sign: int, d: int
 # only the first c columns of each spin block, each branch on its own
 # (`_site_image`): K = c, and only the columns the branch populates, widened
 # to whole groups by `_column_window`.  At N = 1 a product is matrix-vector,
-# whose rounding depends on K, so there it keeps K = d.
+# whose rounding depends on K, so there they apply the whole blocks.
 # ---------------------------------------------------------------------------
 
 
@@ -583,7 +569,8 @@ def _oracle_truncation(state: GhzProductState, coeffs: CoefficientSet) -> int:
 
 def _populated_columns(state: GhzProductState) -> int:
     """Leading Fock levels per site that the QFI oracles' site products read:
-    the levels the input state populates, but at least two (`_check_columns`)."""
+    the levels the input state populates, but at least two: over one level a
+    site product would be matrix-vector, which rounds otherwise."""
     return max(state.truncation, 2)
 
 
@@ -660,25 +647,18 @@ def qfi_variance_numeric(
 def _evolve_populated(
     u_cols: list[np.ndarray], psi: np.ndarray, d: int, n_sites: int
 ) -> np.ndarray:
-    """U^{(x)N} psi for an assembled state psi that populates only the leading
-    c levels of each site in each spin branch, given the (d, c) first c
-    columns of each spin's U (spin +1 first).
+    """U^{(x)N} psi for an assembled state psi with N >= 2 sites that
+    populates only the leading c levels of each site in each spin branch,
+    given the (d, c) first c columns of each spin's U (spin +1 first).
 
     Site by site, each branch's product reads that site's c populated levels
     (K = c) and writes its d evolved ones, over the columns the branch
     populates, widened by `_column_window`: a column keeps the bits it has in
-    `apply_site`'s product over the whole layout.  At N = 1 the product is
-    matrix-vector, whose rounding depends on K, so U is zero-padded back to
-    K = d columns and applied to the whole spin block."""
+    `apply_site`'s product over the whole layout."""
     out = psi.copy()
     tensor = out.reshape((2 * d,) * n_sites)
     for u, offset in zip(u_cols, (0, d)):
         columns = u.shape[1]
-        if n_sites == 1:
-            padded = np.zeros((d, d), dtype=complex)
-            padded[:, :columns] = u
-            out[offset : offset + d] = padded @ psi[offset : offset + d]
-            continue
         for k in range(n_sites):
             # The last axis other than k holds d levels once it is evolved.
             last = n_sites - 1 if k < n_sites - 1 else n_sites - 2
@@ -714,10 +694,11 @@ def qfi_fidelity_numeric(
     psi0 = assemble_state(state, d)
 
     def evolve(p: PhysicalParams) -> np.ndarray:
-        u_cols = [
-            build_evolution_closed(p, profile, tau, spin, d, columns) for spin in (+1, -1)
-        ]
-        return _evolve_populated(u_cols, psi0, d, n_sites)
+        u_site = [build_evolution_closed(p, profile, tau, spin, d) for spin in (+1, -1)]
+        if n_sites == 1:
+            # A matrix-vector product rounds by K, so it keeps all d columns.
+            return apply_site(np.stack(u_site), psi0, 0, 1)
+        return _evolve_populated([u[:, :columns] for u in u_site], psi0, d, n_sites)
 
     evolved0 = evolve(params)
     norm0 = np.linalg.norm(evolved0)

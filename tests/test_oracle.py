@@ -1,7 +1,6 @@
 """Truncated-Fock-space oracle: operators, evolution, numeric QFI routes."""
 
 import dataclasses
-import inspect
 import math
 import tracemalloc
 
@@ -88,9 +87,9 @@ def test_variance_oracle_runs_expm_on_real_matrices(monkeypatch):
     seen, solved = [], []
     expm_kernel, eigh = oracle.expm, oracle._tridiagonal_eigh
 
-    def recording(lam, vec, t, columns=None):
-        seen.append((lam.dtype, lam.shape, vec.dtype, vec.shape, columns))
-        return expm_kernel(lam, vec, t, columns=columns)
+    def recording(lam, vec, t):
+        seen.append((lam.dtype, lam.shape, vec.dtype, vec.shape))
+        return expm_kernel(lam, vec, t)
 
     def counted(diag, off):
         solved.append(diag.size)
@@ -105,7 +104,7 @@ def test_variance_oracle_runs_expm_on_real_matrices(monkeypatch):
         qfi_variance_numeric(state, UNIT, DrivingProfile.constant_for(tau), tau)
     assert len(seen) == 20
     d = seen[0][1][0]
-    assert seen == [(np.dtype(np.float64), (d,), np.dtype(np.float64), (d, d), None)] * 20
+    assert seen == [(np.dtype(np.float64), (d,), np.dtype(np.float64), (d, d))] * 20
     assert solved == [d]
 
 
@@ -142,27 +141,6 @@ def test_trusted_columns_roundtrip():
         assert trusted_columns(d, eta) >= n_cols
         # One row short must not be enough.
         assert trusted_columns(d - 2, eta) < n_cols or d <= n_cols
-
-
-@pytest.mark.parametrize("d", [2, 12, 41, 71])
-def test_column_bound_keeps_the_bits_of_the_full_matrix(d):
-    tau = 0.7 * T0
-    params = PhysicalParams(rotation_rate=0.3)
-    profile = DrivingProfile.constant_for(tau)
-    builds = [lambda **kw: build_displacement(0.9 - 0.4j, d, **kw)]
-    if d > 36:  # an evolution needs a trusted column at |eta| = 1.16
-        builds += [
-            lambda spin=spin, **kw: build_evolution_closed(params, profile, tau, spin, d, **kw)
-            for spin in (+1, -1)
-        ]
-    for build in builds:
-        full = build()
-        for columns in range(2, d + 1):
-            got = build(columns=columns)
-            assert got.tobytes() == np.ascontiguousarray(full[:, :columns]).tobytes()
-        for columns in (0, 1, d + 1):
-            with pytest.raises(ValueError, match="columns"):
-                build(columns=columns)
 
 
 def test_closed_evolution_is_unitary():
@@ -826,9 +804,10 @@ def _values(v):
 @example(sizes=(3, 10, 2), seed=5)
 def test_populated_blocks_have_the_bits_of_the_full_site_products(sizes, seed):
     # A state that populates the leading t levels of each site in each spin
-    # branch, as an assembled oracle input does.  Evolving only those blocks
-    # from U's first t columns, and applying the generator's first t columns
-    # site by site into one buffer, give the bits of the whole-vector path.
+    # branch, as an assembled oracle input does.  At N >= 2, evolving only
+    # those blocks from U's first t columns, and applying the generator's
+    # first t columns site by site into one buffer, give the bits of the
+    # whole-vector path (at N = 1 both routes take that path itself).
     n_sites, d, t = sizes
     rng = np.random.default_rng(seed)
 
@@ -840,10 +819,9 @@ def test_populated_blocks_have_the_bits_of_the_full_site_products(sizes, seed):
         tensor[(slice(offset, offset + t),) * n_sites] = draw(*(t,) * n_sites)
     psi = tensor.reshape(-1)
     u, h = draw(2, d, d), draw(2, d, d)
-    u_cols = [np.ascontiguousarray(block[:, :t]) for block in u]
-    got = oracle._evolve_populated(u_cols, psi, d, n_sites)
-    assert _values(got) == _values(_evolve_full(u, psi, n_sites))
     if n_sites > 1:
+        got = oracle._evolve_populated([block[:, :t] for block in u], psi, d, n_sites)
+        assert _values(got) == _values(_evolve_full(u, psi, n_sites))
         got = oracle._collective_populated(h[:, :, :t], psi, d, n_sites)
         assert got.tobytes() == _collective_full(h, psi, n_sites).tobytes()
     # apply_collective accumulates in place, with the values of the sum.
@@ -853,17 +831,14 @@ def test_populated_blocks_have_the_bits_of_the_full_site_products(sizes, seed):
 
 
 def _record_builds(monkeypatch):
-    """Record (builder, d, columns, result shape) of every evolution and
-    displacement built through the oracle module's bindings."""
+    """Record (builder, result shape) of every evolution and displacement
+    built through the oracle module's bindings."""
     calls = []
 
     def recording(name, build):
-        signature = inspect.signature(build)
-
         def wrapper(*args, **kwargs):
             out = build(*args, **kwargs)
-            bound = signature.bind(*args, **kwargs).arguments.get("columns")
-            calls.append((name, out.shape[0], bound, out.shape))
+            calls.append((name, out.shape))
             return out
 
         return wrapper
@@ -873,8 +848,18 @@ def _record_builds(monkeypatch):
     return calls
 
 
-def test_fidelity_evolutions_build_only_populated_columns(monkeypatch):
+def test_fidelity_evolutions_apply_only_populated_columns(monkeypatch):
+    # Every fidelity evolution is built whole through build_evolution_closed;
+    # at N = 2 the site products get only its first t columns.
     calls = _record_builds(monkeypatch)
+    applied = []
+    evolve = oracle._evolve_populated
+
+    def recording(u_cols, psi, d, n_sites):
+        applied.append([u.shape for u in u_cols])
+        return evolve(u_cols, psi, d, n_sites)
+
+    monkeypatch.setattr(oracle, "_evolve_populated", recording)
     tau = 0.6 * T0
     profile = DrivingProfile.constant_for(tau)
     params = PhysicalParams(rotation_rate=0.2)
@@ -882,14 +867,19 @@ def test_fidelity_evolutions_build_only_populated_columns(monkeypatch):
         state = make_partially_entangled(0.8 - 0.4j, 1, n_particles=n_particles)
         t = state.truncation
         calls.clear()
+        applied.clear()
         qfi_fidelity_numeric(state, params, profile, tau)
         evolutions = [c for c in calls if c[0] == "build_evolution_closed"]
         assert len(evolutions) >= 6
-        d = evolutions[0][1]
-        assert evolutions == [("build_evolution_closed", d, t, (d, t))] * len(evolutions)
+        d = evolutions[0][1][0]
+        assert evolutions == [("build_evolution_closed", (d, d))] * len(evolutions)
         assert [c for c in calls if c[0] == "build_displacement"] == [
-            ("build_displacement", d, t, (d, t))
+            ("build_displacement", (d, d))
         ] * len(evolutions)
+        if n_particles == 1:
+            assert applied == []
+        else:
+            assert applied == [[(d, t), (d, t)]] * (len(evolutions) // 2)
 
 
 def test_generator_and_identity_suite_build_all_columns(monkeypatch):
@@ -897,7 +887,7 @@ def test_generator_and_identity_suite_build_all_columns(monkeypatch):
     tau = 0.6 * T0
     generator_numeric(UNIT, DrivingProfile.constant_for(tau), tau, +1, 40)
     assert calls == [
-        (name, 40, None, (40, 40))
+        (name, (40, 40))
         for _ in range(5)
         for name in ("build_displacement", "build_evolution_closed")
     ]
@@ -908,13 +898,13 @@ def test_generator_and_identity_suite_build_all_columns(monkeypatch):
     monkeypatch.setattr(oracle, "qfi_fidelity_numeric", lambda *_: 0.0)
     oracle.identity_suite(UNIT, n_max=1)
     assert len(calls) > 20
-    assert all(bound is None and shape == (d, d) for _, d, bound, shape in calls)
+    assert all(shape[0] == shape[1] for _, shape in calls)
 
 
 def test_qfi_oracles_peak_memory_at_two_atoms():
     # tracemalloc peak of one N = 2 call, over the bytes of one (2d)^N
-    # vector: 3.5-3.6 for either route with the populated-block products,
-    # 5.5 (fidelity) and 4.5 (variance) with whole-vector site products.
+    # vector: 3.9 (fidelity) and 3.5 (variance) with the populated-block
+    # products, 5.5 and 4.5 with whole-vector site products.
     tau = 0.7 * T0
     profile = DrivingProfile.constant_for(tau)
     params = PhysicalParams(rotation_rate=0.3)
