@@ -39,17 +39,17 @@ costs O(d^2) memory and O(d^3) time however small N is.
 
 The QFI oracles evolve only what their input populates.  The state fills the
 leading t = state.truncation Fock levels of each site, in the two spin
-branches only, while the oracle pads each site to d levels.  So at N >= 2
-both routes apply only the first t columns of each site operator (U(tau) or
-the generator), and each site's product reads that site's t levels and
-writes its d evolved ones, over the columns that the branch populates.  The
-products keep every bit of the whole-vector products: a GEMM's sum over the
-t populated levels adds up what the sum over d did, and `_column_window`
-keeps each column in the same group of COLUMN_GROUP columns that the complex
-GEMM rounds together.  At N = 1 a product is matrix-vector, whose rounding
-depends on K, so both routes apply the whole d x d blocks there.  The
-reductions (norms, overlaps, variances) still run over the whole (2d)^N
-vector.
+branches only, while the oracle pads each site to d levels; `assemble_state`
+writes only those t^N blocks.  At N >= 2 both routes apply only the first t
+columns of each site operator (U(tau) or the generator): each site's product
+reads that site's t levels and writes its d evolved ones, over the columns
+the branch populates.  Every bit of the whole-vector products stays: a
+GEMM's sum over the t populated levels adds up what the sum over d did, and
+`_column_window` keeps each column in the same group of COLUMN_GROUP columns
+that the complex GEMM rounds together.  At N = 1 a product is matrix-vector,
+whose rounding depends on K, so there both routes apply whole d x d blocks.
+A fidelity call evolves into two reused (2d)^N buffers, and the generator's
+differences are formed in place.  Reductions run over the whole vector.
 
 The module loads no scipy module, at import or at run time.
 """
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 import operator
 
@@ -411,7 +412,7 @@ def generator_numeric(
     d: int,
 ) -> np.ndarray:
     """H = i (dU^dag/dOmega) U, with dU/dOmega taken by Richardson-extrapolated
-    central differences before the one product with U."""
+    central differences, formed in place, before the one product with U."""
     delta_omega = _default_delta_omega(params)
 
     def u_at(omega_rot: float) -> np.ndarray:
@@ -421,19 +422,20 @@ def generator_numeric(
     u0 = u_at(params.rotation_rate)
 
     def central(delta: float) -> np.ndarray:
-        return (
-            u_at(params.rotation_rate + delta) - u_at(params.rotation_rate - delta)
-        ) / (2.0 * delta)
+        diff = u_at(params.rotation_rate + delta)
+        np.subtract(diff, u_at(params.rotation_rate - delta), out=diff)
+        return np.divide(diff, 2.0 * delta, out=diff)
 
     c_full = central(delta_omega)
-    du = (4.0 * central(delta_omega / 2.0) - c_full) / 3.0
-    h = 1j * du.conj().T @ u0
+    du = central(delta_omega / 2.0)
+    np.divide(np.subtract(np.multiply(4.0, du, out=du), c_full, out=du), 3.0, out=du)
+    h = np.matmul(np.multiply(1j, np.conjugate(du, out=du), out=du).T, u0, out=c_full)
 
     coeffs = coefficients(params, profile, tau)
     k_trust = trusted_columns(d, abs(coeffs.eta(spin_sign)))
     block = h[:k_trust, :k_trust]
     herm = np.max(np.abs(block - block.conj().T)) if k_trust else 0.0
-    if herm > 1e-6:
+    if not herm <= 1e-6:  # a NaN fails too
         raise ConsistencyError(
             f"numeric generator not Hermitian on the trusted block "
             f"(deviation {herm:.3e}); check delta_omega or truncation"
@@ -456,12 +458,8 @@ def generator_analytic(constants, coeffs: CoefficientSet, spin_sign: int, d: int
 # operator is a stack of k diagonal blocks, shape (k, m, m) with k m = 2d,
 # and `apply_site` applies it to the whole (2d)^N vector; a dense 2d x 2d
 # operator is the one-block stack op[None].  The evolution and the generator
-# commute with the site's sigma_z, and the QFI oracles' input fills only the
-# leading c levels of each site in each spin branch, so the oracles apply
-# only the first c columns of each spin block, each branch on its own
-# (`_site_image`): K = c, and only the columns the branch populates, widened
-# to whole groups by `_column_window`.  At N = 1 a product is matrix-vector,
-# whose rounding depends on K, so there they apply the whole blocks.
+# commute with the site's sigma_z, so at N >= 2 the QFI oracles apply each
+# spin block to its own branch's populated block (`_site_image`).
 # ---------------------------------------------------------------------------
 
 
@@ -474,31 +472,26 @@ def _check_size(d: int, n_sites: int) -> None:
         )
 
 
-def _site_vector(amps: np.ndarray, spin_sign: int, d: int) -> np.ndarray:
-    v = np.zeros(2 * d, dtype=complex)
-    offset = 0 if spin_sign > 0 else d
-    v[offset : offset + amps.size] = amps
-    return v
-
-
 def assemble_state(state: GhzProductState, d: int = 0) -> np.ndarray:
     """Explicit (2d)^N amplitude vector of the two-branch GHZ product state.
 
     d = 0 keeps the state's own truncation; a larger d zero-pads each site,
-    which the oracle uses to give evolutions headroom.
+    which the oracle uses to give evolutions headroom.  Only each branch's
+    t^N block is written, from one outer product per amplitude array.
     """
     if d == 0:
         d = state.truncation
     if d < state.truncation:
         raise ValueError(f"cannot shrink truncation {state.truncation} to {d}")
-    _check_size(d, state.n_particles)
-    up = _site_vector(state.branch_up.mode_amplitudes, +1, d)
-    down = _site_vector(state.branch_down.mode_amplitudes, -1, d)
-    psi_up, psi_down = up, down
-    for _ in range(state.n_particles - 1):
-        psi_up = np.multiply.outer(psi_up, up).ravel()
-        psi_down = np.multiply.outer(psi_down, down).ravel()
-    return (psi_up + psi_down) / math.sqrt(2.0)
+    n_sites = state.n_particles
+    _check_size(d, n_sites)
+    up, down = state.branch_up.mode_amplitudes, state.branch_down.mode_amplitudes
+    block_up = functools.reduce(np.multiply.outer, (up,) * n_sites)
+    block_down = block_up if down is up else functools.reduce(np.multiply.outer, (down,) * n_sites)
+    psi = np.zeros((2 * d,) * n_sites, dtype=complex)
+    for block, offset in ((block_up, 0), (block_down, d)):
+        np.divide(block, math.sqrt(2.0), out=psi[(slice(offset, offset + up.size),) * n_sites])
+    return psi.reshape(-1)
 
 
 def apply_site(op: np.ndarray, psi: np.ndarray, site: int, n_sites: int) -> np.ndarray:
@@ -536,7 +529,7 @@ def _site_slab(
 ) -> np.ndarray:
     """View of an N-site tensor with axis `site` moved first and cut to
     `levels` levels from `offset` on, and the last other axis cut to window."""
-    moved = np.moveaxis(tensor, site, 0)
+    moved = tensor.transpose((site, *range(site), *range(site + 1, tensor.ndim)))
     cut = (slice(offset, offset + levels),) + (slice(None),) * (tensor.ndim - 2)
     return moved[cut + (window,)]
 
@@ -586,7 +579,8 @@ def site_generator_numeric(
         generator_numeric(params, profile, tau, +1, d),
         generator_numeric(params, profile, tau, -1, d),
     ))
-    return (h_site + h_site.conj().transpose(0, 2, 1)) / 2.0
+    np.add(h_site, h_site.conj().transpose(0, 2, 1), out=h_site)
+    return np.divide(h_site, 2.0, out=h_site)
 
 
 def _four_variance(psi: np.ndarray, h_psi: np.ndarray) -> float:
@@ -645,7 +639,7 @@ def qfi_variance_numeric(
 
 
 def _evolve_populated(
-    u_cols: list[np.ndarray], psi: np.ndarray, d: int, n_sites: int
+    u_cols: list[np.ndarray], psi: np.ndarray, d: int, n_sites: int, out: np.ndarray
 ) -> np.ndarray:
     """U^{(x)N} psi for an assembled state psi with N >= 2 sites that
     populates only the leading c levels of each site in each spin branch,
@@ -654,8 +648,8 @@ def _evolve_populated(
     Site by site, each branch's product reads that site's c populated levels
     (K = c) and writes its d evolved ones, over the columns the branch
     populates, widened by `_column_window`: a column keeps the bits it has in
-    `apply_site`'s product over the whole layout."""
-    out = psi.copy()
+    `apply_site`'s product over the whole layout, in place in the buffer out."""
+    np.copyto(out, psi)
     tensor = out.reshape((2 * d,) * n_sites)
     for u, offset in zip(u_cols, (0, d)):
         columns = u.shape[1]
@@ -692,20 +686,26 @@ def qfi_fidelity_numeric(
     n_sites = state.n_particles
     columns = _populated_columns(state)
     psi0 = assemble_state(state, d)
+    # evolved0 keeps the first buffer; every deficit evolution reuses the second.
+    buffers = np.empty((2, psi0.size), dtype=complex)
 
-    def evolve(p: PhysicalParams) -> np.ndarray:
+    def evolve(p: PhysicalParams, out: np.ndarray) -> np.ndarray:
         u_site = [build_evolution_closed(p, profile, tau, spin, d) for spin in (+1, -1)]
         if n_sites == 1:
             # A matrix-vector product rounds by K, so it keeps all d columns.
             return apply_site(np.stack(u_site), psi0, 0, 1)
-        return _evolve_populated([u[:, :columns] for u in u_site], psi0, d, n_sites)
+        return _evolve_populated([u[:, :columns] for u in u_site], psi0, d, n_sites, out)
 
-    evolved0 = evolve(params)
+    evolved0 = evolve(params, buffers[0])
     norm0 = np.linalg.norm(evolved0)
 
     def deficit(delta: float) -> float:
-        evolved = evolve(dataclasses.replace(params, rotation_rate=params.rotation_rate + delta))
-        return 1.0 - abs(np.vdot(evolved0, evolved)) / (norm0 * np.linalg.norm(evolved))
+        p = dataclasses.replace(params, rotation_rate=params.rotation_rate + delta)
+        evolved = evolve(p, buffers[1])
+        value = 1.0 - abs(np.vdot(evolved0, evolved)) / (norm0 * np.linalg.norm(evolved))
+        if not math.isfinite(value):
+            raise ConsistencyError(f"overlap deficit {value} at delta = {delta} is not finite")
+        return value
 
     delta = _default_delta_omega(params)
     value = deficit(delta)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
 from sagnac_qfi import (
+    ConsistencyError,
     DrivingProfile,
     PhysicalParams,
     ProfileError,
@@ -37,6 +38,7 @@ from sagnac_qfi import (
 )
 from sagnac_qfi import oracle
 from sagnac_qfi.model import drive_amplitude
+from sagnac_qfi.states import BranchState, GhzProductState
 from sagnac_qfi.oracle import (
     STEP_NODES,
     assemble_state,
@@ -708,6 +710,45 @@ def test_assembled_state_is_normalized():
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
 
 
+def _assemble_whole(state, d):
+    """Reference: each branch as a (2d)-site vector, raised to N sites by
+    whole-vector outer products, and the two branches summed over sqrt(2)."""
+    branches = []
+    for branch, offset in ((state.branch_up, 0), (state.branch_down, d)):
+        site = np.zeros(2 * d, dtype=complex)
+        site[offset : offset + branch.truncation] = branch.mode_amplitudes
+        psi = site
+        for _ in range(state.n_particles - 1):
+            psi = np.multiply.outer(psi, site).ravel()
+        branches.append(psi)
+    return (branches[0] + branches[1]) / math.sqrt(2.0)
+
+
+def _product_branches(alpha, n_particles):
+    """Two unrelated product branches: D(alpha)|1> up and D(-alpha/2)|2> down."""
+    up = make_partially_entangled(alpha, 1).branch_up.mode_amplitudes
+    down = make_partially_entangled(-alpha / 2.0, 2, d=up.size).branch_up.mode_amplitudes
+    return GhzProductState(BranchState(+1, up), BranchState(-1, down), n_particles)
+
+
+@pytest.mark.parametrize("n_particles", [1, 2, 3])
+@pytest.mark.parametrize("family", ["partial", "global", "product"])
+def test_assemble_state_has_the_bits_of_the_whole_vector_construction(family, n_particles):
+    build = {
+        "partial": lambda a, n: make_partially_entangled(a, 2, n_particles=n),
+        "global": lambda a, n: make_globally_entangled(a, n_particles=n),
+        "product": _product_branches,
+    }[family]
+    for alpha in (0.3 + 0.1j, -0.9 + 0.6j, 1.4j):
+        state = build(alpha, n_particles)
+        t = state.truncation
+        for d in (t, t + 1, t + 7):
+            if (2 * d) ** n_particles > oracle.SIZE_GUARD:
+                continue
+            got = assemble_state(state, d)
+            assert _values(got) == _values(_assemble_whole(state, d)), (alpha, d)
+
+
 def test_covariance_reduction_random_draws():
     rng = np.random.default_rng(5)
     d = 5
@@ -820,7 +861,10 @@ def test_populated_blocks_have_the_bits_of_the_full_site_products(sizes, seed):
     psi = tensor.reshape(-1)
     u, h = draw(2, d, d), draw(2, d, d)
     if n_sites > 1:
-        got = oracle._evolve_populated([block[:, :t] for block in u], psi, d, n_sites)
+        # The buffer's old contents are all overwritten.
+        out = np.full_like(psi, np.nan)
+        got = oracle._evolve_populated([block[:, :t] for block in u], psi, d, n_sites, out)
+        assert got is out
         assert _values(got) == _values(_evolve_full(u, psi, n_sites))
         got = oracle._collective_populated(h[:, :, :t], psi, d, n_sites)
         assert got.tobytes() == _collective_full(h, psi, n_sites).tobytes()
@@ -855,9 +899,9 @@ def test_fidelity_evolutions_apply_only_populated_columns(monkeypatch):
     applied = []
     evolve = oracle._evolve_populated
 
-    def recording(u_cols, psi, d, n_sites):
+    def recording(u_cols, psi, d, n_sites, out):
         applied.append([u.shape for u in u_cols])
-        return evolve(u_cols, psi, d, n_sites)
+        return evolve(u_cols, psi, d, n_sites, out)
 
     monkeypatch.setattr(oracle, "_evolve_populated", recording)
     tau = 0.6 * T0
@@ -903,15 +947,18 @@ def test_generator_and_identity_suite_build_all_columns(monkeypatch):
 
 def test_qfi_oracles_peak_memory_at_two_atoms():
     # tracemalloc peak of one N = 2 call, over the bytes of one (2d)^N
-    # vector: 3.9 (fidelity) and 3.5 (variance) with the populated-block
-    # products, 5.5 and 4.5 with whole-vector site products.
+    # vector: 3.89 (fidelity: psi, its two evolution buffers, the two U(tau)
+    # and one site image) and 2.85 (variance) with psi assembled from its
+    # populated blocks, the evolution buffers reused and the generator formed
+    # in place; 3.89 and 3.52 with whole-vector assembly and a fresh vector
+    # per evolution; 5.5 and 4.5 with whole-vector site products.
     tau = 0.7 * T0
     profile = DrivingProfile.constant_for(tau)
     params = PhysicalParams(rotation_rate=0.3)
     state = make_globally_entangled(1.2 - 0.5j, n_particles=2)
     d = oracle._oracle_truncation(state, coefficients(params, profile, tau))
     full_vector = (2 * d) ** 2 * np.dtype(complex).itemsize
-    for route in (qfi_fidelity_numeric, qfi_variance_numeric):
+    for route, bound in ((qfi_fidelity_numeric, 3.9), (qfi_variance_numeric, 2.9)):
         route(state, params, profile, tau)  # fills the displacement basis cache
         tracemalloc.start()
         try:
@@ -919,7 +966,57 @@ def test_qfi_oracles_peak_memory_at_two_atoms():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.0 * full_vector, (route.__name__, peak / full_vector)
+        assert peak <= bound * full_vector, (route.__name__, peak / full_vector)
+
+
+def test_fidelity_deficit_evolutions_share_one_buffer(monkeypatch):
+    # At N = 2, psi(Omega) is evolved into one buffer and every
+    # psi(Omega + delta) of the deficit into one other buffer.
+    written = []
+    evolve = oracle._evolve_populated
+
+    def recording(u_cols, psi, d, n_sites, out):
+        written.append(out.__array_interface__["data"][0])
+        return evolve(u_cols, psi, d, n_sites, out)
+
+    monkeypatch.setattr(oracle, "_evolve_populated", recording)
+    tau = 0.6 * T0
+    state = make_globally_entangled(0.8 - 0.4j, n_particles=2)
+    params = PhysicalParams(rotation_rate=0.2)
+    qfi_fidelity_numeric(state, params, DrivingProfile.constant_for(tau), tau)
+    first, *deficits = written
+    assert len(deficits) >= 2
+    assert set(deficits) == {deficits[0]} and deficits[0] != first
+
+
+def _with_nan_evolution(monkeypatch):
+    """Every U(tau) built through the oracle module gets one NaN element."""
+    build = oracle.build_evolution_closed
+
+    def broken(*args):
+        u = build(*args)
+        u[0, 0] = np.nan
+        return u
+
+    monkeypatch.setattr(oracle, "build_evolution_closed", broken)
+
+
+@pytest.mark.parametrize("n_particles", [1, 2])
+def test_variance_oracle_rejects_a_non_finite_evolution(monkeypatch, n_particles):
+    _with_nan_evolution(monkeypatch)
+    tau = 0.4 * T0
+    state = make_partially_entangled(0.6 - 0.2j, 1, n_particles=n_particles)
+    with pytest.raises(ConsistencyError, match="not Hermitian"):
+        qfi_variance_numeric(state, UNIT, DrivingProfile.constant_for(tau), tau)
+
+
+@pytest.mark.parametrize("n_particles", [1, 2])
+def test_fidelity_oracle_rejects_a_non_finite_overlap_deficit(monkeypatch, n_particles):
+    _with_nan_evolution(monkeypatch)
+    tau = 0.4 * T0
+    state = make_partially_entangled(0.6 - 0.2j, 1, n_particles=n_particles)
+    with pytest.raises(ConsistencyError, match="overlap deficit nan at delta = .* is not finite"):
+        qfi_fidelity_numeric(state, UNIT, DrivingProfile.constant_for(tau), tau)
 
 
 def test_site_operators_shapes():

@@ -2,12 +2,13 @@
 
 `bench/tracer.py` names its layers as "module:attribute" targets in the
 package (`kernel.expm` is `sagnac_qfi.oracle:expm`).  Renaming or dropping
-one of them breaks the traced benchmark run, so this test installs the
-tracer against the package and removes it again.  The tracer is imported by
-path and used as it is.
+one of them breaks the traced benchmark run, so these tests install the
+tracer against the package and remove it again, and run the oracle-dense
+routes under it.  The tracer is imported by path and used as it is.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,30 @@ def test_every_layer_target_resolves_wraps_and_restores(tracer):
         t.uninstall()
     for target in targets:
         assert _bound(tracer, target) is originals[target], target
+
+
+def test_oracle_dense_required_layers_record_calls(tracer):
+    # The traced oracle-dense run fails when a required layer records no
+    # call, e.g. after a refactor that stops going through
+    # build_evolution_closed, build_displacement or expm.  Both QFI routes at
+    # N = 1 and 2, called through the package as the workload calls them.
+    import sagnac_qfi as sq
+
+    tau = 0.537 * 2.0 * math.pi  # an unusual point, so no coefficient memo hit
+    params = sq.PhysicalParams(rotation_rate=0.173)
+    profile = sq.DrivingProfile.constant_for(tau)
+    cases = [(route, n) for route in ("variance", "fidelity") for n in (1, 2)]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for op_id, (route, n_particles) in enumerate(cases):
+            with t.op(op_id):
+                state = sq.make_partially_entangled(0.7 + 0.3j, 1, n_particles=n_particles)
+                oracle_route = getattr(sq, f"qfi_{route}_numeric")
+                oracle_route(state, params, profile, tau)
+    finally:
+        t.uninstall()
+    metrics, missing = t.metrics("oracle-dense", len(cases))
+    assert missing == []
+    # Every fidelity evolution is built through build_evolution_closed.
+    assert metrics["oracle.fidelity_evolution_ratio"][0] > 0.0
