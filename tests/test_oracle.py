@@ -38,7 +38,6 @@ from sagnac_qfi import (
 )
 from sagnac_qfi import oracle
 from sagnac_qfi.model import drive_amplitude
-from sagnac_qfi.states import BranchState, GhzProductState
 from sagnac_qfi.oracle import (
     STEP_NODES,
     assemble_state,
@@ -47,6 +46,7 @@ from sagnac_qfi.oracle import (
     required_truncation,
     trusted_columns,
 )
+from sagnac_qfi.states import BranchState, GhzProductState
 
 UNIT = PhysicalParams()
 T0 = 2.0 * math.pi
