@@ -499,9 +499,10 @@ def apply_site(op: np.ndarray, psi: np.ndarray, site: int, n_sites: int) -> np.n
     blocks, at the given site of an N-site vector: one batched product on
     the site axis split into its k blocks."""
     k, m, _ = op.shape
-    tensor = np.moveaxis(psi.reshape((k * m,) * n_sites), site, 0)
-    out = np.matmul(op, tensor.reshape(k, m, -1))
-    return np.moveaxis(out.reshape(tensor.shape), 0, site).reshape(-1)
+    rest = range(site + 1, n_sites)
+    tensor = psi.reshape((k * m,) * n_sites).transpose((site, *range(site), *rest))
+    out = np.matmul(op, tensor.reshape(k, m, -1)).reshape(tensor.shape)
+    return out.transpose((*range(1, site + 1), 0, *rest)).reshape(-1)
 
 
 def apply_collective(op: np.ndarray, psi: np.ndarray, n_sites: int) -> np.ndarray:

@@ -7,9 +7,14 @@ correlations, and the (beta, gamma) and radius-polynomial decompositions;
 rows where the general form drifts from the matching closed form beyond 1e-10
 relative (or is NaN) abort the run.  A row reads C1 and C2 only, so rows
 take the generator part (`model.generator_coefficients`) and make no eta or
-Phi pass; `coeffs`, which prints eta and Phi, takes the full set.  `qfi` is
-a one-row run whose global-minus-partial difference must match the
-difference of the two closed forms.
+Phi pass; `coeffs`, which prints eta and Phi, takes the full set.
+`scan-n` and `scan-tau` hold the state fixed and build it once.
+`scan-alpha` changes it on every row, so it takes its states' mode moments
+in row blocks from `states.sweep_mode_moments` and forms each row's
+correlations, checks and QFIs row by row; a fault is raised at its row,
+with the text a one-row build gives.  `qfi` is a one-row run whose
+global-minus-partial difference must match the difference of the two
+closed forms.
 `oracle-check` runs `oracle.identity_suite` on the configured parameters.
 `format_result` renders any of these results as CSV or JSON,
 byte-deterministically at a fixed BLAS thread count: fixed column order,
@@ -18,6 +23,7 @@ shortest round-trip floats, no timestamps.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -47,10 +53,12 @@ from .qfi import (
 )
 from .states import (
     CorrelationSet,
+    branch_correlations,
     correlations_generic,
     correlations_single_branch,
     make_globally_entangled,
     make_partially_entangled,
+    sweep_mode_moments,
 )
 
 CSV_HEADER = "# sagnac-qfi v1"
@@ -221,7 +229,8 @@ def _correlator(cfg: ScanConfig, alpha: complex) -> Callable[[complex], Correlat
     """C1 -> correlations of the configured state at alpha.  The state is built
     on the first call and reused after it, so a sweep that holds alpha fixed
     builds it once, and a fault in the state is reported in row order: after
-    the first row's coefficients, before its QFI."""
+    the first row's coefficients, before its QFI.  A sweep over alpha takes
+    _sweep_correlations instead, which keeps that order row by row."""
     kind = cfg["state.kind"]
     n = cfg["state.n"]
     d = cfg["state.truncation"]
@@ -241,6 +250,25 @@ def _correlator(cfg: ScanConfig, alpha: complex) -> Callable[[complex], Correlat
     return correlate
 
 
+def _sweep_correlations(cfg: ScanConfig, alphas: list, c1: complex):
+    """Yield the correlations of the configured state at each alpha, in row
+    order.  The product state's are the same on every row, so they are
+    computed once.  The entangled states come in blocks from
+    states.sweep_mode_moments, which raises a state's fault when its row is
+    reached; each row's combination with C1, and its checks, run when the
+    row is reached too."""
+    kind = cfg["state.kind"]
+    n = cfg["state.n"]
+    if kind == "product":
+        yield from itertools.repeat(correlations_single_branch(n, c1), len(alphas))
+        return
+    c1_terms = None
+    for up, down in sweep_mode_moments(kind, alphas, n, cfg["state.truncation"]):
+        # Formed after the first row's state, where a one-row build forms them.
+        c1_terms = c1_terms or (np.conj(c1), abs(c1) ** 2)
+        yield branch_correlations(up, down, *c1_terms)
+
+
 def _evaluate_row(
     value: float,
     cfg: ScanConfig,
@@ -249,17 +277,22 @@ def _evaluate_row(
     n_particles: int,
     alpha: complex,
     corr: CorrelationSet,
+    f_partial: float | None = None,
 ) -> tuple[dict, QfiBreakdown]:
     """One row: both closed forms and the general form of the configured
     state's correlations `corr`, checked against the closed form of that
     state (4 (2n+1) N t_c^2 |C1|^2 for the product state, which has no spin
-    correlations)."""
+    correlations).  `f_partial`, when given, is the partial closed form of
+    these arguments, which does not depend on alpha."""
     kind = cfg["state.kind"]
     n = cfg["state.n"]
     breakdown = qfi_general(corr, n_particles, constants, coeffs)
     row = {
         "value": value,
-        "f_partial": qfi_partial_closed(n, n_particles, constants, coeffs),
+        "f_partial": (
+            qfi_partial_closed(n, n_particles, constants, coeffs) if f_partial is None
+            else f_partial
+        ),
         "f_global": qfi_global_closed(alpha, n_particles, constants, coeffs),
         "f_general": breakdown.qfi,
         "beta": breakdown.beta,
@@ -450,14 +483,20 @@ def run_scan_alpha(cfg: ScanConfig) -> dict:
     values = _sweep_values(cfg)
     constants = derive_constants(params)
     coeffs = _generator_at(params, tau)
+    if variable == "theta_alpha":
+        radius = abs(base)
+        alphas = [complex(radius * np.exp(1j * value)) for value in values]
+    else:
+        phase = np.exp(1j * np.angle(base))
+        alphas = [complex(value * phase) for value in values]
     rows = []
-    for value in values:
-        if variable == "theta_alpha":
-            alpha = complex(abs(base) * np.exp(1j * value))
-        else:
-            alpha = complex(value * np.exp(1j * np.angle(base)))
-        corr = _correlator(cfg, alpha)(coeffs.c1)
-        row, _ = _evaluate_row(float(value), cfg, constants, coeffs, n_particles, alpha, corr)
+    f_partial = None  # alpha-free: the first row's serves every row
+    correlations = _sweep_correlations(cfg, alphas, coeffs.c1)
+    for value, alpha, corr in zip(values, alphas, correlations):
+        row, _ = _evaluate_row(
+            float(value), cfg, constants, coeffs, n_particles, alpha, corr, f_partial
+        )
+        f_partial = row["f_partial"]
         rows.append(row)
     maxima = _local_maxima([row["f_global"] for row in rows])
     return {

@@ -14,10 +14,19 @@ correlations_generic implements; correlations_closed_form carries the
 tabulated special cases for D(alpha)|n> branches (partially entangled) and
 |alpha>, |-alpha> coherent branches (globally entangled).
 
+A sweep over alpha builds its states as blocks (sweep_mode_moments): up to
+SWEEP_BLOCK rows that share a truncation form one (rows x d) amplitude block,
+whose magnitudes and Laguerre values are evaluated once per distinct |alpha|
+and whose leaks, renormalization, normalization checks and mode moments are
+one numpy pass of row sums over the last axis.  The state builders are the
+one-row case of the same functions.  Every row keeps the bits of a one-row
+build because |alpha|, |alpha|^2 and log|alpha| stay Python scalars of each
+row (numpy's vectorized abs, square and log round differently) and every
+other step, np.angle included, rounds elementwise or sums one row.
+
 Bounded caches hold the factors that repeat across a sweep, as read-only
 arrays: the log-factorial ratios and binomials of D(alpha)|n>, keyed by
-(n, d), and its magnitudes and Laguerre values, keyed by (n, d, |alpha|)
-(each FOCK_FACTOR_CACHE_SIZE entries), and the sqrt(k) weights of the mode
+(n, d) (FOCK_FACTOR_CACHE_SIZE entries), and the sqrt(k) weights of the mode
 moments, keyed by d (MOMENT_WEIGHT_CACHE_SIZE entries).  Each result has the
 bits it would have without them.  A non-finite alpha raises ValueError before
 it reaches any of them.
@@ -44,10 +53,12 @@ import numpy as np
 from .exceptions import TruncationError
 
 DEFAULT_LEAKAGE = 1e-10
-# Distinct (n, d, |alpha|), and distinct (n, d), whose displaced-Fock factors
-# stay cached.  A sweep of the phase of alpha meets a few |alpha| (their bits
-# vary in the last place); a sweep of |alpha| meets a few d.
+# Distinct (n, d) whose alpha-free displaced-Fock factors stay cached.  A
+# sweep of |alpha| meets a few d.
 FOCK_FACTOR_CACHE_SIZE = 32
+# Rows of a sweep whose states are built as one block: it bounds the block's
+# working set at a few (SWEEP_BLOCK x d) arrays per branch.
+SWEEP_BLOCK = 16
 # Distinct truncations d whose moment weights stay cached.
 MOMENT_WEIGHT_CACHE_SIZE = 32
 
@@ -65,9 +76,7 @@ class BranchState:
         amps = np.asarray(self.mode_amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("mode_amplitudes must be a nonempty 1-d vector")
-        norm = float((np.abs(amps) ** 2).sum())
-        if not abs(norm - 1.0) <= 1e-12:  # a NaN fails too
-            raise ValueError(f"branch not normalized: sum |amp|^2 = {norm!r}")
+        _check_normalized(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "mode_amplitudes", amps)
 
@@ -106,14 +115,14 @@ class GhzProductState:
         """(<a>, <a^2>, <n>) of the up and the down branch's mode state.
 
         Computed on first use, so a state that is only evolved never pays for
-        them, and then reused by every correlation call on this state.  Branches
-        that share one amplitude array (the partially entangled state) share
-        one moment pass.
+        them, and then reused by every correlation call on this state.  Both
+        branches take one moment pass; branches that share one amplitude array
+        (the partially entangled state) share one moment row.
         """
         up = self.branch_up.mode_amplitudes
         down = self.branch_down.mode_amplitudes
-        moments_up = _mode_moments(up)
-        return moments_up, moments_up if down is up else _mode_moments(down)
+        moments = _mode_moments(up[None] if down is up else np.stack((up, down)))
+        return moments[0], moments[-1]
 
 
 @dataclass(frozen=True)
@@ -202,11 +211,12 @@ def _binom(n: float, k: float) -> float:
     return num / den
 
 
-def _laguerre(n: int, alpha, x: float, binom):
-    """scipy's eval_genlaguerre_l at a degree n >= 1 for a whole alpha >= 0 (a
-    number or an array), given binom(n + alpha, n), in scipy's operations and
-    order; numpy rounds + - * / elementwise as scalar code does.  (j + alpha)
-    + 1 is written alpha + (j + 1), the same float while alpha is whole."""
+def _laguerre(n: int, alpha, x, binom):
+    """scipy's eval_genlaguerre_l at a degree n >= 1 for a whole alpha >= 0 and
+    an x (numbers or arrays that broadcast), given binom(n + alpha, n), in
+    scipy's operations and order; numpy rounds + - * / elementwise as scalar
+    code does.  (j + alpha) + 1 is written alpha + (j + 1), the same float
+    while alpha is whole."""
     if n == 1:
         return -x + alpha + 1.0
     t = alpha + 1.0
@@ -243,44 +253,53 @@ def _fock_levels(n: int, d: int):
     )
 
 
-@lru_cache(maxsize=FOCK_FACTOR_CACHE_SIZE, typed=True)
-def _fock_factors(n: int, d: int, radius: float):
-    """The factors of <m|D(alpha)|n> that depend on |alpha| = radius but not
-    on the phase of alpha: (k, magnitude, Laguerre value) on the levels
-    m >= n, then on the levels m < n (None when n = 0), as read-only arrays."""
-    x = radius**2
-    log_radius = math.log(radius)
+def _fock_factors(n: int, d: int, radii: list[float]):
+    """The factors of <m|D(alpha)|n> that depend on |alpha| but not on the
+    phase of alpha, one row per |alpha| in radii: (k, magnitudes, Laguerre
+    values) on the levels m >= n, then on the levels m < n (None when n = 0).
+    |alpha|^2 and log|alpha| are Python scalars of each radius and every
+    other step rounds elementwise, so each row has the bits of a one-radius
+    call."""
+    x = np.array([radius**2 for radius in radii])[:, None]
+    log_radius = np.array([math.log(radius) for radius in radii])[:, None]
 
     def factors(degree, k, log_ratio, binom):
         if isinstance(degree, np.ndarray):  # one degree per level
-            lag = np.array([
-                _laguerre(m, a, x, b) if m else 1.0
-                for m, a, b in zip(degree.tolist(), k.tolist(), binom.tolist())
-            ])
+            lag = np.ones((x.size, k.size))
+            for level, (m, a, b) in enumerate(zip(degree.tolist(), k.tolist(), binom.tolist())):
+                if m:
+                    lag[:, level] = _laguerre(m, a, x[:, 0], b)
         else:  # one degree: the recurrence runs over every order at once
-            lag = _laguerre(degree, k, x, binom) if degree else np.ones(k.size)
+            lag = _laguerre(degree, k, x, binom) if degree else np.ones((x.size, k.size))
         if n >= _BINOM_PRODUCT_LIMIT:  # below it every binomial is an integer product
             far = np.isnan(binom)  # where scipy leaves that product
             if far.any():
                 from scipy.special import eval_genlaguerre
 
-                lag[far] = eval_genlaguerre(np.broadcast_to(degree, k.shape)[far], k[far], x)
-        return _read_only(k, np.exp(log_ratio + k * log_radius - x / 2.0), lag)
+                lag[:, far] = eval_genlaguerre(np.broadcast_to(degree, k.shape)[far], k[far], x)
+        return k, np.exp(log_ratio + k * log_radius - x / 2.0), lag
 
     upper, lower = _fock_levels(n, d)
     return factors(*upper), lower and factors(*lower)
 
 
-def displaced_fock_amplitudes(alpha: complex, n: int, d: int) -> np.ndarray:
-    """Fock amplitudes <m|D(alpha)|n> for m = 0..d-1.
+def _times(mag: np.ndarray, phase: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    """mag * phase * lag, in that order, formed in phase's buffer."""
+    np.multiply(mag, phase, out=phase)
+    return np.multiply(phase, lag, out=phase)
+
+
+def displaced_fock_amplitudes(alpha, n: int, d: int) -> np.ndarray:
+    """Fock amplitudes <m|D(alpha)|n> for m = 0..d-1: a (d,) vector for one
+    alpha, or a (rows, d) block with one row per alpha of a sequence.
 
     Associated-Laguerre closed form, evaluated through log-Gamma so large
     factorial ratios never overflow.  This is the independent counterpart of
-    the oracle's matrix-exponential displacement column.  The log-Gamma and
-    Laguerre factors depend on (n, d, |alpha|) only, so they come from a
-    cache of the last FOCK_FACTOR_CACHE_SIZE such triples: a sweep of the
-    phase of alpha, and the |-alpha> branch after the |alpha> one, reuse
-    them.  Only the phase factor is computed on every call.
+    the oracle's matrix-exponential displacement column.  The magnitudes and
+    Laguerre values depend on |alpha| only, so a block evaluates them once
+    per distinct |alpha|: the rows of a sweep of the phase of alpha, and a
+    |-alpha> row beside its |alpha> row, share them.  The phase factor is
+    formed for every row; each row has the bits of its one-alpha call.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -288,21 +307,26 @@ def displaced_fock_amplitudes(alpha: complex, n: int, d: int) -> np.ndarray:
         raise ValueError(f"d must be positive, got {d}")
     if n >= d:
         raise ValueError(f"Fock level n = {n} does not fit in truncation d = {d}")
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    if alpha == 0:
-        amps = np.zeros(d, dtype=complex)
-        amps[n] = 1.0
-        return amps
-    theta = np.angle(alpha)
-    out = np.zeros(d, dtype=complex)
-    (k, mag, lag), lower = _fock_factors(n, d, abs(alpha))
-    out[n:] = mag * np.exp(1j * k * theta) * lag
-    if lower is not None:
-        k, mag, lag = lower
-        out[:n] = mag * (-np.exp(-1j * theta)) ** k * lag
-    return out
+    block = np.ndim(alpha) > 0
+    alphas = [complex(a) for a in alpha] if block else [complex(alpha)]
+    for a in alphas:
+        if not cmath.isfinite(a):
+            raise ValueError(f"alpha must be finite, got {a}")
+    out = np.zeros((len(alphas), d), dtype=complex)
+    out[[row for row, a in enumerate(alphas) if a == 0], n] = 1.0  # D(0)|n> = |n>
+    live = [row for row, a in enumerate(alphas) if a != 0]
+    if live:
+        radii = [abs(alphas[row]) for row in live]
+        rank = {radius: i for i, radius in enumerate(dict.fromkeys(radii))}
+        index = [rank[radius] for radius in radii]
+        theta = np.angle(np.array([alphas[row] for row in live]))[:, None]
+        (k, mag, lag), lower = _fock_factors(n, d, list(rank))
+        phase = 1j * k * theta
+        out[live, n:] = _times(mag[index], np.exp(phase, out=phase), lag[index])
+        if lower is not None:
+            k, mag, lag = lower
+            out[live, :n] = _times(mag[index], (-np.exp(-1j * theta)) ** k, lag[index])
+    return out if block else out[0]
 
 
 def auto_truncation(alpha: complex, n: int = 0, leakage: float = DEFAULT_LEAKAGE) -> int:
@@ -334,27 +358,64 @@ def auto_truncation(alpha: complex, n: int = 0, leakage: float = DEFAULT_LEAKAGE
     return d0 + n + 10
 
 
-def _branch_amplitudes(alpha: complex, n: int, d: int, leakage: float) -> np.ndarray:
-    """D(alpha)|n> on d levels, renormalized after checking that it leaks at
-    most leakage.  d = 0 takes auto_truncation's d, grown a level at a time
-    while the state leaks more; a given d that leaks raises TruncationError
-    with that grown d as the suggestion."""
+def _branch_amplitudes(
+    alphas: list, n: int, d: int, leakage: float, mirror: bool = False
+) -> list[tuple[list[int], np.ndarray]]:
+    """D(alpha)|n> of each alpha on d levels, renormalized after checking
+    that it leaks at most leakage, as (rows, block) pairs: the indices of the
+    alphas that share a truncation and their (rows, d) amplitude block.
+    d = 0 takes each row's auto_truncation d, grown a level at a time while
+    the row leaks more; a given d that leaks raises TruncationError with that
+    grown d as the suggestion.  mirror appends to each block the rows of
+    D(-alpha)|n> on the same levels, the |-alpha> branches of globally
+    entangled states, which take their d as given.  Every row has the bits
+    of its one-row call."""
     grow = d == 0
-    if grow:
-        d = auto_truncation(alpha, n, leakage)
-    amps = displaced_fock_amplitudes(alpha, n, d)
-    leak = 1.0 - float((np.abs(amps) ** 2).sum())
-    while grow and leak > leakage and d < 10_000:
-        d += 1
-        amps = displaced_fock_amplitudes(alpha, n, d)
-        leak = 1.0 - float((np.abs(amps) ** 2).sum())
-    if not leak <= leakage:
-        raise TruncationError(
-            f"truncation d = {d} leaks {leak:.3e} > {leakage:.3e} for "
-            f"alpha = {alpha}, n = {n}",
-            suggested_d=None if grow else _branch_amplitudes(alpha, n, 0, leakage).size,
-        )
-    return amps / math.sqrt(1.0 - leak)
+    sizes: dict[float, int] = {}  # auto_truncation reads alpha through |alpha| only
+    pending: dict[int, list[int]] = {}
+    for row, alpha in enumerate(alphas):
+        size = d
+        if grow:
+            radius = abs(alpha)
+            if radius not in sizes:
+                sizes[radius] = auto_truncation(alpha, n, leakage)
+            size = sizes[radius]
+        pending.setdefault(size, []).append(row)
+    blocks = []
+    while pending:
+        size = min(pending)  # a row that grows joins a later, larger size
+        rows = pending.pop(size)
+        branch = [alphas[row] for row in rows]
+        if mirror:
+            branch += [-alpha for alpha in branch]
+        amps = displaced_fock_amplitudes(branch, n, size)
+        leak = 1.0 - (np.abs(amps) ** 2).sum(axis=-1)
+        if grow and size < 10_000:
+            more = leak[: len(rows)] > leakage
+            if more.any():
+                pending.setdefault(size + 1, []).extend(
+                    row for row, grows in zip(rows, more) if grows
+                )
+                keep = np.tile(~more, 2) if mirror else ~more
+                rows = [row for row, stays in zip(rows, keep) if stays]
+                branch = [alpha for alpha, stays in zip(branch, keep) if stays]
+                amps, leak = amps[keep], leak[keep]
+        bad = np.flatnonzero(~(leak <= leakage))  # a NaN leaks too
+        if bad.size:
+            i = bad[0]
+            suggest = not grow or i >= len(rows)  # a mirror row's d was given
+            raise TruncationError(
+                f"truncation d = {size} leaks {leak[i]:.3e} > {leakage:.3e} for "
+                f"alpha = {branch[i]}, n = {n}",
+                suggested_d=(
+                    _branch_amplitudes([branch[i]], n, 0, leakage)[0][1].shape[1]
+                    if suggest else None
+                ),
+            )
+        if rows:
+            amps /= np.sqrt(1.0 - leak)[:, None]
+            blocks.append((rows, amps))
+    return blocks
 
 
 def make_partially_entangled(
@@ -366,7 +427,7 @@ def make_partially_entangled(
 ) -> GhzProductState:
     """Both branches carry the same displaced Fock state D(alpha)|n>;
     only the spins differ."""
-    amps = _branch_amplitudes(alpha, n, d, leakage)
+    [(_, (amps,))] = _branch_amplitudes([alpha], n, d, leakage)
     return GhzProductState(
         branch_up=BranchState(+1, amps),
         branch_down=BranchState(-1, amps),  # one read-only array, one moment pass
@@ -381,13 +442,49 @@ def make_globally_entangled(
     leakage: float = DEFAULT_LEAKAGE,
 ) -> GhzProductState:
     """Spin +1 branch carries |alpha>, spin -1 branch carries |-alpha>."""
-    up = _branch_amplitudes(alpha, 0, d, leakage)
-    down = _branch_amplitudes(-alpha, 0, up.size, leakage)
+    [(_, (up, down))] = _branch_amplitudes([alpha], 0, d, leakage, mirror=True)
     return GhzProductState(
         branch_up=BranchState(+1, up),
         branch_down=BranchState(-1, down),
         n_particles=n_particles,
     )
+
+
+def sweep_mode_moments(
+    kind: str, alphas: list, n: int, d: int = 0, leakage: float = DEFAULT_LEAKAGE
+):
+    """Yield, for each alpha in row order, the (up, down) branch moments of
+    the partially (kind "partial") or globally (kind "global", whose
+    branches are coherent whatever n) entangled state: what mode_moments
+    gives on make_partially_entangled(alpha, n, d) or
+    make_globally_entangled(alpha, d), with its bits.
+
+    The states are built SWEEP_BLOCK rows at a time, in blocks of the rows
+    that share a truncation.  A block with a faulty row is built again one
+    row at a time, so that the fault is raised when its row is reached, as
+    the one-row builder raises it.
+    """
+    mirror = kind == "global"
+    if mirror:
+        n = 0
+    for start in range(0, len(alphas), SWEEP_BLOCK):
+        chunk = alphas[start:start + SWEEP_BLOCK]
+        moments = [None] * len(chunk)
+        try:
+            for rows, amps in _branch_amplitudes(chunk, n, d, leakage, mirror):
+                _check_normalized(amps)
+                block = _mode_moments(amps)
+                for i, row in enumerate(rows):
+                    moments[row] = (block[i], block[len(rows) + i] if mirror else block[i])
+        except (ArithmeticError, ValueError, TruncationError):
+            for alpha in chunk:
+                state = (
+                    make_globally_entangled(alpha, d, leakage=leakage) if mirror
+                    else make_partially_entangled(alpha, n, d, leakage=leakage)
+                )
+                yield state.mode_moments
+        else:
+            yield from moments
 
 
 @lru_cache(maxsize=MOMENT_WEIGHT_CACHE_SIZE)
@@ -398,17 +495,28 @@ def _moment_weights(d: int):
     return _read_only(k, np.sqrt(k[1:]), np.sqrt(k[1:-1] * (k[1:-1] + 1.0)))
 
 
-def _mode_moments(amps: np.ndarray):
-    """<a>, <a^2>, <n> of a truncated mode state."""
-    d = amps.size
+def _check_normalized(amps: np.ndarray) -> None:
+    """Raise ValueError unless every mode state, a row of amps, has
+    sum |amp|^2 within 1e-12 of 1 (a NaN fails too)."""
+    norm = (np.abs(amps) ** 2).sum(axis=-1)
+    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-12))
+    if bad.size:
+        raise ValueError(f"branch not normalized: sum |amp|^2 = {float(norm.flat[bad[0]])!r}")
+
+
+def _mode_moments(amps: np.ndarray) -> list[tuple[complex, complex, float]]:
+    """<a>, <a^2>, <n> of each truncated mode state, a row of the (rows, d)
+    block amps, as Python numbers: row sums over the last axis, each with
+    the bits of a one-row block."""
+    d = amps.shape[-1]
     k, root_k, root_kk = _moment_weights(d)
-    a_mean = complex((amps[:-1].conj() * amps[1:] * root_k).sum())
+    a_mean = (amps[:, :-1].conj() * amps[:, 1:] * root_k).sum(axis=-1)
     if d >= 3:
-        a2_mean = complex((amps[:-2].conj() * amps[2:] * root_kk).sum())
+        a2_mean = (amps[:, :-2].conj() * amps[:, 2:] * root_kk).sum(axis=-1)
     else:
-        a2_mean = 0.0 + 0.0j
-    n_mean = float((k * np.abs(amps) ** 2).sum())
-    return a_mean, a2_mean, n_mean
+        a2_mean = np.zeros(len(amps), dtype=complex)
+    n_mean = (k * np.abs(amps) ** 2).sum(axis=-1)
+    return list(zip(a_mean.tolist(), a2_mean.tolist(), n_mean.tolist()))
 
 
 def _branch_x_moments(moments, c1_conj, c1_abs2: float):
@@ -418,6 +526,26 @@ def _branch_x_moments(moments, c1_conj, c1_abs2: float):
     x = 2.0 * (c1_conj * a_mean).real
     x2 = 2.0 * (c1_conj**2 * a2_mean).real + c1_abs2 * (2.0 * n_mean + 1.0)
     return float(x), float(x2)
+
+
+def branch_correlations(up, down, c1_conj, c1_abs2: float) -> CorrelationSet:
+    """All six correlations of a two-branch state, spin +1 on the branch with
+    mode moments up and -1 on the one with down, given conj(c1) and |c1|^2:
+    the combination with C1 that correlations_generic makes."""
+    x_u, x2_u = _branch_x_moments(up, c1_conj, c1_abs2)
+    x_d, x2_d = (x_u, x2_u) if down is up else _branch_x_moments(down, c1_conj, c1_abs2)
+    s_u, s_d = 1.0, -1.0
+
+    x_mean = 0.5 * (x_u + x_d)
+    s_mean = 0.5 * (s_u + s_d)
+    return CorrelationSet(
+        var_x1=0.5 * (x2_u + x2_d) - x_mean**2,
+        var_sz1=0.5 * (s_u**2 + s_d**2) - s_mean**2,
+        cov_x1_sz1=0.5 * (x_u * s_u + x_d * s_d) - x_mean * s_mean,
+        cov_x1_x2=0.5 * (x_u**2 + x_d**2) - x_mean**2,
+        cov_sz1_sz2=0.5 * (s_u**2 + s_d**2) - s_mean**2,
+        cov_x1_sz2=0.5 * (x_u * s_u + x_d * s_d) - x_mean * s_mean,
+    )
 
 
 def correlations_generic(state: GhzProductState, c1: complex) -> CorrelationSet:
@@ -431,22 +559,7 @@ def correlations_generic(state: GhzProductState, c1: complex) -> CorrelationSet:
     per call; the branches' mode moments are computed once per state.
     """
     up, down = state.mode_moments
-    c1_conj, c1_abs2 = np.conj(c1), abs(c1) ** 2
-    x_u, x2_u = _branch_x_moments(up, c1_conj, c1_abs2)
-    x_d, x2_d = (x_u, x2_u) if down is up else _branch_x_moments(down, c1_conj, c1_abs2)
-    s_u = float(state.branch_up.spin_sign)
-    s_d = float(state.branch_down.spin_sign)
-
-    x_mean = 0.5 * (x_u + x_d)
-    s_mean = 0.5 * (s_u + s_d)
-    return CorrelationSet(
-        var_x1=0.5 * (x2_u + x2_d) - x_mean**2,
-        var_sz1=0.5 * (s_u**2 + s_d**2) - s_mean**2,
-        cov_x1_sz1=0.5 * (x_u * s_u + x_d * s_d) - x_mean * s_mean,
-        cov_x1_x2=0.5 * (x_u**2 + x_d**2) - x_mean**2,
-        cov_sz1_sz2=0.5 * (s_u**2 + s_d**2) - s_mean**2,
-        cov_x1_sz2=0.5 * (x_u * s_u + x_d * s_d) - x_mean * s_mean,
-    )
+    return branch_correlations(up, down, np.conj(c1), abs(c1) ** 2)
 
 
 def correlations_closed_form(

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sagnac_qfi import (
     load_config,
     rows_to_csv,
     scan,
+    states,
 )
 from sagnac_qfi.cli import main
 from sagnac_qfi.scan import (
@@ -210,36 +212,151 @@ def test_row_cross_check_message_prints_plain_floats(monkeypatch, runner, overri
     assert "np.float64" not in str(err.value)
 
 
-def _count_state_builds(monkeypatch) -> list:
+def _count_amplitude_blocks(monkeypatch) -> list:
+    """The truncation of every displaced_fock_amplitudes call: one call per
+    state built alone, and one per block of a sweep's states."""
     calls = []
-    for name in ("make_partially_entangled", "make_globally_entangled"):
-        real = getattr(scan, name)
+    real = states.displaced_fock_amplitudes
 
-        def counted(*args, _real=real, **kwargs):
-            calls.append(args)
-            return _real(*args, **kwargs)
+    def counted(alpha, n, d):
+        calls.append(d)
+        return real(alpha, n, d)
 
-        monkeypatch.setattr(scan, name, counted)
+    monkeypatch.setattr(states, "displaced_fock_amplitudes", counted)
     return calls
 
 
 @pytest.mark.parametrize("kind", ["partial", "global"])
 @pytest.mark.parametrize(
-    "runner, sweep, builds",
+    "runner, sweep, blocks",
     [
         (run_scan_n, {"profile.tau": math.pi}, 1),
         (run_scan_tau, {"sweep.variable": "tau", "sweep.start": 1.0, "sweep.stop": 9.0,
                         "sweep.scale": "linear"}, 1),
         (run_scan_alpha, {"profile.tau": math.pi, "sweep.variable": "theta_alpha",
-                          "sweep.start": 0.0, "sweep.stop": 3.0, "sweep.scale": "linear"}, 7),
+                          "sweep.start": 0.0, "sweep.stop": 3.0, "sweep.scale": "linear"}, 1),
     ],
 )
-def test_sweeps_build_a_fixed_state_once(monkeypatch, kind, runner, sweep, builds):
-    # Only scan-alpha changes the state from row to row.
-    calls = _count_state_builds(monkeypatch)
+def test_sweeps_build_a_fixed_state_once(monkeypatch, kind, runner, sweep, blocks):
+    # scan-n and scan-tau build their one state once.  scan-alpha changes the
+    # state from row to row and builds its 7 rows as one block per truncation
+    # d; at |alpha| = 1 all 7 share one d.  The |alpha> and |-alpha> branches
+    # of a global state are rows of one block.
+    calls = _count_amplitude_blocks(monkeypatch)
     result = runner(cfg_with(**{"state.kind": kind, "sweep.points": 7, **sweep}))
     assert len(result["rows"]) == 7
-    assert len(calls) == builds
+    assert len(calls) == blocks
+
+
+def _one_state_per_row(cfg) -> list[dict]:
+    """run_scan_alpha's rows built as they were before row blocks: one state
+    per row through the one-row builders, each row in turn."""
+    params = cfg.params()
+    tau, _ = cfg.resolve_tau()
+    base = cfg.alpha()
+    constants = model.derive_constants(params)
+    coeffs = scan._generator_at(params, tau)
+    rows = []
+    for value in scan._sweep_values(cfg):
+        if cfg["sweep.variable"] == "theta_alpha":
+            alpha = complex(abs(base) * np.exp(1j * value))
+        else:
+            alpha = complex(value * np.exp(1j * np.angle(base)))
+        corr = scan._correlator(cfg, alpha)(coeffs.c1)
+        row, _ = scan._evaluate_row(
+            float(value), cfg, constants, coeffs, cfg["n_particles"], alpha, corr
+        )
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("partial", 0), ("partial", 1), ("partial", 3), ("global", 0), ("product", 2)]
+)
+def test_scan_alpha_from_zero_prints_the_one_state_per_row_bytes(kind, n):
+    # The alpha = 0 row takes |n> itself: log|alpha| never meets a 0 there.
+    # 40 rows make three blocks, the last of them short.
+    cfg = cfg_with(**{
+        "state.kind": kind, "state.n": n, "sweep.variable": "abs_alpha",
+        "sweep.start": 0.0, "sweep.stop": 3.0, "sweep.points": 40,
+        "sweep.scale": "linear", "profile.tau": 2.0, "state.alpha_re": -0.7,
+        "state.alpha_im": 0.4,
+    })
+    rows = run_scan_alpha(cfg)["rows"]
+    assert rows[0]["value"] == 0.0
+    assert rows_to_csv(rows, cfg) == rows_to_csv(_one_state_per_row(cfg), cfg)
+
+
+LEAKY_SWEEP = {"state.truncation": 12, "sweep.variable": "abs_alpha", "sweep.start": 0.1,
+               "sweep.stop": 2.5, "sweep.points": 25, "sweep.scale": "linear",
+               "profile.tau": 2.0}
+
+
+@pytest.mark.parametrize(
+    "kind, error, text",
+    [
+        # The first row that leaks, with the suggestion a one-row build makes.
+        ("partial", TruncationError,
+         "truncation d = 12 leaks 8.316e-10 > 1.000e-10 for alpha = "
+         "(-0.9999999999999999+1.224646799147353e-16j), n = 0 "
+         "(suggested truncation: d >= 23)"),
+        # A row ahead of the first leaky one fails its cross-check first.
+        ("global", ConsistencyError,
+         "row value 0.8999999999999999: general-form QFI 494981.38884725055 "
+         "disagrees with the global closed form 494981.3894078972"),
+    ],
+)
+def test_scan_alpha_reports_the_first_faulty_row(kind, error, text):
+    with pytest.raises(error) as err:
+        run_scan_alpha(cfg_with(**{"state.kind": kind, **LEAKY_SWEEP}))
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize(
+    "alpha_re, text",
+    [
+        (-15.0, "row value 4.1887902047863905: general-form QFI 599.9056723091524 "
+                "disagrees with the global closed form 599.905672035165"),
+        (-25.0, "row value 0.9605872274134205: general-form QFI 16504.009694823948 "
+                "disagrees with the global closed form 16504.00969292236"),
+        (-60.0, "row value 0.9763345590103618: general-form QFI 111574.5480767772 "
+                "disagrees with the global closed form 111574.5480613029"),
+    ],
+)
+def test_scan_alpha_stops_mid_block_at_the_first_failing_row(alpha_re, text):
+    # Each failing row sits inside a block whose later rows are built
+    # already; the sweep still stops at it, with its cross-check's text.
+    cfg = cfg_with(**{
+        "state.kind": "global", "state.alpha_re": alpha_re, "sweep.variable": "theta_alpha",
+        "sweep.start": 0.0, "sweep.stop": 2.0 * math.pi, "sweep.points": 400,
+        "sweep.scale": "linear", "profile.tau": 2.0,
+    })
+    with pytest.raises(ConsistencyError) as err:
+        run_scan_alpha(cfg)
+    assert str(err.value) == text
+
+
+def _traced_peak(run) -> int:
+    run()  # fills the caches
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_alpha_blocks_keep_a_bounded_working_set():
+    # d = 181 on every row.  One state per row peaks at about 0.33 MB, the
+    # blocks of 16 rows at 0.77 MB, and one block of all 400 rows at 7.2 MB.
+    cfg = cfg_with(**{
+        "state.kind": "global", "state.alpha_re": -10.0, "sweep.variable": "theta_alpha",
+        "sweep.start": 0.0, "sweep.stop": 2.0 * math.pi, "sweep.points": 400,
+        "sweep.scale": "linear", "profile.tau": 2.0,
+    })
+    blocked = _traced_peak(lambda: run_scan_alpha(cfg))
+    one_by_one = _traced_peak(lambda: _one_state_per_row(cfg))
+    assert blocked <= one_by_one + 1_000_000
 
 
 def test_scan_tau_reports_first_row_coefficient_fault_before_state_fault():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -364,6 +364,120 @@ def test_cached_moments_give_the_per_call_correlations_bit_for_bit(alpha, n, c1s
         )
 
 
+def _one_alpha_factors(n, d, radius):
+    """The magnitudes and Laguerre values of <m|D(alpha)|n> at one |alpha|,
+    as they were evaluated one alpha at a time (n < 20 here, so no level
+    takes scipy's branch)."""
+    x = radius**2
+    log_radius = math.log(radius)
+
+    def factors(degree, k, log_ratio, binom):
+        if isinstance(degree, np.ndarray):
+            lag = np.array([
+                states._laguerre(m, a, x, b) if m else 1.0
+                for m, a, b in zip(degree.tolist(), k.tolist(), binom.tolist())
+            ])
+        else:
+            lag = states._laguerre(degree, k, x, binom) if degree else np.ones(k.size)
+        return k, np.exp(log_ratio + k * log_radius - x / 2.0), lag
+
+    upper, lower = states._fock_levels(n, d)
+    return factors(*upper), lower and factors(*lower)
+
+
+def _one_alpha_amplitudes(alpha, n, d):
+    """displaced_fock_amplitudes as it was for one alpha at a time."""
+    alpha = complex(alpha)
+    out = np.zeros(d, dtype=complex)
+    if alpha == 0:
+        out[n] = 1.0
+        return out
+    theta = np.angle(alpha)
+    (k, mag, lag), lower = _one_alpha_factors(n, d, abs(alpha))
+    out[n:] = mag * np.exp(1j * k * theta) * lag
+    if lower is not None:
+        k, mag, lag = lower
+        out[:n] = mag * (-np.exp(-1j * theta)) ** k * lag
+    return out
+
+
+def _one_alpha_branch(alpha, n, d):
+    """D(alpha)|n> renormalized, sized and grown one alpha at a time."""
+    grow = d == 0
+    if grow:
+        d = auto_truncation(alpha, n)
+    amps = _one_alpha_amplitudes(alpha, n, d)
+    leak = 1.0 - float((np.abs(amps) ** 2).sum())
+    while grow and leak > states.DEFAULT_LEAKAGE and d < 10_000:
+        d += 1
+        amps = _one_alpha_amplitudes(alpha, n, d)
+        leak = 1.0 - float((np.abs(amps) ** 2).sum())
+    assert leak <= states.DEFAULT_LEAKAGE
+    return amps / math.sqrt(1.0 - leak)
+
+
+def _one_alpha_moments(amps):
+    """<a>, <a^2>, <n> of one mode state, one state at a time."""
+    d = amps.size
+    k = np.arange(d, dtype=float)
+    a_mean = complex((amps[:-1].conj() * amps[1:] * np.sqrt(k[1:])).sum())
+    if d >= 3:
+        a2_mean = complex((amps[:-2].conj() * amps[2:] * np.sqrt(k[1:-1] * (k[1:-1] + 1.0))).sum())
+    else:
+        a2_mean = 0.0 + 0.0j
+    return a_mean, a2_mean, float((k * np.abs(amps) ** 2).sum())
+
+
+# An exact 0, radii up to 3, and radii where D(alpha)|3> outgrows its auto
+# truncation (6.12 and 6.17 grow d by one level; 6.2 does not).
+SWEEP_RADII = st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.sampled_from([6.12, 6.17, 6.2]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    radii=st.lists(SWEEP_RADII, min_size=1, max_size=4),
+    picks=st.lists(
+        st.tuples(st.integers(0, 3), st.floats(-math.pi, math.pi), st.booleans()),
+        min_size=1, max_size=20,
+    ),
+    n=st.integers(0, 3),
+    d=st.sampled_from([0, 120]),
+    kind=st.sampled_from(["partial", "global"]),
+    c1=st.builds(complex, finite, finite),
+)
+@example(radii=[6.12, 6.2], picks=[(0, 0.4, False), (1, -2.0, True), (0, 0.4, True)] * 7,
+         n=3, d=0, kind="partial", c1=0.3 + 0.1j)
+def test_sweep_blocks_equal_the_one_alpha_construction_bit_for_bit(radii, picks, n, d, kind, c1):
+    # Rows repeat an |alpha| from radii at any phase, and some take -alpha.
+    # Up to 20 rows: two blocks of SWEEP_BLOCK rows.
+    alphas = []
+    for pick, theta, negate in picks:
+        radius = radii[pick % len(radii)]
+        alpha = complex(radius * math.cos(theta), radius * math.sin(theta))
+        alphas.append(-alpha if negate else alpha)
+    mirror = kind == "global"
+    level = 0 if mirror else n
+    for row, alpha in zip(displaced_fock_amplitudes(alphas, level, d or 120), alphas):
+        assert row.tobytes() == _one_alpha_amplitudes(alpha, level, d or 120).tobytes()
+
+    ups = [_one_alpha_branch(alpha, level, d) for alpha in alphas]
+    downs = [_one_alpha_branch(-a, 0, up.size) for a, up in zip(alphas, ups)] if mirror else ups
+    for rows, block in states._branch_amplitudes(alphas, level, d, states.DEFAULT_LEAKAGE, mirror):
+        for i, row in enumerate(rows):
+            assert block[i].tobytes() == ups[row].tobytes()
+            assert not mirror or block[len(rows) + i].tobytes() == downs[row].tobytes()
+
+    c1_terms = np.conj(c1), abs(c1) ** 2
+    moments = list(states.sweep_mode_moments(kind, alphas, n, d))
+    assert len(moments) == len(alphas)
+    for (up, down), up_amps, down_amps in zip(moments, ups, downs):
+        assert repr((up, down)) == repr((_one_alpha_moments(up_amps), _one_alpha_moments(down_amps)))
+        one_alpha = GhzProductState(BranchState(+1, up_amps), BranchState(-1, down_amps), 1)
+        got = dataclasses.astuple(states.branch_correlations(up, down, *c1_terms))
+        want = dataclasses.astuple(_per_call_correlations(one_alpha, c1))
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
 @pytest.mark.parametrize("kind, most", [("global", 2), ("partial", 1)])
 def test_a_tau_scan_computes_the_mode_moments_once(monkeypatch, kind, most):
     calls = []
@@ -456,34 +570,43 @@ def _scipy_fock_factors(n, d, radius):
     return upper, (n - lo, np.exp(log_mag - x / 2.0), eval_genlaguerre(lo, n - lo, x))
 
 
-def _assert_fock_factors_equal_scipy(n, d, radius):
-    got = states._fock_factors(n, d, radius)
-    want = _scipy_fock_factors(n, d, radius)
+def _assert_fock_factors_equal_scipy(n, d, radii):
+    # Every row of one multi-radius block against scipy at its radius.
+    got = states._fock_factors(n, d, radii)
     assert (got[1] is None) == (n == 0)
-    for got_branch, want_branch in zip(got, want[: 2 if n else 1]):
-        for got_array, want_array in zip(got_branch, want_branch):
-            assert got_array.tobytes() == want_array.tobytes(), (n, d, radius)
+    for row, radius in enumerate(radii):
+        want = _scipy_fock_factors(n, d, radius)
+        for (k, mag, lag), want_branch in zip(got, want[: 2 if n else 1]):
+            for got_array, want_array in zip((k, mag[row], lag[row]), want_branch):
+                assert got_array.tobytes() == want_array.tobytes(), (n, d, radius)
 
 
 @pytest.mark.parametrize("n", [19, 20, 21])
 def test_fock_factors_equal_scipy_reference_bit_for_bit(n):
     # Laguerre orders up to DENSE_GUARD, the widest the dense oracle compares.
     for d in (n + 1, n + 37, 4 * n + 60, n + DENSE_GUARD):
-        for radius in (0.05, 0.7, 1.9999999999999998, 4.5):
-            _assert_fock_factors_equal_scipy(n, d, radius)
+        _assert_fock_factors_equal_scipy(n, d, [0.05, 0.7, 1.9999999999999998, 4.5])
+
+
+def test_a_block_of_many_radii_keeps_each_radius_bits():
+    # |alpha|^2 and log|alpha| stay Python scalars of each radius: numpy's
+    # square and log of an array of radii round differently for about 1 in
+    # 1,200 and 1 in 400 radii, so a block of 10,000 radii catches either.
+    radii = np.random.default_rng(23).uniform(0.0, 3.0, 10_000).tolist()
+    _assert_fock_factors_equal_scipy(1, 6, radii)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     n=st.integers(0, 45),
     extra=st.integers(1, 120),
-    radius=st.floats(0.01, 7.0),
+    radii=st.lists(st.floats(0.01, 7.0), min_size=1, max_size=4),
 )
-def test_laguerre_port_equals_scipy_bit_for_bit(n, extra, radius):
+def test_laguerre_port_equals_scipy_bit_for_bit(n, extra, radii):
     # Degree and order on both sides of 20, where scipy's binomial leaves its
     # integer product: above it on the levels m >= n from n = 20 and m - n =
     # 20, and on the levels m < n from n = 40.
-    _assert_fock_factors_equal_scipy(n, n + extra, radius)
+    _assert_fock_factors_equal_scipy(n, n + extra, radii)
 
 
 def test_states_compare_by_value():
@@ -540,16 +663,23 @@ def test_nan_correlations_are_rejected(field, match):
 
 
 def test_cached_factors_are_read_only():
-    upper, lower = states._fock_factors(2, 12, 0.8)
-    for array in (*upper, *lower, *states._moment_weights(12)):
+    upper, lower = states._fock_levels(2, 12)
+    for array in (*upper[1:], *lower, *states._moment_weights(12)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     # What a caller gets back is its own, writable array.
     displaced_fock_amplitudes(0.8, 2, 12)[0] = 0.0
 
 
-def test_theta_sweep_evaluates_laguerre_once_per_magnitude():
-    states._fock_factors.cache_clear()
+def test_theta_sweep_evaluates_laguerre_once_per_magnitude(monkeypatch):
+    factor_rows = []
+    real = states._fock_factors
+
+    def counted(n, d, radii):
+        factor_rows.append(len(radii))
+        return real(n, d, radii)
+
+    monkeypatch.setattr(states, "_fock_factors", counted)
     base = 0.9 - 1.3j
     cfg = load_config(None, [
         "state.kind=global", f"state.alpha_re={base.real!r}", f"state.alpha_im={base.imag!r}",
@@ -558,7 +688,9 @@ def test_theta_sweep_evaluates_laguerre_once_per_magnitude():
     ])
     result = run_scan_alpha(cfg)
     alphas = [complex(abs(base) * np.exp(1j * row["value"])) for row in result["rows"]]
-    distinct = {(0, auto_truncation(a), abs(a)) for a in alphas}
-    assert len(alphas) == 50 and 1 <= len(distinct) < len(alphas)
-    # Both branches of all 50 states: one evaluation per distinct (n, d, |alpha|).
-    assert states._fock_factors.cache_info().misses == len(distinct)
+    blocks = [alphas[i:i + states.SWEEP_BLOCK] for i in range(0, 50, states.SWEEP_BLOCK)]
+    distinct = sum(len({(auto_truncation(a), abs(a)) for a in block}) for block in blocks)
+    assert len(alphas) == 50 and len(blocks) == 4 and 4 <= distinct < len(alphas)
+    # Both branches of the rows of a block: one factor row per distinct
+    # (d, |alpha|) in the block, where each state once evaluated its own.
+    assert sum(factor_rows) == distinct

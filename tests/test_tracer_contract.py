@@ -3,8 +3,9 @@
 `bench/tracer.py` names its layers as "module:attribute" targets in the
 package (`kernel.expm` is `sagnac_qfi.oracle:expm`).  Renaming or dropping
 one of them breaks the traced benchmark run, so these tests install the
-tracer against the package and remove it again, and run the oracle-dense
-routes under it.  The tracer is imported by path and used as it is.
+tracer against the package and remove it again, and run the closed-scan
+commands and the oracle-dense routes under it.  The tracer is imported by
+path and used as it is.
 """
 
 import importlib.util
@@ -68,3 +69,43 @@ def test_oracle_dense_required_layers_record_calls(tracer):
     assert missing == []
     # Every fidelity evolution is built through build_evolution_closed.
     assert metrics["oracle.fidelity_evolution_ratio"][0] > 0.0
+
+
+# One op of each closed-scan command; scan-alpha sweeps theta_alpha and |alpha|.
+CLOSED_SCAN_OPS = [
+    ["scan-tau", "--set", "sweep.variable=tau", "--set", "sweep.start=1.0",
+     "--set", "sweep.stop=9.0", "--set", "sweep.scale=linear"],
+    ["scan-n", "--set", "profile.tau=2.0"],
+    ["scan-alpha", "--set", "profile.tau=2.0", "--set", "sweep.variable=theta_alpha",
+     "--set", "sweep.start=0.0", "--set", "sweep.stop=6.0", "--set", "sweep.scale=linear"],
+    ["scan-alpha", "--set", "profile.tau=2.0", "--set", "sweep.variable=abs_alpha",
+     "--set", "sweep.start=0.1", "--set", "sweep.stop=2.5", "--set", "sweep.scale=linear"],
+    ["qfi", "--set", "profile.tau=2.0"],
+    ["coeffs", "--set", "profile.tau=2.0"],
+]
+
+
+def test_closed_scan_required_layers_record_calls(tracer, tmp_path):
+    # The traced closed-scan run fails when a required layer records no call.
+    # scan-alpha builds its states in row blocks, not through the state
+    # builders, so its blocks must still size rows through auto_truncation
+    # and evaluate them through displaced_fock_amplitudes, where the traced
+    # run puts the sweep's state time.
+    from sagnac_qfi import cli
+
+    out = str(tmp_path / "op.out")
+    ops = [argv + ["--set", f"state.kind={kind}", "--out", out]
+           for kind in ("partial", "global") for argv in CLOSED_SCAN_OPS]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for op_id, argv in enumerate(ops):
+            with t.op(op_id):
+                assert cli.main(argv) == 0
+    finally:
+        t.uninstall()
+    _, missing = t.metrics("closed-scan", len(ops))
+    assert missing == []
+    scan_alpha = {op_id for op_id, argv in enumerate(ops) if argv[0] == "scan-alpha"}
+    layers = {t.layers[span[0]] for span in t.spans if span[4] in scan_alpha}
+    assert {"states.auto_truncation", "states.displaced_fock_amplitudes"} <= layers
