@@ -283,6 +283,12 @@ def _fock_factors(n: int, d: int, radii: list[float]):
     return factors(*upper), lower and factors(*lower)
 
 
+def _factor_rows(factors, index: list[int]):
+    """(k, magnitudes, Laguerre values) with the radius rows picked by index
+    (None stays None)."""
+    return factors and (factors[0], factors[1][index], factors[2][index])
+
+
 def _times(mag: np.ndarray, phase: np.ndarray, lag: np.ndarray) -> np.ndarray:
     """mag * phase * lag, in that order, formed in phase's buffer."""
     np.multiply(mag, phase, out=phase)
@@ -313,19 +319,26 @@ def displaced_fock_amplitudes(alpha, n: int, d: int) -> np.ndarray:
         if not cmath.isfinite(a):
             raise ValueError(f"alpha must be finite, got {a}")
     out = np.zeros((len(alphas), d), dtype=complex)
-    out[[row for row, a in enumerate(alphas) if a == 0], n] = 1.0  # D(0)|n> = |n>
     live = [row for row, a in enumerate(alphas) if a != 0]
+    if len(live) < len(alphas):
+        out[[row for row, a in enumerate(alphas) if a == 0], n] = 1.0  # D(0)|n> = |n>
     if live:
         radii = [abs(alphas[row]) for row in live]
-        rank = {radius: i for i, radius in enumerate(dict.fromkeys(radii))}
-        index = [rank[radius] for radius in radii]
+        distinct = list(dict.fromkeys(radii))
         theta = np.angle(np.array([alphas[row] for row in live]))[:, None]
-        (k, mag, lag), lower = _fock_factors(n, d, list(rank))
+        upper, lower = _fock_factors(n, d, distinct)
+        if len(distinct) < len(radii):  # rows that share an |alpha| share its factors
+            rank = {radius: i for i, radius in enumerate(distinct)}
+            index = [rank[radius] for radius in radii]
+            upper, lower = _factor_rows(upper, index), _factor_rows(lower, index)
+        # Fancy indexing costs more than a one-row block's arithmetic.
+        rows = live if len(live) < len(alphas) else slice(None)
+        k, mag, lag = upper
         phase = 1j * k * theta
-        out[live, n:] = _times(mag[index], np.exp(phase, out=phase), lag[index])
+        out[rows, n:] = _times(mag, np.exp(phase, out=phase), lag)
         if lower is not None:
             k, mag, lag = lower
-            out[live, :n] = _times(mag[index], (-np.exp(-1j * theta)) ** k, lag[index])
+            out[rows, :n] = _times(mag, (-np.exp(-1j * theta)) ** k, lag)
     return out if block else out[0]
 
 
@@ -400,9 +413,9 @@ def _branch_amplitudes(
                 rows = [row for row, stays in zip(rows, keep) if stays]
                 branch = [alpha for alpha, stays in zip(branch, keep) if stays]
                 amps, leak = amps[keep], leak[keep]
-        bad = np.flatnonzero(~(leak <= leakage))  # a NaN leaks too
-        if bad.size:
-            i = bad[0]
+        fits = leak <= leakage  # a NaN leaks too
+        if not fits.all():
+            i = np.flatnonzero(~fits)[0]
             suggest = not grow or i >= len(rows)  # a mirror row's d was given
             raise TruncationError(
                 f"truncation d = {size} leaks {leak[i]:.3e} > {leakage:.3e} for "
@@ -499,9 +512,10 @@ def _check_normalized(amps: np.ndarray) -> None:
     """Raise ValueError unless every mode state, a row of amps, has
     sum |amp|^2 within 1e-12 of 1 (a NaN fails too)."""
     norm = (np.abs(amps) ** 2).sum(axis=-1)
-    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-12))
-    if bad.size:
-        raise ValueError(f"branch not normalized: sum |amp|^2 = {float(norm.flat[bad[0]])!r}")
+    normalized = np.abs(norm - 1.0) <= 1e-12
+    if not normalized.all():
+        first = np.flatnonzero(~normalized)[0]
+        raise ValueError(f"branch not normalized: sum |amp|^2 = {float(norm.flat[first])!r}")
 
 
 def _mode_moments(amps: np.ndarray) -> list[tuple[complex, complex, float]]:

@@ -422,7 +422,8 @@ def _one_alpha_moments(amps):
     k = np.arange(d, dtype=float)
     a_mean = complex((amps[:-1].conj() * amps[1:] * np.sqrt(k[1:])).sum())
     if d >= 3:
-        a2_mean = complex((amps[:-2].conj() * amps[2:] * np.sqrt(k[1:-1] * (k[1:-1] + 1.0))).sum())
+        root_kk = np.sqrt(k[1:-1] * (k[1:-1] + 1.0))
+        a2_mean = complex((amps[:-2].conj() * amps[2:] * root_kk).sum())
     else:
         a2_mean = 0.0 + 0.0j
     return a_mean, a2_mean, float((k * np.abs(amps) ** 2).sum())
@@ -462,7 +463,9 @@ def test_sweep_blocks_equal_the_one_alpha_construction_bit_for_bit(radii, picks,
 
     ups = [_one_alpha_branch(alpha, level, d) for alpha in alphas]
     downs = [_one_alpha_branch(-a, 0, up.size) for a, up in zip(alphas, ups)] if mirror else ups
-    for rows, block in states._branch_amplitudes(alphas, level, d, states.DEFAULT_LEAKAGE, mirror):
+    blocks = states._branch_amplitudes(alphas, level, d, states.DEFAULT_LEAKAGE, mirror)
+    assert sorted(row for rows, _ in blocks for row in rows) == list(range(len(alphas)))
+    for rows, block in blocks:
         for i, row in enumerate(rows):
             assert block[i].tobytes() == ups[row].tobytes()
             assert not mirror or block[len(rows) + i].tobytes() == downs[row].tobytes()
@@ -471,7 +474,8 @@ def test_sweep_blocks_equal_the_one_alpha_construction_bit_for_bit(radii, picks,
     moments = list(states.sweep_mode_moments(kind, alphas, n, d))
     assert len(moments) == len(alphas)
     for (up, down), up_amps, down_amps in zip(moments, ups, downs):
-        assert repr((up, down)) == repr((_one_alpha_moments(up_amps), _one_alpha_moments(down_amps)))
+        want = _one_alpha_moments(up_amps), _one_alpha_moments(down_amps)
+        assert repr((up, down)) == repr(want)
         one_alpha = GhzProductState(BranchState(+1, up_amps), BranchState(-1, down_amps), 1)
         got = dataclasses.astuple(states.branch_correlations(up, down, *c1_terms))
         want = dataclasses.astuple(_per_call_correlations(one_alpha, c1))
