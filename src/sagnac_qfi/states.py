@@ -463,9 +463,7 @@ def make_globally_entangled(
     )
 
 
-def sweep_mode_moments(
-    kind: str, alphas: list, n: int, d: int = 0, leakage: float = DEFAULT_LEAKAGE
-):
+def sweep_mode_moments(kind: str, alphas: list, n: int, d: int):
     """Yield, for each alpha in row order, the (up, down) branch moments of
     the partially (kind "partial") or globally (kind "global", whose
     branches are coherent whatever n) entangled state: what mode_moments
@@ -477,6 +475,8 @@ def sweep_mode_moments(
     row at a time, so that the fault is raised when its row is reached, as
     the one-row builder raises it.
     """
+    if kind not in ("partial", "global"):
+        raise ValueError(f"sweep_mode_moments takes kind partial or global, got {kind!r}")
     mirror = kind == "global"
     if mirror:
         n = 0
@@ -484,7 +484,7 @@ def sweep_mode_moments(
         chunk = alphas[start:start + SWEEP_BLOCK]
         moments = [None] * len(chunk)
         try:
-            for rows, amps in _branch_amplitudes(chunk, n, d, leakage, mirror):
+            for rows, amps in _branch_amplitudes(chunk, n, d, DEFAULT_LEAKAGE, mirror):
                 _check_normalized(amps)
                 block = _mode_moments(amps)
                 for i, row in enumerate(rows):
@@ -492,8 +492,8 @@ def sweep_mode_moments(
         except (ArithmeticError, ValueError, TruncationError):
             for alpha in chunk:
                 state = (
-                    make_globally_entangled(alpha, d, leakage=leakage) if mirror
-                    else make_partially_entangled(alpha, n, d, leakage=leakage)
+                    make_globally_entangled(alpha, d) if mirror
+                    else make_partially_entangled(alpha, n, d)
                 )
                 yield state.mode_moments
         else:

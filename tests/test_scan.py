@@ -313,24 +313,28 @@ def test_scan_alpha_reports_the_first_faulty_row(kind, error, text):
 
 
 @pytest.mark.parametrize(
-    "alpha_re, text",
+    "alpha_re, row, text",
     [
-        (-15.0, "row value 4.1887902047863905: general-form QFI 599.9056723091524 "
-                "disagrees with the global closed form 599.905672035165"),
-        (-25.0, "row value 0.9605872274134205: general-form QFI 16504.009694823948 "
-                "disagrees with the global closed form 16504.00969292236"),
-        (-60.0, "row value 0.9763345590103618: general-form QFI 111574.5480767772 "
-                "disagrees with the global closed form 111574.5480613029"),
+        (-15.0, 266, "row value 4.1887902047863905: general-form QFI 599.9056723091524 "
+                     "disagrees with the global closed form 599.905672035165"),
+        (-25.0, 61, "row value 0.9605872274134205: general-form QFI 16504.009694823948 "
+                    "disagrees with the global closed form 16504.00969292236"),
+        (-60.0, 62, "row value 0.9763345590103618: general-form QFI 111574.5480767772 "
+                    "disagrees with the global closed form 111574.5480613029"),
     ],
 )
-def test_scan_alpha_stops_mid_block_at_the_first_failing_row(alpha_re, text):
-    # Each failing row sits inside a block whose later rows are built
-    # already; the sweep still stops at it, with its cross-check's text.
+def test_scan_alpha_stops_mid_block_at_the_first_failing_row(alpha_re, row, text):
+    # The first failing row of a 400-point sweep over [0, 2 pi], taken as
+    # row 7 of a 12-row sweep on the same grid (the same theta bits), so it
+    # sits inside one block whose later rows are built already; the sweep
+    # still stops at it, with its cross-check's text.
+    grid = np.linspace(0.0, 2.0 * math.pi, 400)
     cfg = cfg_with(**{
         "state.kind": "global", "state.alpha_re": alpha_re, "sweep.variable": "theta_alpha",
-        "sweep.start": 0.0, "sweep.stop": 2.0 * math.pi, "sweep.points": 400,
-        "sweep.scale": "linear", "profile.tau": 2.0,
+        "sweep.start": float(grid[row - 7]), "sweep.stop": float(grid[row + 4]),
+        "sweep.points": 12, "sweep.scale": "linear", "profile.tau": 2.0,
     })
+    assert scan._sweep_values(cfg)[7] == grid[row]
     with pytest.raises(ConsistencyError) as err:
         run_scan_alpha(cfg)
     assert str(err.value) == text

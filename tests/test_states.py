@@ -482,6 +482,12 @@ def test_sweep_blocks_equal_the_one_alpha_construction_bit_for_bit(radii, picks,
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
+@pytest.mark.parametrize("kind", ["product", "globl"])
+def test_sweep_mode_moments_takes_only_the_entangled_kinds(kind):
+    with pytest.raises(ValueError, match="partial or global"):
+        next(states.sweep_mode_moments(kind, [0.5], 0, 0))
+
+
 @pytest.mark.parametrize("kind, most", [("global", 2), ("partial", 1)])
 def test_a_tau_scan_computes_the_mode_moments_once(monkeypatch, kind, most):
     calls = []
