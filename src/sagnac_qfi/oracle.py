@@ -28,23 +28,26 @@ buys the sub-Gaussian tail of a displaced Fock state about eight digits.
 
 `identity_suite` sizes every space it builds by one rule,
 d = required_truncation(SUITE_COLUMNS, |eta|), and compares only the columns
-trusted at that |eta|.  A closed evolution or a displacement moves a column
-by |eta(tau)| in one step, but the time-ordered product passes through every
-eta(t) on the way, so `evolution_block` sizes and trusts the evolution
-identities by an upper bound on |eta(t)| along the path: on each segment of a
-piecewise drive eta(t) follows a circular arc, and `model._eta_phi_segments`
-bounds it by the arc's farthest point.  The single-site builders refuse d
-above DENSE_GUARD before allocating anything, since one dense exponential
-costs O(d^2) memory and O(d^3) time however small N is.
+trusted at that |eta|; the covariance-reduction identity, which evolves
+nothing, keeps its state's automatic truncation.  A closed evolution or a
+displacement moves a column by |eta(tau)| in one step, but the time-ordered
+product passes through every eta(t) on the way, so `evolution_block` sizes and
+trusts the evolution identities by an upper bound on |eta(t)| along the path:
+on each segment of a piecewise drive eta(t) follows a circular arc, and
+`model._eta_phi_segments` bounds it by the arc's farthest point.  The
+single-site builders refuse d above DENSE_GUARD before allocating anything,
+since one dense exponential costs O(d^2) memory and O(d^3) time however small
+N is.
 
-The QFI oracles evolve only what their input populates.  The state fills the
-leading t = state.truncation Fock levels of each site, in the two spin
+The QFI oracles size their spaces by `_oracle_truncation` alone, which trusts
+every level the input state populates, and evolve only that.  The state fills
+the leading t = state.truncation Fock levels of each site, in the two spin
 branches only, while the oracle pads each site to d levels; `assemble_state`
 writes only those t^N blocks.  At N >= 2 both routes apply only the first t
 columns of each site operator (U(tau) or the generator): each site's product
-reads that site's t levels and writes its d evolved ones, over the columns
-the branch populates.  Every bit of the whole-vector products stays: a
-GEMM's sum over the t populated levels adds up what the sum over d did, and
+reads that site's t levels and writes its d evolved ones, over the columns the
+branch populates.  Every bit of the whole-vector products stays: a GEMM's sum
+over the t populated levels adds up what the sum over d did, and
 `_column_window` keeps each column in the same group of COLUMN_GROUP columns
 that the complex GEMM rounds together.  At N = 1 a product is matrix-vector,
 whose rounding depends on K, so there both routes apply whole d x d blocks.
@@ -271,7 +274,8 @@ def _step_nodes(f_block: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarr
     """
     lo, hi = float(f_block.min()), float(f_block.max())
     m = bisect.bisect_left(_STEP_REACH, (hi - lo) * scale) + 1
-    own = np.unique(f_block)
+    own = np.sort(f_block)  # np.unique's values, without its import of numpy.ma
+    own = own[np.concatenate(([True], own[1:] != own[:-1]))]
     if own.size <= m:
         return own, np.ones(own.size)
     theta = (2.0 * np.arange(m) + 1.0) * math.pi / (2.0 * m)
@@ -622,14 +626,10 @@ def qfi_variance_numeric(
     params: PhysicalParams,
     profile: DrivingProfile,
     tau: float,
-    d: int = 0,
 ) -> float:
     """QFI as four times the variance of the finite-difference generator on
-    the explicit N-site vector.  d = 0 sizes the truncation so every level
-    populated by the input state sits in the trusted block."""
-    coeffs = coefficients(params, profile, tau)
-    if d == 0:
-        d = _oracle_truncation(state, coeffs)
+    the explicit N-site vector, at the `_oracle_truncation` d."""
+    d = _oracle_truncation(state, coefficients(params, profile, tau))
     _check_size(d, state.n_particles)
     h_site = site_generator_numeric(params, profile, tau, d)
     psi = assemble_state(state, d)
@@ -669,7 +669,6 @@ def qfi_fidelity_numeric(
     params: PhysicalParams,
     profile: DrivingProfile,
     tau: float,
-    d: int = 0,
 ) -> float:
     """QFI as fidelity susceptibility: F = 8 (1 - |<a|b>| / (|a| |b|))/delta^2
     for a = psi(Omega) and b = psi(Omega+delta), with one Richardson level.
@@ -680,9 +679,7 @@ def qfi_fidelity_numeric(
     overlap deficit sits in [1e-8, 1e-4], where the quadratic term dominates
     both roundoff and quartic corrections.
     """
-    coeffs = coefficients(params, profile, tau)
-    if d == 0:
-        d = _oracle_truncation(state, coeffs)
+    d = _oracle_truncation(state, coefficients(params, profile, tau))
     _check_size(d, state.n_particles)
     n_sites = state.n_particles
     columns = _populated_columns(state)
@@ -749,12 +746,11 @@ def covariance_reduction_check(
     state: GhzProductState,
     op_a: np.ndarray,
     op_b: np.ndarray,
-    atol: float = 1e-10,
 ) -> bool:
     """Permutation-symmetry identity
     Cov(sum A_k, sum B_k) = N Cov(A1, B1) + (N^2 - N) Cov(A1, B2),
     with every side evaluated on the full N-site vector, for dense 2d x 2d
-    operators A and B."""
+    operators A and B, to within 1e-10 of max(1, |lhs|)."""
     n_sites = state.n_particles
     psi = assemble_state(state)
     op_a, op_b = op_a[None], op_b[None]
@@ -767,7 +763,7 @@ def covariance_reduction_check(
     cov_11 = _sym_cov(psi, a_1, b_1)
     cov_12 = _sym_cov(psi, a_1, apply_site(op_b, psi, 1, n_sites)) if n_sites > 1 else 0.0
     rhs = n_sites * cov_11 + (n_sites**2 - n_sites) * cov_12
-    return abs(lhs - rhs) <= atol * max(1.0, abs(lhs))
+    return abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -877,17 +873,16 @@ def identity_suite(
     identities.append(_identity("qfi-fidelity-vs-closed", fid_err, 1e-5))
 
     # Covariance reduction on full vectors up to n_max, at tau = T0/2, where
-    # C1 = -1 (C1 does not depend on the rotation rate or the fault).
+    # C1 = -1 (C1 does not depend on the rotation rate or the fault), with
+    # the site operators on the state's own truncation.
+    state = make_partially_entangled(0.4 + 0.2j, 0)
+    d = state.truncation
     half_period = DrivingProfile.constant_for(t0 / 2.0)
-    quadrature = quadrature_site_operator(coefficients(params, half_period, t0 / 2.0).c1, 6)
-    sigma_z = sigma_z_site_operator(6)
+    quadrature = quadrature_site_operator(coefficients(params, half_period, t0 / 2.0).c1, d)
+    sigma_z = sigma_z_site_operator(d)
     ok = all(
-        covariance_reduction_check(
-            make_partially_entangled(0.4 + 0.2j, 0, d=6, n_particles=n_particles, leakage=1e-6),
-            quadrature,
-            sigma_z,
-        )
-        for n_particles in range(1, n_max + 1)
+        covariance_reduction_check(dataclasses.replace(state, n_particles=n), quadrature, sigma_z)
+        for n in range(1, n_max + 1)
     )
     identities.append(_identity("covariance-reduction", 0.0 if ok else 1.0, 0.5))
 

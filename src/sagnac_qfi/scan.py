@@ -441,7 +441,8 @@ def run_scan_n(cfg: ScanConfig) -> dict:
         raise ConfigError(
             f"sweep over N must stay below 2**63, got sweep.stop = {cfg['sweep.stop']!r}"
         )
-    n_values = np.unique(rounded.astype(int))
+    n_values = np.sort(rounded.astype(int))  # np.unique's, without its import of numpy.ma
+    n_values = n_values[np.diff(n_values, prepend=0) != 0]  # every N >= 1 keeps the first
     if n_values.size < 2:
         raise ConfigError("sweep over N collapsed to fewer than 2 distinct values")
     constants = derive_constants(params)

@@ -17,12 +17,13 @@ tabulated special cases for D(alpha)|n> branches (partially entangled) and
 A sweep over alpha builds its states as blocks (sweep_mode_moments): up to
 SWEEP_BLOCK rows that share a truncation form one (rows x d) amplitude block,
 whose magnitudes and Laguerre values are evaluated once per distinct |alpha|
-and whose leaks, renormalization, normalization checks and mode moments are
-one numpy pass of row sums over the last axis.  The state builders are the
-one-row case of the same functions.  Every row keeps the bits of a one-row
-build because |alpha|, |alpha|^2 and log|alpha| stay Python scalars of each
-row (numpy's vectorized abs, square and log round differently) and every
-other step, np.angle included, rounds elementwise or sums one row.
+and whose leaks (against the one budget LEAKAGE), renormalization,
+normalization checks and mode moments are one numpy pass of row sums over the
+last axis.  The state builders are the one-row case of the same functions.
+Every row keeps the bits of a one-row build because |alpha|, |alpha|^2 and
+log|alpha| stay Python scalars of each row (numpy's vectorized abs, square and
+log round differently) and every other step, np.angle included, rounds
+elementwise or sums one row.
 
 Bounded caches hold the factors that repeat across a sweep, as read-only
 arrays: the log-factorial ratios and binomials of D(alpha)|n>, keyed by
@@ -52,10 +53,12 @@ import numpy as np
 
 from .exceptions import TruncationError
 
-DEFAULT_LEAKAGE = 1e-10
-# Distinct (n, d) whose alpha-free displaced-Fock factors stay cached.  A
-# sweep of |alpha| meets a few d.
-FOCK_FACTOR_CACHE_SIZE = 32
+# The one leak budget: most probability a mode state may lose past its d
+# levels before it is renormalized.  No builder takes another.
+LEAKAGE = 1e-10
+# Distinct (n, d) whose alpha-free displaced-Fock factors stay cached: one
+# closed-scan process meets 75.
+FOCK_FACTOR_CACHE_SIZE = 128
 # Rows of a sweep whose states are built as one block: it bounds the block's
 # working set at a few (SWEEP_BLOCK x d) arrays per branch.
 SWEEP_BLOCK = 16
@@ -342,8 +345,8 @@ def displaced_fock_amplitudes(alpha, n: int, d: int) -> np.ndarray:
     return out if block else out[0]
 
 
-def auto_truncation(alpha: complex, n: int = 0, leakage: float = DEFAULT_LEAKAGE) -> int:
-    """Smallest d with Poisson(|alpha|^2) tail mass below the leakage bound,
+def auto_truncation(alpha: complex, n: int = 0) -> int:
+    """Smallest d with Poisson(|alpha|^2) tail mass below LEAKAGE,
     plus n + 10 headroom levels.  The headroom usually pushes the realized
     tail of D(alpha)|n> orders of magnitude below the bound; where the spread
     of D(alpha)|n>, about sqrt(2n + 1) |alpha|, outgrows it, the state
@@ -359,7 +362,7 @@ def auto_truncation(alpha: complex, n: int = 0, leakage: float = DEFAULT_LEAKAGE
     from_log = term < sys.float_info.min
     cum = term
     d0 = 1
-    while 1.0 - cum > leakage:
+    while 1.0 - cum > LEAKAGE:
         if from_log:
             term = math.exp(d0 * math.log(lam) - lam - math.lgamma(d0 + 1.0))
         else:
@@ -372,10 +375,10 @@ def auto_truncation(alpha: complex, n: int = 0, leakage: float = DEFAULT_LEAKAGE
 
 
 def _branch_amplitudes(
-    alphas: list, n: int, d: int, leakage: float, mirror: bool = False
+    alphas: list, n: int, d: int, mirror: bool = False
 ) -> list[tuple[list[int], np.ndarray]]:
     """D(alpha)|n> of each alpha on d levels, renormalized after checking
-    that it leaks at most leakage, as (rows, block) pairs: the indices of the
+    that it leaks at most LEAKAGE, as (rows, block) pairs: the indices of the
     alphas that share a truncation and their (rows, d) amplitude block.
     d = 0 takes each row's auto_truncation d, grown a level at a time while
     the row leaks more; a given d that leaks raises TruncationError with that
@@ -391,7 +394,7 @@ def _branch_amplitudes(
         if grow:
             radius = abs(alpha)
             if radius not in sizes:
-                sizes[radius] = auto_truncation(alpha, n, leakage)
+                sizes[radius] = auto_truncation(alpha, n)
             size = sizes[radius]
         pending.setdefault(size, []).append(row)
     blocks = []
@@ -404,7 +407,7 @@ def _branch_amplitudes(
         amps = displaced_fock_amplitudes(branch, n, size)
         leak = 1.0 - (np.abs(amps) ** 2).sum(axis=-1)
         if grow and size < 10_000:
-            more = leak[: len(rows)] > leakage
+            more = leak[: len(rows)] > LEAKAGE
             if more.any():
                 pending.setdefault(size + 1, []).extend(
                     row for row, grows in zip(rows, more) if grows
@@ -413,15 +416,15 @@ def _branch_amplitudes(
                 rows = [row for row, stays in zip(rows, keep) if stays]
                 branch = [alpha for alpha, stays in zip(branch, keep) if stays]
                 amps, leak = amps[keep], leak[keep]
-        fits = leak <= leakage  # a NaN leaks too
+        fits = leak <= LEAKAGE  # a NaN leaks too
         if not fits.all():
             i = np.flatnonzero(~fits)[0]
             suggest = not grow or i >= len(rows)  # a mirror row's d was given
             raise TruncationError(
-                f"truncation d = {size} leaks {leak[i]:.3e} > {leakage:.3e} for "
+                f"truncation d = {size} leaks {leak[i]:.3e} > {LEAKAGE:.3e} for "
                 f"alpha = {branch[i]}, n = {n}",
                 suggested_d=(
-                    _branch_amplitudes([branch[i]], n, 0, leakage)[0][1].shape[1]
+                    _branch_amplitudes([branch[i]], n, 0)[0][1].shape[1]
                     if suggest else None
                 ),
             )
@@ -436,11 +439,10 @@ def make_partially_entangled(
     n: int,
     d: int = 0,
     n_particles: int = 1,
-    leakage: float = DEFAULT_LEAKAGE,
 ) -> GhzProductState:
     """Both branches carry the same displaced Fock state D(alpha)|n>;
     only the spins differ."""
-    [(_, (amps,))] = _branch_amplitudes([alpha], n, d, leakage)
+    [(_, (amps,))] = _branch_amplitudes([alpha], n, d)
     return GhzProductState(
         branch_up=BranchState(+1, amps),
         branch_down=BranchState(-1, amps),  # one read-only array, one moment pass
@@ -452,10 +454,9 @@ def make_globally_entangled(
     alpha: complex,
     d: int = 0,
     n_particles: int = 1,
-    leakage: float = DEFAULT_LEAKAGE,
 ) -> GhzProductState:
     """Spin +1 branch carries |alpha>, spin -1 branch carries |-alpha>."""
-    [(_, (up, down))] = _branch_amplitudes([alpha], 0, d, leakage, mirror=True)
+    [(_, (up, down))] = _branch_amplitudes([alpha], 0, d, mirror=True)
     return GhzProductState(
         branch_up=BranchState(+1, up),
         branch_down=BranchState(-1, down),
@@ -484,7 +485,7 @@ def sweep_mode_moments(kind: str, alphas: list, n: int, d: int):
         chunk = alphas[start:start + SWEEP_BLOCK]
         moments = [None] * len(chunk)
         try:
-            for rows, amps in _branch_amplitudes(chunk, n, d, DEFAULT_LEAKAGE, mirror):
+            for rows, amps in _branch_amplitudes(chunk, n, d, mirror):
                 _check_normalized(amps)
                 block = _mode_moments(amps)
                 for i, row in enumerate(rows):

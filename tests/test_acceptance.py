@@ -380,7 +380,7 @@ def test_criterion_10_covariance_reduction():
         m1 = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
         m2 = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
         ok = ok and covariance_reduction_check(
-            state, 0.5 * (m1 + m1.conj().T), 0.5 * (m2 + m2.conj().T), atol=1e-10
+            state, 0.5 * (m1 + m1.conj().T), 0.5 * (m2 + m2.conj().T)
         )
     _verdict(
         10, ok,

@@ -1,4 +1,4 @@
-"""What each route loads of scipy.
+"""What each route loads of scipy, and of numpy.ma.
 
 The package never loads scipy.integrate: its Simpson quadrature is its own.
 Its log-Gamma and Laguerre values are its own too, and the oracle's
@@ -202,3 +202,24 @@ def test_every_cli_subcommand_leaves_scipy_integrate_unloaded(tmp_path):
         for command in ("coeffs", "qfi", "scan-n", "scan-alpha", "scan-tau", "oracle-check")
         for word in (command, "0", "False")
     ]
+
+
+def test_sampled_stepped_evolution_and_scan_n_load_no_numpy_ma(tmp_path):
+    # np.unique's first call imports numpy.ma (13-16 ms); the stepper's node
+    # choice and scan-n's N grid take their distinct values without it.
+    out = _run(f"""
+        import sys
+        import numpy as np
+        from sagnac_qfi import cli
+        from sagnac_qfi.model import DrivingProfile, PhysicalParams
+        from sagnac_qfi.oracle import build_evolution_stepped
+
+        times = np.linspace(0.0, 2.5, 401)
+        sampled = DrivingProfile.sampled(times, 1.0 + 0.3 * np.sin(times), "rescale")
+        u = build_evolution_stepped(PhysicalParams(ring_radius=0.5), sampled, 2.5, 1, 12, 100)
+        print(u.shape == (12, 12), "numpy.ma" in sys.modules)
+        code = cli.main(["scan-n", "--out", {str(tmp_path / "n.csv")!r},
+                         "--set", "profile.tau=3.141592653589793"])
+        print(code, "numpy.ma" in sys.modules)
+    """)
+    assert out.split() == ["True", "False", "0", "False"]

@@ -353,6 +353,25 @@ def test_step_interpolation_meets_its_bound(reach, n_nodes):
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "f_block",
+    [
+        [0.3, -0.1, 0.3, 0.2, -0.1],
+        [0.0, -0.0, 0.5, -0.0, 0.0],
+        [-0.0, 0.0, 0.5],
+        [1.25] * 7,
+        [0.7],
+    ],
+)
+def test_own_drive_nodes_are_the_distinct_drive_values(f_block):
+    # A block with few distinct drives takes them as its nodes: np.unique's
+    # values, order and bits (signed zeros included).
+    f_block = np.array(f_block)
+    nodes, weights = oracle._step_nodes(f_block, 1.0)
+    assert nodes.tobytes() == np.unique(f_block).tobytes()
+    assert weights.tobytes() == np.ones(nodes.size).tobytes()
+
+
 def test_step_interpolation_reuses_node_factors():
     # A drive equal to a node takes that node's factor unchanged.
     nodes = np.array([0.2, 0.5, 0.9])
@@ -640,7 +659,7 @@ def test_size_guard_trips():
     profile = DrivingProfile.constant_for(tau)
     state = make_partially_entangled(1.0, 0, d=40, n_particles=4)
     with pytest.raises(SizeGuardError):
-        qfi_variance_numeric(state, UNIT, profile, tau, d=40)
+        qfi_variance_numeric(state, UNIT, profile, tau)
 
 
 @pytest.mark.parametrize(
@@ -752,10 +771,13 @@ def test_assemble_state_has_the_bits_of_the_whole_vector_construction(family, n_
 def test_covariance_reduction_random_draws():
     rng = np.random.default_rng(5)
     d = 5
+
+    def random_branch(sign):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return BranchState(spin_sign=sign, mode_amplitudes=v / np.linalg.norm(v))
+
     for n_particles in (2, 3):
-        state = make_partially_entangled(
-            0.6 + 0.2j, 0, d=d, n_particles=n_particles, leakage=1e-3
-        )
+        state = GhzProductState(random_branch(+1), random_branch(-1), n_particles)
         for _ in range(3):
             m1 = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
             m2 = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
@@ -943,6 +965,40 @@ def test_generator_and_identity_suite_build_all_columns(monkeypatch):
     oracle.identity_suite(UNIT, n_max=1)
     assert len(calls) > 20
     assert all(shape[0] == shape[1] for _, shape in calls)
+
+
+def test_identity_suite_builds_covariance_operators_at_the_state_truncation(monkeypatch):
+    # The covariance state keeps its automatic truncation (d = 18 at
+    # alpha = 0.4 + 0.2j), and both site operators are built at that d.
+    checked, built = [], []
+    check = oracle.covariance_reduction_check
+
+    def recording_check(state, op_a, op_b):
+        checked.append((state.n_particles, state.truncation, op_a.shape, op_b.shape))
+        return check(state, op_a, op_b)
+
+    def recording(build):
+        def wrapped(*args):
+            op = build(*args)
+            built.append((build.__name__, args[-1]))
+            return op
+
+        return wrapped
+
+    monkeypatch.setattr(oracle, "covariance_reduction_check", recording_check)
+    for name in ("quadrature_site_operator", "sigma_z_site_operator"):
+        monkeypatch.setattr(oracle, name, recording(getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "qfi_variance_numeric", lambda *_: 0.0)
+    monkeypatch.setattr(oracle, "qfi_fidelity_numeric", lambda *_: 0.0)
+    report = oracle.identity_suite(UNIT, n_max=3)
+    d = make_partially_entangled(0.4 + 0.2j, 0).truncation
+    assert d == 18
+    assert built == [("quadrature_site_operator", d), ("sigma_z_site_operator", d)]
+    assert checked == [(n, d, (2 * d, 2 * d), (2 * d, 2 * d)) for n in (1, 2, 3)]
+    covariance = [item for item in report["identities"] if item["name"] == "covariance-reduction"]
+    assert covariance == [
+        {"name": "covariance-reduction", "error": 0.0, "tolerance": 0.5, "passed": True}
+    ]
 
 
 def test_qfi_oracles_peak_memory_at_two_atoms():

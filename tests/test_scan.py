@@ -448,6 +448,26 @@ def test_sweep_validation():
         run_scan_n(neg_log)
 
 
+@pytest.mark.parametrize(
+    "start, stop, points",
+    [(0.1, 0.4, 3), (1.0, 1.4, 4), (2.6, 3.4, 5), (1.0, 2.0, 6)],
+)
+def test_scan_n_grid_is_the_distinct_rounded_n(start, stop, points):
+    # N below 1 drops out and repeats count once: an empty grid and a grid
+    # of one N are configuration errors, as np.unique's grid made them.
+    cfg = cfg_with(**{
+        "profile.tau": math.pi, "sweep.scale": "linear", "sweep.start": start,
+        "sweep.stop": stop, "sweep.points": points,
+    })
+    rounded = np.round(scan._sweep_values(cfg))
+    want = np.unique(rounded[rounded >= 1].astype(int))
+    if want.size < 2:
+        with pytest.raises(ConfigError, match="collapsed to fewer than 2 distinct values"):
+            run_scan_n(cfg)
+    else:
+        assert [row["value"] for row in run_scan_n(cfg)["rows"]] == want.astype(float).tolist()
+
+
 def test_csv_output_is_deterministic():
     cfg = cfg_with(**{"profile.tau": math.pi, "sweep.points": 5})
     a = rows_to_csv(run_scan_n(cfg)["rows"], cfg)

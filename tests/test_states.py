@@ -408,11 +408,11 @@ def _one_alpha_branch(alpha, n, d):
         d = auto_truncation(alpha, n)
     amps = _one_alpha_amplitudes(alpha, n, d)
     leak = 1.0 - float((np.abs(amps) ** 2).sum())
-    while grow and leak > states.DEFAULT_LEAKAGE and d < 10_000:
+    while grow and leak > states.LEAKAGE and d < 10_000:
         d += 1
         amps = _one_alpha_amplitudes(alpha, n, d)
         leak = 1.0 - float((np.abs(amps) ** 2).sum())
-    assert leak <= states.DEFAULT_LEAKAGE
+    assert leak <= states.LEAKAGE
     return amps / math.sqrt(1.0 - leak)
 
 
@@ -463,7 +463,7 @@ def test_sweep_blocks_equal_the_one_alpha_construction_bit_for_bit(radii, picks,
 
     ups = [_one_alpha_branch(alpha, level, d) for alpha in alphas]
     downs = [_one_alpha_branch(-a, 0, up.size) for a, up in zip(alphas, ups)] if mirror else ups
-    blocks = states._branch_amplitudes(alphas, level, d, states.DEFAULT_LEAKAGE, mirror)
+    blocks = states._branch_amplitudes(alphas, level, d, mirror)
     assert sorted(row for rows, _ in blocks for row in rows) == list(range(len(alphas)))
     for rows, block in blocks:
         for i, row in enumerate(rows):
@@ -679,6 +679,25 @@ def test_cached_factors_are_read_only():
             array[0] = 1
     # What a caller gets back is its own, writable array.
     displaced_fock_amplitudes(0.8, 2, 12)[0] = 0.0
+
+
+def test_fock_level_cache_holds_three_abs_alpha_sweeps():
+    # Partial states at n = 0, 1, 2 over |alpha| in [0.1, 2.5] meet 75
+    # distinct (n, d); run twice from a cleared cache, the second round
+    # finds every one of them (at 32 entries it missed all 75 again).
+    def sweeps():
+        for n in (0, 1, 2):
+            run_scan_alpha(load_config(None, [
+                "state.kind=partial", f"state.n={n}", "profile.tau=2.0",
+                "sweep.variable=abs_alpha", "sweep.scale=linear",
+                "sweep.start=0.1", "sweep.stop=2.5", "sweep.points=50",
+            ]))
+        return states._fock_levels.cache_info().misses
+
+    states._fock_levels.cache_clear()
+    first = sweeps()
+    assert first == 75
+    assert sweeps() == first
 
 
 def test_theta_sweep_evaluates_laguerre_once_per_magnitude(monkeypatch):
