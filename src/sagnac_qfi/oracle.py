@@ -28,31 +28,32 @@ buys the sub-Gaussian tail of a displaced Fock state about eight digits.
 
 `identity_suite` sizes every space it builds by one rule,
 d = required_truncation(SUITE_COLUMNS, |eta|), and compares only the columns
-trusted at that |eta|; the covariance-reduction identity, which evolves
-nothing, keeps its state's automatic truncation.  A closed evolution or a
-displacement moves a column by |eta(tau)| in one step, but the time-ordered
-product passes through every eta(t) on the way, so `evolution_block` sizes and
-trusts the evolution identities by an upper bound on |eta(t)| along the path:
-on each segment of a piecewise drive eta(t) follows a circular arc, and
-`model._eta_phi_segments` bounds it by the arc's farthest point.  The
-single-site builders refuse d above DENSE_GUARD before allocating anything,
-since one dense exponential costs O(d^2) memory and O(d^3) time however small
-N is.
+trusted at that |eta|.  A closed evolution or a displacement moves a column
+by |eta(tau)| in one step, but the time-ordered product passes through every
+eta(t) on the way, so `evolution_block` sizes and trusts the evolution
+identities by an upper bound on |eta(t)| along the path: on each segment of a
+piecewise drive eta(t) follows a circular arc, and `model._eta_phi_segments`
+bounds it by the arc's farthest point.  The single-site builders refuse d
+above DENSE_GUARD before allocating anything, since one dense exponential
+costs O(d^2) memory and O(d^3) time however small N is.  The
+covariance-reduction identity evolves nothing and keeps its state's own
+automatic truncation.
 
-The QFI oracles size their spaces by `_oracle_truncation` alone, which trusts
-every level the input state populates, and evolve only that.  The state fills
-the leading t = state.truncation Fock levels of each site, in the two spin
+The QFI oracles evolve only what their input populates.  The state fills the
+leading t = state.truncation Fock levels of each site, in the two spin
 branches only, while the oracle pads each site to d levels; `assemble_state`
 writes only those t^N blocks.  At N >= 2 both routes apply only the first t
 columns of each site operator (U(tau) or the generator): each site's product
-reads that site's t levels and writes its d evolved ones, over the columns the
-branch populates.  Every bit of the whole-vector products stays: a GEMM's sum
-over the t populated levels adds up what the sum over d did, and
+reads that site's t levels and writes its d evolved ones, over the columns
+the branch populates.  Every bit of the whole-vector products stays: a
+GEMM's sum over the t populated levels adds up what the sum over d did, and
 `_column_window` keeps each column in the same group of COLUMN_GROUP columns
 that the complex GEMM rounds together.  At N = 1 a product is matrix-vector,
 whose rounding depends on K, so there both routes apply whole d x d blocks.
 A fidelity call evolves into two reused (2d)^N buffers, and the generator's
 differences are formed in place.  Reductions run over the whole vector.
+Both routes take d from `_oracle_truncation` alone, which trusts every level
+the input state populates.
 
 The module loads no scipy module, at import or at run time.
 """
