@@ -205,8 +205,8 @@ def test_every_cli_subcommand_leaves_scipy_integrate_unloaded(tmp_path):
 
 
 def test_sampled_stepped_evolution_and_scan_n_load_no_numpy_ma(tmp_path):
-    # np.unique's first call imports numpy.ma (13-16 ms); the stepper's node
-    # choice and scan-n's N grid take their distinct values without it.
+    # np.unique's first call imports numpy.ma; the stepper's node choice and
+    # scan-n's N grid take their distinct values without it.
     out = _run(f"""
         import sys
         import numpy as np
