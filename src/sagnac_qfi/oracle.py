@@ -39,21 +39,21 @@ costs O(d^2) memory and O(d^3) time however small N is.  The
 covariance-reduction identity evolves nothing and keeps its state's own
 automatic truncation.
 
-The QFI oracles evolve only what their input populates.  The state fills the
-leading t = state.truncation Fock levels of each site, in the two spin
-branches only, while the oracle pads each site to d levels; `assemble_state`
-writes only those t^N blocks.  At N >= 2 both routes apply only the first t
-columns of each site operator (U(tau) or the generator): each site's product
-reads that site's t levels and writes its d evolved ones, over the columns
-the branch populates.  Every bit of the whole-vector products stays: a
-GEMM's sum over the t populated levels adds up what the sum over d did, and
-`_column_window` keeps each column in the same group of COLUMN_GROUP columns
-that the complex GEMM rounds together.  At N = 1 a product is matrix-vector,
-whose rounding depends on K, so there both routes apply whole d x d blocks.
-A fidelity call evolves into two reused (2d)^N buffers, and the generator's
-differences are formed in place.  Reductions run over the whole vector.
-Both routes take d from `_oracle_truncation` alone, which trusts every level
-the input state populates.
+The QFI oracles never build the (2d)^N state.  Each site's evolution and
+generator commute with its sigma_z, and the two branches of the GHZ product
+state are orthogonal in every site's spin, so the cross-branch terms vanish
+(Braunstein & Caves, PRL 72, 3439 (1994); Pezze et al., RMP 90, 035005
+(2018)).  With each branch's amplitudes phi+- padded to d levels, the
+variance route takes m+- = <phi+-|h+-|phi+-> and v+- = |h+- phi+-|^2 - m+-^2
+and returns F = 4 [N (v+ + v-)/2 + N^2 (m+ - m-)^2/4], the paper's
+(beta - gamma) N + gamma N^2; the fidelity route takes the overlap
+(o+^N + o-^N)/2 of the single-site branch overlaps
+o+- = <U+-(Omega) phi+-|U+-(Omega+delta) phi+->, and the squared norms
+(n+^N + n-^N)/2 of the evolved branches.  Each costs O(d^3) for any N.  Both
+take d from `_oracle_truncation` alone, which trusts every level the input
+state populates.  The dense (2d)^N path (`assemble_state`, `apply_site`,
+`variance_qfi`), capped by SIZE_GUARD, serves the covariance identity and the
+identity suite's factored-versus-dense cross-check.
 
 The module loads no scipy module, at import or at run time.
 """
@@ -94,10 +94,6 @@ from .states import (
 )
 
 SIZE_GUARD = 200_000
-# Columns a complex GEMM rounds as one group: a product's last partial group
-# takes another kernel and other bits (OpenBLAS 0.3.31 zgemm, Haswell kernel),
-# so a product over part of the columns keeps its groups (`_column_window`).
-COLUMN_GROUP = 4
 # Largest single-site dimension the dense builders accept.  One complex d x d
 # matrix is 16 MB at d = 1000 and 160 GB at d = 10^5, which (2d)^N <= SIZE_GUARD
 # alone would allow at N = 1; an eigensolve and an `expm` hold several at once.
@@ -462,9 +458,8 @@ def generator_analytic(constants, coeffs: CoefficientSet, spin_sign: int, d: int
 # occupying indices [0, d) and spin -1 indices [d, 2d).  A single-site
 # operator is a stack of k diagonal blocks, shape (k, m, m) with k m = 2d,
 # and `apply_site` applies it to the whole (2d)^N vector; a dense 2d x 2d
-# operator is the one-block stack op[None].  The evolution and the generator
-# commute with the site's sigma_z, so at N >= 2 the QFI oracles apply each
-# spin block to its own branch's populated block (`_site_image`).
+# operator is the one-block stack op[None].  The QFI oracles use none of it:
+# they work on each branch's single-site amplitudes.
 # ---------------------------------------------------------------------------
 
 
@@ -480,9 +475,9 @@ def _check_size(d: int, n_sites: int) -> None:
 def assemble_state(state: GhzProductState, d: int = 0) -> np.ndarray:
     """Explicit (2d)^N amplitude vector of the two-branch GHZ product state.
 
-    d = 0 keeps the state's own truncation; a larger d zero-pads each site,
-    which the oracle uses to give evolutions headroom.  Only each branch's
-    t^N block is written, from one outer product per amplitude array.
+    d = 0 keeps the state's own truncation; a larger d zero-pads each site.
+    Only each branch's t^N block is written, from one outer product per
+    amplitude array.
     """
     if d == 0:
         d = state.truncation
@@ -519,38 +514,6 @@ def apply_collective(op: np.ndarray, psi: np.ndarray, n_sites: int) -> np.ndarra
     return out
 
 
-def _column_window(start: int, stop: int, size: int) -> slice:
-    """Columns [start, stop) of a product over `size` columns, widened to whole
-    groups of COLUMN_GROUP, so that each column sits in the same group, or at
-    the same place in the last partial group, as in the product over all
-    `size` columns, and rounds the same."""
-    whole = size - size % COLUMN_GROUP
-    lo = start - start % COLUMN_GROUP
-    hi = -(-stop // COLUMN_GROUP) * COLUMN_GROUP
-    return slice(lo, hi if hi <= whole else size)
-
-
-def _site_slab(
-    tensor: np.ndarray, site: int, offset: int, levels: int, window: slice
-) -> np.ndarray:
-    """View of an N-site tensor with axis `site` moved first and cut to
-    `levels` levels from `offset` on, and the last other axis cut to window."""
-    moved = tensor.transpose((site, *range(site), *range(site + 1, tensor.ndim)))
-    cut = (slice(offset, offset + levels),) + (slice(None),) * (tensor.ndim - 2)
-    return moved[cut + (window,)]
-
-
-def _site_image(
-    op: np.ndarray, tensor: np.ndarray, site: int, offset: int, window: slice
-) -> np.ndarray:
-    """The first c columns of a d x d site operator, op of shape (d, c),
-    applied to the c levels from `offset` on at axis `site`: one matmul over
-    the slab's columns, the rest of `apply_site`'s product being zeros."""
-    slab = _site_slab(tensor, site, offset, op.shape[1], window)
-    image = np.matmul(op, slab.reshape(slab.shape[0], -1))
-    return image.reshape(op.shape[:1] + slab.shape[1:])
-
-
 def _spin_block_diag(op_up: np.ndarray, op_down: np.ndarray) -> np.ndarray:
     d = op_up.shape[0]
     out = np.zeros((2 * d, 2 * d), dtype=complex)
@@ -564,13 +527,6 @@ def _oracle_truncation(state: GhzProductState, coeffs: CoefficientSet) -> int:
     under the QFI oracles' wider ORACLE_MARGIN."""
     eta_max = max(abs(coeffs.eta_up), abs(coeffs.eta_down))
     return required_truncation(state.truncation, eta_max, margin=ORACLE_MARGIN)
-
-
-def _populated_columns(state: GhzProductState) -> int:
-    """Leading Fock levels per site that the QFI oracles' site products read:
-    the levels the input state populates, but at least two: over one level a
-    site product would be matrix-vector, which rounds otherwise."""
-    return max(state.truncation, 2)
 
 
 def site_generator_numeric(
@@ -589,37 +545,35 @@ def site_generator_numeric(
     return np.divide(h_site, 2.0, out=h_site)
 
 
-def _four_variance(psi: np.ndarray, h_psi: np.ndarray) -> float:
-    mean = np.vdot(psi, h_psi).real
-    second = np.vdot(h_psi, h_psi).real
-    return 4.0 * (second - mean**2)
-
-
 def variance_qfi(h_site: np.ndarray, psi: np.ndarray, n_sites: int) -> float:
     """4 Var(sum_k h^{(k)}) on an explicit state vector, for a (k, m, m)
     block stack h_site."""
-    return _four_variance(psi, apply_collective(h_site, psi, n_sites))
+    h_psi = apply_collective(h_site, psi, n_sites)
+    mean = np.vdot(psi, h_psi).real
+    return 4.0 * (np.vdot(h_psi, h_psi).real - mean**2)
 
 
-def _collective_populated(
-    h_cols: np.ndarray, psi: np.ndarray, d: int, n_sites: int
-) -> np.ndarray:
-    """sum_k h^{(k)} psi for an assembled state psi with N >= 2 sites that
-    populates only the leading c levels of each site in each spin branch,
-    given the (2, d, c) first c columns of h's spin blocks.
+def _padded_branches(state: GhzProductState, d: int) -> np.ndarray:
+    """(2, d) single-site amplitudes of the up and the down branch, each
+    zero-padded from the state's truncation to d levels."""
+    phi = np.zeros((2, d), dtype=complex)
+    phi[0, : state.truncation] = state.branch_up.mode_amplitudes
+    phi[1, : state.truncation] = state.branch_down.mode_amplitudes
+    return phi
 
-    Each site's image is added into one (2d)^N buffer, in site order, as in
-    `apply_collective`; each is computed only on the branch's populated
-    columns, widened by `_column_window`, and with K = c."""
-    columns = h_cols.shape[2]
-    out = np.zeros_like(psi)
-    source, target = (v.reshape((2 * d,) * n_sites) for v in (psi, out))
-    for op, offset in zip(h_cols, (0, d)):
-        window = _column_window(offset, offset + columns, 2 * d)
-        for k in range(n_sites):
-            region = _site_slab(target, k, offset, d, window)
-            np.add(region, _site_image(op, source, k, offset, window), out=region)
-    return out
+
+def _factored_variance(h_site: np.ndarray, state: GhzProductState) -> float:
+    """4 Var(sum_k h^{(k)}) on the two-branch GHZ product state, for a
+    (2, d, d) spin-block stack h_site, from each branch's single-site mean
+    m and variance v: 4 [N (v+ + v-)/2 + N^2 (m+ - m-)^2/4]."""
+    n_sites = state.n_particles
+    moments = []
+    for h, phi in zip(h_site, _padded_branches(state, h_site.shape[-1])):
+        h_phi = h @ phi
+        mean = np.vdot(phi, h_phi).real
+        moments.append((mean, np.vdot(h_phi, h_phi).real - mean**2))
+    (m_up, v_up), (m_down, v_down) = moments
+    return 4.0 * (n_sites * (v_up + v_down) / 2.0 + n_sites**2 * (m_up - m_down) ** 2 / 4.0)
 
 
 def qfi_variance_numeric(
@@ -628,41 +582,22 @@ def qfi_variance_numeric(
     profile: DrivingProfile,
     tau: float,
 ) -> float:
-    """QFI as four times the variance of the finite-difference generator on
-    the explicit N-site vector, at the `_oracle_truncation` d."""
+    """QFI as four times the variance of the finite-difference generator,
+    factored over the state's two branches, at the `_oracle_truncation` d."""
     d = _oracle_truncation(state, coefficients(params, profile, tau))
-    _check_size(d, state.n_particles)
-    h_site = site_generator_numeric(params, profile, tau, d)
-    psi = assemble_state(state, d)
-    if state.n_particles == 1:
-        return variance_qfi(h_site, psi, 1)
-    h_cols = h_site[:, :, : _populated_columns(state)]
-    return _four_variance(psi, _collective_populated(h_cols, psi, d, state.n_particles))
+    return _factored_variance(site_generator_numeric(params, profile, tau, d), state)
 
 
-def _evolve_populated(
-    u_cols: list[np.ndarray], psi: np.ndarray, d: int, n_sites: int, out: np.ndarray
-) -> np.ndarray:
-    """U^{(x)N} psi for an assembled state psi with N >= 2 sites that
-    populates only the leading c levels of each site in each spin branch,
-    given the (d, c) first c columns of each spin's U (spin +1 first).
+def _branch_overlap(left: np.ndarray, right: np.ndarray, n_sites: int) -> complex:
+    """<L|R> of two N-site two-branch product states whose sites carry the
+    (2, d) branch vectors left and right: (<l+|r+>^N + <l-|r->^N)/2."""
+    return sum(complex(np.vdot(a, b)) ** n_sites for a, b in zip(left, right)) / 2.0
 
-    Site by site, each branch's product reads that site's c populated levels
-    (K = c) and writes its d evolved ones, over the columns the branch
-    populates, widened by `_column_window`: a column keeps the bits it has in
-    `apply_site`'s product over the whole layout, in place in the buffer out."""
-    np.copyto(out, psi)
-    tensor = out.reshape((2 * d,) * n_sites)
-    for u, offset in zip(u_cols, (0, d)):
-        columns = u.shape[1]
-        for k in range(n_sites):
-            # The last axis other than k holds d levels once it is evolved.
-            last = n_sites - 1 if k < n_sites - 1 else n_sites - 2
-            width = d if last < k else columns
-            window = _column_window(offset, offset + width, 2 * d)
-            image = _site_image(u, tensor, k, offset, window)
-            _site_slab(tensor, k, offset, d, window)[...] = image
-    return out
+
+def _branch_norm(branches: np.ndarray, n_sites: int) -> float:
+    """Norm of the N-site two-branch product state whose sites carry the
+    (2, d) branch vectors: sqrt((|b+|^(2N) + |b-|^(2N))/2)."""
+    return math.sqrt(sum(float(np.vdot(b, b).real) ** n_sites for b in branches) / 2.0)
 
 
 def qfi_fidelity_numeric(
@@ -674,34 +609,32 @@ def qfi_fidelity_numeric(
     """QFI as fidelity susceptibility: F = 8 (1 - |<a|b>| / (|a| |b|))/delta^2
     for a = psi(Omega) and b = psi(Omega+delta), with one Richardson level.
 
-    The modulus removes the Omega-dependent C0 global phase, keeping this
-    route independent of the variance route; the norms take out the
-    truncated evolutions' rounding of the norm.  delta is adapted until the
-    overlap deficit sits in [1e-8, 1e-4], where the quadratic term dominates
-    both roundoff and quartic corrections.
+    The overlap and the norms are factored over the two branches from each
+    spin's U(tau) applied to its padded branch amplitudes.  The modulus
+    removes the Omega-dependent C0 global phase, keeping this route
+    independent of the variance route; the norms take out the truncated
+    evolutions' rounding of the norm.  delta is adapted until the overlap
+    deficit sits in [1e-8, 1e-4], where the quadratic term dominates both
+    roundoff and quartic corrections.
     """
     d = _oracle_truncation(state, coefficients(params, profile, tau))
-    _check_size(d, state.n_particles)
     n_sites = state.n_particles
-    columns = _populated_columns(state)
-    psi0 = assemble_state(state, d)
-    # evolved0 keeps the first buffer; every deficit evolution reuses the second.
-    buffers = np.empty((2, psi0.size), dtype=complex)
+    phi = _padded_branches(state, d)
 
-    def evolve(p: PhysicalParams, out: np.ndarray) -> np.ndarray:
-        u_site = [build_evolution_closed(p, profile, tau, spin, d) for spin in (+1, -1)]
-        if n_sites == 1:
-            # A matrix-vector product rounds by K, so it keeps all d columns.
-            return apply_site(np.stack(u_site), psi0, 0, 1)
-        return _evolve_populated([u[:, :columns] for u in u_site], psi0, d, n_sites, out)
+    def evolve(p: PhysicalParams) -> np.ndarray:
+        return np.stack([
+            build_evolution_closed(p, profile, tau, spin, d) @ branch
+            for spin, branch in zip((+1, -1), phi)
+        ])
 
-    evolved0 = evolve(params, buffers[0])
-    norm0 = np.linalg.norm(evolved0)
+    evolved0 = evolve(params)
+    norm0 = _branch_norm(evolved0, n_sites)
 
     def deficit(delta: float) -> float:
         p = dataclasses.replace(params, rotation_rate=params.rotation_rate + delta)
-        evolved = evolve(p, buffers[1])
-        value = 1.0 - abs(np.vdot(evolved0, evolved)) / (norm0 * np.linalg.norm(evolved))
+        evolved = evolve(p)
+        overlap = _branch_overlap(evolved0, evolved, n_sites)
+        value = 1.0 - abs(overlap) / (norm0 * _branch_norm(evolved, n_sites))
         if not math.isfinite(value):
             raise ConsistencyError(f"overlap deficit {value} at delta = {delta} is not finite")
         return value
@@ -747,11 +680,11 @@ def covariance_reduction_check(
     state: GhzProductState,
     op_a: np.ndarray,
     op_b: np.ndarray,
-) -> bool:
-    """Permutation-symmetry identity
-    Cov(sum A_k, sum B_k) = N Cov(A1, B1) + (N^2 - N) Cov(A1, B2),
+) -> float:
+    """Relative error |lhs - rhs| / max(1, |lhs|) of the permutation-symmetry
+    identity Cov(sum A_k, sum B_k) = N Cov(A1, B1) + (N^2 - N) Cov(A1, B2),
     with every side evaluated on the full N-site vector, for dense 2d x 2d
-    operators A and B, to within 1e-10 of max(1, |lhs|)."""
+    operators A and B."""
     n_sites = state.n_particles
     psi = assemble_state(state)
     op_a, op_b = op_a[None], op_b[None]
@@ -764,7 +697,7 @@ def covariance_reduction_check(
     cov_11 = _sym_cov(psi, a_1, b_1)
     cov_12 = _sym_cov(psi, a_1, apply_site(op_b, psi, 1, n_sites)) if n_sites > 1 else 0.0
     rhs = n_sites * cov_11 + (n_sites**2 - n_sites) * cov_12
-    return abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -873,19 +806,26 @@ def identity_suite(
     identities.append(_identity("qfi-variance-vs-closed", var_err, 1e-5))
     identities.append(_identity("qfi-fidelity-vs-closed", fid_err, 1e-5))
 
-    # Covariance reduction on full vectors up to n_max, at tau = T0/2, where
-    # C1 = -1 (C1 does not depend on the rotation rate or the fault), with
-    # the site operators on the state's own truncation.
+    # Covariance reduction, and the factored variance against the dense one,
+    # on full vectors up to n_max at tau = T0/2, where C1 = -1 (C1 does not
+    # depend on the rotation rate or the fault), with the site operators and
+    # the analytic generator's spin blocks on the state's own truncation.
     state = make_partially_entangled(0.4 + 0.2j, 0)
     d = state.truncation
     half_period = DrivingProfile.constant_for(t0 / 2.0)
-    quadrature = quadrature_site_operator(coefficients(params, half_period, t0 / 2.0).c1, d)
+    half_coeffs = coefficients(params, half_period, t0 / 2.0)
+    quadrature = quadrature_site_operator(half_coeffs.c1, d)
     sigma_z = sigma_z_site_operator(d)
-    ok = all(
-        covariance_reduction_check(dataclasses.replace(state, n_particles=n), quadrature, sigma_z)
-        for n in range(1, n_max + 1)
-    )
-    identities.append(_identity("covariance-reduction", 0.0 if ok else 1.0, 0.5))
+    h_site = np.stack([generator_analytic(constants, half_coeffs, spin, d) for spin in (+1, -1)])
+    cov_err = dense_err = 0.0
+    for n_particles in range(1, n_max + 1):
+        sized = dataclasses.replace(state, n_particles=n_particles)
+        cov_err = max(cov_err, covariance_reduction_check(sized, quadrature, sigma_z))
+        dense = variance_qfi(h_site, assemble_state(sized), n_particles)
+        factored = _factored_variance(h_site, sized)
+        dense_err = max(dense_err, abs(factored - dense) / max(1.0, abs(dense)))
+    identities.append(_identity("covariance-reduction", cov_err, 1e-10))
+    identities.append(_identity("qfi-factored-vs-dense", dense_err, 1e-10))
 
     return {
         "seed": seed,

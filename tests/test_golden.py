@@ -5,23 +5,24 @@ with ``tests/golden/<case>``.  Sweeps stay at 9 points or fewer so the files
 stay small.  Rewrite the files only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The bytes do not depend on the BLAS thread count: one test runs every case
+again in a fresh interpreter at two threads.
 """
 
 import math
 import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
-# Some outputs (oracle-check at n_max = 2) depend on the BLAS thread count, so
-# pin it before numpy is first imported, as conftest.py does under pytest.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import pytest
 
-import pytest  # noqa: E402
+from sagnac_qfi.cli import main
 
-from sagnac_qfi.cli import main  # noqa: E402
-
-GOLDEN = Path(__file__).parent / "golden"
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
 
 
 def _sets(**values) -> list[str]:
@@ -112,6 +113,31 @@ def test_golden_output(name, tmp_path):
         assert not out.exists()
     else:
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_every_case_has_the_same_bytes_at_two_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when numpy is first imported, so the
+    # cases run in one fresh interpreter started with two threads.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(HERE.parent / "src"), str(HERE), env.get("PYTHONPATH")])
+    )
+    script = textwrap.dedent(f"""
+        from test_golden import CASES, main
+        for name, (code, argv) in sorted(CASES.items()):
+            print(name, main([*argv, "--out", {str(tmp_path)!r} + "/" + name]))
+    """)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes = dict(line.split() for line in done.stdout.splitlines())
+    assert codes == {name: str(code) for name, (code, _) in CASES.items()}
+    for name, (code, _) in CASES.items():
+        out = tmp_path / name
+        if code == 2:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 if __name__ == "__main__":

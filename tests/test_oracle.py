@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
@@ -655,11 +655,34 @@ def test_fidelity_route_error_stays_at_or_below_the_scipy_expm_route():
 
 
 def test_size_guard_trips():
-    tau = 0.5 * T0
-    profile = DrivingProfile.constant_for(tau)
+    # (2d)^N = 80^4 amplitudes: the dense path, which the covariance identity
+    # and the factored-vs-dense cross-check assemble through, refuses the
+    # state before allocating it.
     state = make_partially_entangled(1.0, 0, d=40, n_particles=4)
-    with pytest.raises(SizeGuardError):
-        qfi_variance_numeric(state, UNIT, profile, tau)
+    with pytest.raises(SizeGuardError, match="size guard"):
+        assemble_state(state)
+    with pytest.raises(SizeGuardError, match="size guard"):
+        covariance_reduction_check(state, np.eye(80), np.eye(80))
+
+
+@pytest.mark.parametrize("n_particles", [4, 1000])
+def test_qfi_oracles_run_beyond_the_dense_size_guard(n_particles):
+    # Neither oracle builds an N-site vector, so N = 4 (80^4 amplitudes at
+    # d = 80, past SIZE_GUARD) and N = 1000 cost what N = 1 does.
+    tau = 0.7 * T0
+    profile = DrivingProfile.constant_for(tau)
+    params = PhysicalParams(rotation_rate=0.3)
+    constants, coeffs = derive_constants(params), coefficients(params, profile, tau)
+    for state, closed in (
+        (make_partially_entangled(0.5 - 0.3j, 1, n_particles=n_particles),
+         qfi_partial_closed(1, n_particles, constants, coeffs)),
+        (make_globally_entangled(-1.0 + 0.4j, n_particles=n_particles),
+         qfi_global_closed(-1.0 + 0.4j, n_particles, constants, coeffs)),
+    ):
+        assert (2 * oracle._oracle_truncation(state, coeffs)) ** n_particles > oracle.SIZE_GUARD
+        for route in (qfi_variance_numeric, qfi_fidelity_numeric):
+            got = route(state, params, profile, tau)
+            assert abs(got - closed) <= 1e-5 * closed, (route.__name__, got, closed)
 
 
 @pytest.mark.parametrize(
@@ -783,7 +806,7 @@ def test_covariance_reduction_random_draws():
             m2 = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
             op_a = 0.5 * (m1 + m1.conj().T)
             op_b = 0.5 * (m2 + m2.conj().T)
-            assert covariance_reduction_check(state, op_a, op_b)
+            assert covariance_reduction_check(state, op_a, op_b) <= 1e-10
 
 
 def _tensordot_site(op, psi, site, n_sites):
@@ -819,6 +842,54 @@ def test_apply_site_blocks_match_the_dense_contraction(sizes, seed):
         got = oracle.apply_site(blocks, psi, site, n_sites)
         want = _tensordot_site(padded, psi, site, n_sites)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # apply_collective accumulates in place, with the values of the sum of
+    # every site's image.
+    for op in (blocks, dense[None]):
+        got = oracle.apply_collective(op, psi, n_sites)
+        want = sum(oracle.apply_site(op, psi, site, n_sites) for site in range(n_sites))
+        assert _values(got) == _values(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_sites=st.integers(1, 3), d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_factored_formulas_match_the_dense_vector(n_sites, d, seed):
+    # Random branch amplitudes, a random Hermitian spin-block generator h and
+    # the block-diagonal evolution c exp(-i t h), with per-spin contractions
+    # c so that the norm formula sees two branches of different norm: the
+    # branch-factored variance, overlap and norm equal those of the explicit
+    # (2d)^N vector.
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    up, down = draw(d), draw(d)
+    state = GhzProductState(
+        BranchState(+1, up / np.linalg.norm(up)),
+        BranchState(-1, down / np.linalg.norm(down)),
+        n_sites,
+    )
+    psi = assemble_state(state)
+    h = draw(2, d, d)
+    h = (h + h.conj().transpose(0, 2, 1)) / 2.0
+    dense = oracle.variance_qfi(h, psi, n_sites)
+    assert abs(oracle._factored_variance(h, state) - dense) <= 1e-12 * dense
+
+    # Eigenphases within 0.3 of zero keep every branch overlap's real part
+    # positive, so the overlap cannot cancel between the branches.
+    lam, vec = np.linalg.eigh(h)
+    t = rng.uniform(0.0, 0.3) / np.max(np.abs(lam))
+    u = (vec * np.exp(-1j * t * lam)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+    u *= rng.uniform(0.7, 1.0, size=(2, 1, 1))
+    evolved = psi
+    for site in range(n_sites):
+        evolved = oracle.apply_site(u, evolved, site, n_sites)
+    phi = oracle._padded_branches(state, d)
+    u_phi = np.einsum("sij,sj->si", u, phi)
+    want = np.vdot(psi, evolved)
+    assert abs(oracle._branch_overlap(phi, u_phi, n_sites) - want) <= 1e-12 * abs(want)
+    want = np.linalg.norm(evolved)
+    assert abs(oracle._branch_norm(u_phi, n_sites) - want) <= 1e-12 * want
 
 
 def test_qfi_oracles_never_pad_a_site_matrix(monkeypatch):
@@ -834,66 +905,10 @@ def test_qfi_oracles_never_pad_a_site_matrix(monkeypatch):
         qfi_fidelity_numeric(state, UNIT, profile, tau)
 
 
-def _evolve_full(u, psi, n_sites):
-    """Reference: a (2, d, d) spin-block stack applied site by site to the
-    whole (2d)^N vector."""
-    for site in range(n_sites):
-        psi = oracle.apply_site(u, psi, site, n_sites)
-    return psi
-
-
-def _collective_full(h, psi, n_sites):
-    """Reference: every site's whole-vector image, summed from int 0."""
-    return sum(oracle.apply_site(h, psi, site, n_sites) for site in range(n_sites))
-
-
 def _values(v):
     """The bytes of v with each zero's sign made +, so that comparing them
     compares values bit for bit; no nonzero element changes."""
     return (v + 0.0).tobytes()
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    sizes=st.integers(1, 3)
-    .flatmap(lambda n: st.tuples(st.just(n), st.integers(2, (60, 40, 10)[n - 1])))
-    .flatmap(lambda nd: st.tuples(st.just(nd[0]), st.just(nd[1]), st.integers(2, nd[1]))),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(sizes=(1, 60, 60), seed=1)
-@example(sizes=(2, 40, 40), seed=2)
-@example(sizes=(2, 40, 2), seed=3)
-@example(sizes=(3, 10, 10), seed=4)
-@example(sizes=(3, 10, 2), seed=5)
-def test_populated_blocks_have_the_bits_of_the_full_site_products(sizes, seed):
-    # A state that populates the leading t levels of each site in each spin
-    # branch, as an assembled oracle input does.  At N >= 2, evolving only
-    # those blocks from U's first t columns, and applying the generator's
-    # first t columns site by site into one buffer, give the bits of the
-    # whole-vector path (at N = 1 both routes take that path itself).
-    n_sites, d, t = sizes
-    rng = np.random.default_rng(seed)
-
-    def draw(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    tensor = np.zeros((2 * d,) * n_sites, dtype=complex)
-    for offset in (0, d):
-        tensor[(slice(offset, offset + t),) * n_sites] = draw(*(t,) * n_sites)
-    psi = tensor.reshape(-1)
-    u, h = draw(2, d, d), draw(2, d, d)
-    if n_sites > 1:
-        # The buffer's old contents are all overwritten.
-        out = np.full_like(psi, np.nan)
-        got = oracle._evolve_populated([block[:, :t] for block in u], psi, d, n_sites, out)
-        assert got is out
-        assert _values(got) == _values(_evolve_full(u, psi, n_sites))
-        got = oracle._collective_populated(h[:, :, :t], psi, d, n_sites)
-        assert got.tobytes() == _collective_full(h, psi, n_sites).tobytes()
-    # apply_collective accumulates in place, with the values of the sum.
-    for op in (h, draw(1, 2 * d, 2 * d)):
-        got = oracle.apply_collective(op, psi, n_sites)
-        assert _values(got) == _values(_collective_full(op, psi, n_sites))
 
 
 def _record_builds(monkeypatch):
@@ -914,40 +929,6 @@ def _record_builds(monkeypatch):
     return calls
 
 
-def test_fidelity_evolutions_apply_only_populated_columns(monkeypatch):
-    # Every fidelity evolution is built whole through build_evolution_closed;
-    # at N = 2 the site products get only its first t columns.
-    calls = _record_builds(monkeypatch)
-    applied = []
-    evolve = oracle._evolve_populated
-
-    def recording(u_cols, psi, d, n_sites, out):
-        applied.append([u.shape for u in u_cols])
-        return evolve(u_cols, psi, d, n_sites, out)
-
-    monkeypatch.setattr(oracle, "_evolve_populated", recording)
-    tau = 0.6 * T0
-    profile = DrivingProfile.constant_for(tau)
-    params = PhysicalParams(rotation_rate=0.2)
-    for n_particles in (1, 2):
-        state = make_partially_entangled(0.8 - 0.4j, 1, n_particles=n_particles)
-        t = state.truncation
-        calls.clear()
-        applied.clear()
-        qfi_fidelity_numeric(state, params, profile, tau)
-        evolutions = [c for c in calls if c[0] == "build_evolution_closed"]
-        assert len(evolutions) >= 6
-        d = evolutions[0][1][0]
-        assert evolutions == [("build_evolution_closed", (d, d))] * len(evolutions)
-        assert [c for c in calls if c[0] == "build_displacement"] == [
-            ("build_displacement", (d, d))
-        ] * len(evolutions)
-        if n_particles == 1:
-            assert applied == []
-        else:
-            assert applied == [[(d, t), (d, t)]] * (len(evolutions) // 2)
-
-
 def test_generator_and_identity_suite_build_all_columns(monkeypatch):
     calls = _record_builds(monkeypatch)
     tau = 0.6 * T0
@@ -957,8 +938,23 @@ def test_generator_and_identity_suite_build_all_columns(monkeypatch):
         for _ in range(5)
         for name in ("build_displacement", "build_evolution_closed")
     ]
-    # The suite's own evolutions and generators, with the QFI oracles (checked
-    # above) stubbed out.
+    # Every fidelity evolution is built whole through build_evolution_closed,
+    # at least psi(Omega), psi(Omega + delta) and psi(Omega + delta/2) for
+    # both spins, at every N.
+    params = PhysicalParams(rotation_rate=0.2)
+    for n_particles in (1, 2):
+        calls.clear()
+        state = make_partially_entangled(0.8 - 0.4j, 1, n_particles=n_particles)
+        qfi_fidelity_numeric(state, params, DrivingProfile.constant_for(tau), tau)
+        evolutions = [c for c in calls if c[0] == "build_evolution_closed"]
+        assert len(evolutions) >= 6
+        d = evolutions[0][1][0]
+        assert evolutions == [("build_evolution_closed", (d, d))] * len(evolutions)
+        assert [c for c in calls if c[0] == "build_displacement"] == [
+            ("build_displacement", (d, d))
+        ] * len(evolutions)
+    # The suite's own evolutions and generators, with the QFI oracles
+    # stubbed out.
     calls.clear()
     monkeypatch.setattr(oracle, "qfi_variance_numeric", lambda *_: 0.0)
     monkeypatch.setattr(oracle, "qfi_fidelity_numeric", lambda *_: 0.0)
@@ -969,7 +965,8 @@ def test_generator_and_identity_suite_build_all_columns(monkeypatch):
 
 def test_identity_suite_builds_covariance_operators_at_the_state_truncation(monkeypatch):
     # The covariance state keeps its automatic truncation (d = 18 at
-    # alpha = 0.4 + 0.2j), and both site operators are built at that d.
+    # alpha = 0.4 + 0.2j), and both site operators and the dense
+    # cross-check's analytic generator are built at that d.
     checked, built = [], []
     check = oracle.covariance_reduction_check
 
@@ -986,63 +983,48 @@ def test_identity_suite_builds_covariance_operators_at_the_state_truncation(monk
         return wrapped
 
     monkeypatch.setattr(oracle, "covariance_reduction_check", recording_check)
-    for name in ("quadrature_site_operator", "sigma_z_site_operator"):
+    for name in ("quadrature_site_operator", "sigma_z_site_operator", "generator_analytic"):
         monkeypatch.setattr(oracle, name, recording(getattr(oracle, name)))
     monkeypatch.setattr(oracle, "qfi_variance_numeric", lambda *_: 0.0)
     monkeypatch.setattr(oracle, "qfi_fidelity_numeric", lambda *_: 0.0)
     report = oracle.identity_suite(UNIT, n_max=3)
     d = make_partially_entangled(0.4 + 0.2j, 0).truncation
     assert d == 18
-    assert built == [("quadrature_site_operator", d), ("sigma_z_site_operator", d)]
-    assert checked == [(n, d, (2 * d, 2 * d), (2 * d, 2 * d)) for n in (1, 2, 3)]
-    covariance = [item for item in report["identities"] if item["name"] == "covariance-reduction"]
-    assert covariance == [
-        {"name": "covariance-reduction", "error": 0.0, "tolerance": 0.5, "passed": True}
+    assert [item for item in built if item[0] != "generator_analytic"] == [
+        ("quadrature_site_operator", d), ("sigma_z_site_operator", d)
     ]
+    assert built[-2:] == [("generator_analytic", d)] * 2
+    assert checked == [(n, d, (2 * d, 2 * d), (2 * d, 2 * d)) for n in (1, 2, 3)]
+    # Both dense rows report their relative error against 1e-10.
+    rows = {item["name"]: item for item in report["identities"]}
+    for name in ("covariance-reduction", "qfi-factored-vs-dense"):
+        assert rows[name]["tolerance"] == 1e-10
+        assert 0.0 <= rows[name]["error"] <= 1e-10 and rows[name]["passed"]
 
 
-def test_qfi_oracles_peak_memory_at_two_atoms():
-    # tracemalloc peak of one N = 2 call, over the bytes of one (2d)^N
-    # vector: 3.89 (fidelity: psi, its two evolution buffers, the two U(tau)
-    # and one site image) and 2.85 (variance) with psi assembled from its
-    # populated blocks, the evolution buffers reused and the generator formed
-    # in place; 3.89 and 3.52 with whole-vector assembly and a fresh vector
-    # per evolution; 5.5 and 4.5 with whole-vector site products.
+def test_qfi_oracles_peak_memory_does_not_grow_with_n():
+    # tracemalloc peak of one call, over the bytes of one complex d x d
+    # matrix: 2.16 (fidelity) and 6.08 (variance) at N = 2, and within 2% of
+    # that at N = 1000 (the profile's coefficient memo holds other deltas
+    # there); no N-site vector is built.
     tau = 0.7 * T0
     profile = DrivingProfile.constant_for(tau)
     params = PhysicalParams(rotation_rate=0.3)
-    state = make_globally_entangled(1.2 - 0.5j, n_particles=2)
-    d = oracle._oracle_truncation(state, coefficients(params, profile, tau))
-    full_vector = (2 * d) ** 2 * np.dtype(complex).itemsize
-    for route, bound in ((qfi_fidelity_numeric, 3.9), (qfi_variance_numeric, 2.9)):
-        route(state, params, profile, tau)  # fills the displacement basis cache
-        tracemalloc.start()
-        try:
-            route(state, params, profile, tau)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * full_vector, (route.__name__, peak / full_vector)
-
-
-def test_fidelity_deficit_evolutions_share_one_buffer(monkeypatch):
-    # At N = 2, psi(Omega) is evolved into one buffer and every
-    # psi(Omega + delta) of the deficit into one other buffer.
-    written = []
-    evolve = oracle._evolve_populated
-
-    def recording(u_cols, psi, d, n_sites, out):
-        written.append(out.__array_interface__["data"][0])
-        return evolve(u_cols, psi, d, n_sites, out)
-
-    monkeypatch.setattr(oracle, "_evolve_populated", recording)
-    tau = 0.6 * T0
-    state = make_globally_entangled(0.8 - 0.4j, n_particles=2)
-    params = PhysicalParams(rotation_rate=0.2)
-    qfi_fidelity_numeric(state, params, DrivingProfile.constant_for(tau), tau)
-    first, *deficits = written
-    assert len(deficits) >= 2
-    assert set(deficits) == {deficits[0]} and deficits[0] != first
+    for route, bound in ((qfi_fidelity_numeric, 2.5), (qfi_variance_numeric, 6.5)):
+        peaks = []
+        for n_particles in (2, 1000):
+            state = make_globally_entangled(1.2 - 0.5j, n_particles=n_particles)
+            d = oracle._oracle_truncation(state, coefficients(params, profile, tau))
+            route(state, params, profile, tau)  # fills the displacement basis cache
+            tracemalloc.start()
+            try:
+                route(state, params, profile, tau)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            assert peak <= bound * d * d * np.dtype(complex).itemsize, (route.__name__, peak)
+        assert peaks[1] <= 1.05 * peaks[0], (route.__name__, peaks)
 
 
 def _with_nan_evolution(monkeypatch):
