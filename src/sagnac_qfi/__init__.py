@@ -59,7 +59,6 @@ from .scan import (
     run_scan_tau,
 )
 from .states import (
-    BranchState,
     CorrelationSet,
     GhzProductState,
     auto_truncation,
@@ -74,7 +73,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchState",
     "CoefficientSet",
     "ConfigError",
     "ConsistencyError",

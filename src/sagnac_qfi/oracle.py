@@ -4,11 +4,11 @@ Nothing here trusts the analytic layer: evolution operators are built two
 independent ways (the closed displacement factorization and a midpoint
 time-ordered product of the raw Hamiltonian), the generator is extracted by
 finite differences in Omega, and the QFI is computed both as four times the
-generator variance and as a fidelity susceptibility on explicit N-site state
-vectors.  Agreements between these routes and the closed forms are the
-package's evidence; `identity_suite` checks every one of them and reports
-each error against its tolerance.  Only this module builds and sizes the
-oracle's truncated spaces.
+generator variance and as a fidelity susceptibility, each factored over the
+input state's two spin branches.  Agreements between these routes and the
+closed forms are the package's evidence; `identity_suite` checks every one
+of them and reports each error against its tolerance.  Only this module
+builds and sizes the oracle's truncated spaces.
 
 Every exponential is `expm(lam, vec, t)` = exp(-i t J) for a real symmetric
 tridiagonal J given its eigenpairs (numpy.linalg.eigh), in a diagonal phase
@@ -53,7 +53,9 @@ o+- = <U+-(Omega) phi+-|U+-(Omega+delta) phi+->, and the squared norms
 take d from `_oracle_truncation` alone, which trusts every level the input
 state populates.  The dense (2d)^N path (`assemble_state`, `apply_site`,
 `variance_qfi`), capped by SIZE_GUARD, serves the covariance identity and the
-identity suite's factored-versus-dense cross-check.
+identity suite's factored-versus-dense cross-check; its inner products are
+numpy's pairwise sums rather than np.vdot, so its bits do not depend on the
+BLAS thread count.
 
 The module loads no scipy module, at import or at run time.
 """
@@ -472,25 +474,19 @@ def _check_size(d: int, n_sites: int) -> None:
         )
 
 
-def assemble_state(state: GhzProductState, d: int = 0) -> np.ndarray:
-    """Explicit (2d)^N amplitude vector of the two-branch GHZ product state.
-
-    d = 0 keeps the state's own truncation; a larger d zero-pads each site.
-    Only each branch's t^N block is written, from one outer product per
-    amplitude array.
+def assemble_state(state: GhzProductState) -> np.ndarray:
+    """Explicit (2d)^N amplitude vector of the two-branch GHZ product state at
+    its own truncation d.  Only each branch's d^N block is written, from one
+    outer product per amplitude array.
     """
-    if d == 0:
-        d = state.truncation
-    if d < state.truncation:
-        raise ValueError(f"cannot shrink truncation {state.truncation} to {d}")
-    n_sites = state.n_particles
+    d, n_sites = state.truncation, state.n_particles
     _check_size(d, n_sites)
-    up, down = state.branch_up.mode_amplitudes, state.branch_down.mode_amplitudes
+    up, down = state.branch_up, state.branch_down
     block_up = functools.reduce(np.multiply.outer, (up,) * n_sites)
     block_down = block_up if down is up else functools.reduce(np.multiply.outer, (down,) * n_sites)
     psi = np.zeros((2 * d,) * n_sites, dtype=complex)
     for block, offset in ((block_up, 0), (block_down, d)):
-        np.divide(block, math.sqrt(2.0), out=psi[(slice(offset, offset + up.size),) * n_sites])
+        np.divide(block, math.sqrt(2.0), out=psi[(slice(offset, offset + d),) * n_sites])
     return psi.reshape(-1)
 
 
@@ -545,20 +541,32 @@ def site_generator_numeric(
     return np.divide(h_site, 2.0, out=h_site)
 
 
+def _inner_real(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a|b> as numpy's pairwise sum of the elementwise products: one
+    order of additions at any BLAS thread count, where np.vdot splits a long
+    vector (the (2d)^N vectors at N = 3) across threads."""
+    return (a.conj() * b).sum().real
+
+
+def _sym_cov(psi: np.ndarray, a_psi: np.ndarray, b_psi: np.ndarray) -> float:
+    """Symmetrized covariance (<AB + BA>/2 - <A><B>) from precomputed images."""
+    mean_a = _inner_real(psi, a_psi)
+    mean_b = _inner_real(psi, b_psi)
+    return _inner_real(a_psi, b_psi) - mean_a * mean_b
+
+
 def variance_qfi(h_site: np.ndarray, psi: np.ndarray, n_sites: int) -> float:
     """4 Var(sum_k h^{(k)}) on an explicit state vector, for a (k, m, m)
     block stack h_site."""
     h_psi = apply_collective(h_site, psi, n_sites)
-    mean = np.vdot(psi, h_psi).real
-    return 4.0 * (np.vdot(h_psi, h_psi).real - mean**2)
+    return 4.0 * _sym_cov(psi, h_psi, h_psi)
 
 
 def _padded_branches(state: GhzProductState, d: int) -> np.ndarray:
     """(2, d) single-site amplitudes of the up and the down branch, each
     zero-padded from the state's truncation to d levels."""
     phi = np.zeros((2, d), dtype=complex)
-    phi[0, : state.truncation] = state.branch_up.mode_amplitudes
-    phi[1, : state.truncation] = state.branch_down.mode_amplitudes
+    phi[:, : state.truncation] = state.branch_up, state.branch_down
     return phi
 
 
@@ -667,13 +675,6 @@ def quadrature_site_operator(c1: complex, d: int) -> np.ndarray:
 
 def sigma_z_site_operator(d: int) -> np.ndarray:
     return _spin_block_diag(np.eye(d, dtype=complex), -np.eye(d, dtype=complex))
-
-
-def _sym_cov(psi: np.ndarray, a_psi: np.ndarray, b_psi: np.ndarray) -> float:
-    """Symmetrized covariance (<AB + BA>/2 - <A><B>) from precomputed images."""
-    mean_a = np.vdot(psi, a_psi).real
-    mean_b = np.vdot(psi, b_psi).real
-    return np.vdot(a_psi, b_psi).real - mean_a * mean_b
 
 
 def covariance_reduction_check(

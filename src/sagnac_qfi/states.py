@@ -67,51 +67,42 @@ MOMENT_WEIGHT_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
-class BranchState:
-    """One product branch: a spin eigenvalue and a truncated mode state."""
+class GhzProductState:
+    """(|+1, u>^{(x)N} + |-1, v>^{(x)N}) / sqrt(2): branch_up is the spin +1
+    branch's mode amplitudes u, branch_down the spin -1 branch's v.
 
-    spin_sign: int
-    mode_amplitudes: np.ndarray
+    Each is stored as a read-only complex 1-d array, nonempty and normalized
+    within 1e-12 (a NaN fails), and both share one length, the truncation.
+    One array passed as both branches (the partially entangled state) is
+    checked once and stays shared.  States compare by value.
+    """
+
+    branch_up: np.ndarray
+    branch_down: np.ndarray
+    n_particles: int
 
     def __post_init__(self):
-        if self.spin_sign not in (+1, -1):
-            raise ValueError(f"spin_sign must be +1 or -1, got {self.spin_sign}")
-        amps = np.asarray(self.mode_amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size < 1:
-            raise ValueError("mode_amplitudes must be a nonempty 1-d vector")
-        _check_normalized(amps)
-        amps.setflags(write=False)
-        object.__setattr__(self, "mode_amplitudes", amps)
+        up = _mode_vector(self.branch_up)
+        down = up if self.branch_down is self.branch_up else _mode_vector(self.branch_down)
+        if up.size != down.size:
+            raise ValueError("both branches must share one truncation")
+        if self.n_particles < 1:
+            raise ValueError(f"n_particles must be positive, got {self.n_particles}")
+        object.__setattr__(self, "branch_up", up)
+        object.__setattr__(self, "branch_down", down)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.spin_sign == other.spin_sign and np.array_equal(
-            self.mode_amplitudes, other.mode_amplitudes
+        return (
+            self.n_particles == other.n_particles
+            and np.array_equal(self.branch_up, other.branch_up)
+            and np.array_equal(self.branch_down, other.branch_down)
         )
 
     @property
     def truncation(self) -> int:
-        return self.mode_amplitudes.size
-
-
-@dataclass(frozen=True)
-class GhzProductState:
-    branch_up: BranchState
-    branch_down: BranchState
-    n_particles: int
-
-    def __post_init__(self):
-        if self.branch_up.spin_sign != +1 or self.branch_down.spin_sign != -1:
-            raise ValueError("branch_up must carry spin +1 and branch_down spin -1")
-        if self.branch_up.truncation != self.branch_down.truncation:
-            raise ValueError("both branches must share one truncation")
-        if self.n_particles < 1:
-            raise ValueError(f"n_particles must be positive, got {self.n_particles}")
-
-    @property
-    def truncation(self) -> int:
-        return self.branch_up.truncation
+        return self.branch_up.size
 
     @cached_property
     def mode_moments(self):
@@ -122,10 +113,20 @@ class GhzProductState:
         branches take one moment pass; branches that share one amplitude array
         (the partially entangled state) share one moment row.
         """
-        up = self.branch_up.mode_amplitudes
-        down = self.branch_down.mode_amplitudes
+        up, down = self.branch_up, self.branch_down
         moments = _mode_moments(up[None] if down is up else np.stack((up, down)))
         return moments[0], moments[-1]
+
+
+def _mode_vector(amplitudes) -> np.ndarray:
+    """amplitudes as a read-only complex array, after checking that it is a
+    nonempty 1-d vector normalized within 1e-12."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 1 or amps.size < 1:
+        raise ValueError("branch amplitudes must be a nonempty 1-d vector")
+    _check_normalized(amps)
+    amps.setflags(write=False)
+    return amps
 
 
 @dataclass(frozen=True)
@@ -443,11 +444,7 @@ def make_partially_entangled(
     """Both branches carry the same displaced Fock state D(alpha)|n>;
     only the spins differ."""
     [(_, (amps,))] = _branch_amplitudes([alpha], n, d)
-    return GhzProductState(
-        branch_up=BranchState(+1, amps),
-        branch_down=BranchState(-1, amps),  # one read-only array, one moment pass
-        n_particles=n_particles,
-    )
+    return GhzProductState(amps, amps, n_particles)  # one array, one moment pass
 
 
 def make_globally_entangled(
@@ -457,11 +454,7 @@ def make_globally_entangled(
 ) -> GhzProductState:
     """Spin +1 branch carries |alpha>, spin -1 branch carries |-alpha>."""
     [(_, (up, down))] = _branch_amplitudes([alpha], 0, d, mirror=True)
-    return GhzProductState(
-        branch_up=BranchState(+1, up),
-        branch_down=BranchState(-1, down),
-        n_particles=n_particles,
-    )
+    return GhzProductState(up, down, n_particles)
 
 
 def sweep_mode_moments(kind: str, alphas: list, n: int, d: int):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from sagnac_qfi import (
-    BranchState,
     DrivingProfile,
     GhzProductState,
     PhysicalParams,
@@ -359,11 +358,12 @@ def test_criterion_09_rotation_independence_and_shift_invariance():
     # applied as a one-block stack.
     profile = DrivingProfile.constant_for(tau)
     state = make_globally_entangled(-1.0, n_particles=2)
-    d = required_truncation(state.branch_up.truncation, 2.5, margin=24.0)
+    d = required_truncation(state.truncation, 2.5, margin=24.0)
     h_site = site_generator_numeric(UNIT, profile, tau, d)
     h_dense = np.zeros((2 * d, 2 * d), dtype=complex)
     h_dense[:d, :d], h_dense[d:, d:] = h_site
-    psi = assemble_state(state, d=d)
+    padded = (np.pad(b, (0, d - state.truncation)) for b in (state.branch_up, state.branch_down))
+    psi = assemble_state(GhzProductState(*padded, 2))
     base = variance_qfi(h_site, psi, 2)
     worst_shift = 0.0
     for c in (1.0, 10.0):
@@ -384,13 +384,13 @@ def test_criterion_10_covariance_reduction():
     d = 5
     worst = 0.0
     for _ in range(10):
-        def random_branch(sign):
+        def random_branch():
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            return BranchState(spin_sign=sign, mode_amplitudes=v / np.linalg.norm(v))
+            return v / np.linalg.norm(v)
 
         state = GhzProductState(
-            branch_up=random_branch(+1),
-            branch_down=random_branch(-1),
+            branch_up=random_branch(),
+            branch_down=random_branch(),
             n_particles=3,
         )
         m1 = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))

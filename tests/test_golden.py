@@ -17,9 +17,15 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
+if __name__ == "__main__":
+    # Regenerate at one BLAS thread, as conftest.py pins the suite, before
+    # numpy is first imported.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
-from sagnac_qfi.cli import main
+import pytest  # noqa: E402
+
+from sagnac_qfi.cli import main  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -93,6 +99,7 @@ CASES.update({
          "--format", "json"],
     ),
     "oracle-check-n2.json": (0, ["oracle-check", "--format", "json"]),
+    "oracle-check-n3.csv": (0, ["oracle-check", *_sets(oracle__n_max=3)]),
     "oracle-check-radius.csv": (
         0, ["oracle-check", *ORACLE, *_sets(physical__ring_radius=1.5)],
     ),

@@ -46,7 +46,7 @@ from sagnac_qfi.oracle import (
     required_truncation,
     trusted_columns,
 )
-from sagnac_qfi.states import BranchState, GhzProductState
+from sagnac_qfi.states import GhzProductState
 
 UNIT = PhysicalParams()
 T0 = 2.0 * math.pi
@@ -736,7 +736,7 @@ def test_identity_suite_covariance_uses_half_period_c1(monkeypatch):
 
 def test_assemble_state_two_atoms():
     state = make_partially_entangled(0.0, 0, d=2, n_particles=2)
-    psi = assemble_state(state, d=2)
+    psi = assemble_state(state)
     # (|up,0>^2 + |down,0>^2)/sqrt(2) in the (spin x mode)^2 ordering with
     # up = indices [0, d) and down = [d, 2d).
     expected = np.zeros(16, dtype=complex)
@@ -748,7 +748,7 @@ def test_assemble_state_two_atoms():
 def test_assembled_state_is_normalized():
     for n_particles in (1, 2, 3):
         state = make_globally_entangled(0.7, n_particles=n_particles)
-        psi = assemble_state(state, d=state.branch_up.truncation)
+        psi = assemble_state(state)
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -758,7 +758,7 @@ def _assemble_whole(state, d):
     branches = []
     for branch, offset in ((state.branch_up, 0), (state.branch_down, d)):
         site = np.zeros(2 * d, dtype=complex)
-        site[offset : offset + branch.truncation] = branch.mode_amplitudes
+        site[offset : offset + state.truncation] = branch
         psi = site
         for _ in range(state.n_particles - 1):
             psi = np.multiply.outer(psi, site).ravel()
@@ -768,9 +768,17 @@ def _assemble_whole(state, d):
 
 def _product_branches(alpha, n_particles):
     """Two unrelated product branches: D(alpha)|1> up and D(-alpha/2)|2> down."""
-    up = make_partially_entangled(alpha, 1).branch_up.mode_amplitudes
-    down = make_partially_entangled(-alpha / 2.0, 2, d=up.size).branch_up.mode_amplitudes
-    return GhzProductState(BranchState(+1, up), BranchState(-1, down), n_particles)
+    up = make_partially_entangled(alpha, 1).branch_up
+    down = make_partially_entangled(-alpha / 2.0, 2, d=up.size).branch_up
+    return GhzProductState(up, down, n_particles)
+
+
+def _zero_padded(state, d):
+    """state with each branch array zero-padded to d levels; a shared array
+    stays shared."""
+    up, down = (np.pad(b, (0, d - state.truncation)) for b in (state.branch_up, state.branch_down))
+    return GhzProductState(up, up if state.branch_down is state.branch_up else down,
+                           state.n_particles)
 
 
 @pytest.mark.parametrize("n_particles", [1, 2, 3])
@@ -787,7 +795,7 @@ def test_assemble_state_has_the_bits_of_the_whole_vector_construction(family, n_
         for d in (t, t + 1, t + 7):
             if (2 * d) ** n_particles > oracle.SIZE_GUARD:
                 continue
-            got = assemble_state(state, d)
+            got = assemble_state(_zero_padded(state, d))
             assert _values(got) == _values(_assemble_whole(state, d)), (alpha, d)
 
 
@@ -795,12 +803,12 @@ def test_covariance_reduction_random_draws():
     rng = np.random.default_rng(5)
     d = 5
 
-    def random_branch(sign):
+    def random_branch():
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        return BranchState(spin_sign=sign, mode_amplitudes=v / np.linalg.norm(v))
+        return v / np.linalg.norm(v)
 
     for n_particles in (2, 3):
-        state = GhzProductState(random_branch(+1), random_branch(-1), n_particles)
+        state = GhzProductState(random_branch(), random_branch(), n_particles)
         for _ in range(3):
             m1 = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
             m2 = rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d))
@@ -864,11 +872,7 @@ def test_factored_formulas_match_the_dense_vector(n_sites, d, seed):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     up, down = draw(d), draw(d)
-    state = GhzProductState(
-        BranchState(+1, up / np.linalg.norm(up)),
-        BranchState(-1, down / np.linalg.norm(down)),
-        n_sites,
-    )
+    state = GhzProductState(up / np.linalg.norm(up), down / np.linalg.norm(down), n_sites)
     psi = assemble_state(state)
     h = draw(2, d, d)
     h = (h + h.conj().transpose(0, 2, 1)) / 2.0

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
 from sagnac_qfi import (
-    BranchState,
     CorrelationSet,
     GhzProductState,
     TruncationError,
@@ -100,7 +99,7 @@ LARGE_ALPHAS = [27.0, 27.25, 28.0, 40.0]  # |alpha|^2 from 729: exp(-|alpha|^2) 
 @pytest.mark.parametrize("alpha", LARGE_ALPHAS)
 def test_both_families_build_where_exp_minus_lambda_underflows(alpha):
     for state in (make_partially_entangled(alpha, 0), make_globally_entangled(alpha)):
-        amps = state.branch_up.mode_amplitudes
+        amps = state.branch_up
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
         # The realized tail sits below the leakage bound, as at small |alpha|.
         padded = displaced_fock_amplitudes(alpha, 0, amps.size + 40)
@@ -109,26 +108,19 @@ def test_both_families_build_where_exp_minus_lambda_underflows(alpha):
 
 def test_partial_state_shares_mode_between_branches():
     state = make_partially_entangled(0.8 + 0.1j, 1)
-    np.testing.assert_array_equal(
-        state.branch_up.mode_amplitudes, state.branch_down.mode_amplitudes
-    )
-    assert state.branch_up.spin_sign == +1
-    assert state.branch_down.spin_sign == -1
+    assert state.branch_up is state.branch_down
 
 
 def test_global_state_branches_are_mirrored():
     state = make_globally_entangled(0.8 + 0.1j)
-    up = state.branch_up.mode_amplitudes
-    down = state.branch_down.mode_amplitudes
+    up, down = state.branch_up, state.branch_down
     signs = (-1.0) ** np.arange(up.size)
     np.testing.assert_allclose(down, signs * up, atol=1e-12)
 
 
 def test_branch_normalization():
     for state in (make_partially_entangled(1.3, 2), make_globally_entangled(-0.7j)):
-        assert np.sum(np.abs(state.branch_up.mode_amplitudes) ** 2) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert np.sum(np.abs(state.branch_up) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_truncation_error_suggests_size():
@@ -174,25 +166,55 @@ def test_auto_sized_states_keep_auto_truncation_where_it_meets_the_budget():
 
 
 def test_branch_state_validation():
-    good = np.zeros(4)
-    good[0] = 1.0
-    with pytest.raises(ValueError):
-        BranchState(spin_sign=2, mode_amplitudes=good)
-    with pytest.raises(ValueError):
-        BranchState(spin_sign=1, mode_amplitudes=0.5 * good)
+    # Either branch is checked, also where the other is one valid array.
+    good = np.eye(4)[0]
+    for bad, match in (
+        (np.eye(2) / math.sqrt(2.0), "1-d"),
+        (np.zeros(0), "1-d"),
+        (0.5 * good, "not normalized"),
+    ):
+        for up, down in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError, match=match):
+                GhzProductState(up, down, 1)
 
 
 def test_product_state_validation():
-    amps = np.zeros(4)
-    amps[0] = 1.0
-    up = BranchState(spin_sign=+1, mode_amplitudes=amps)
-    down = BranchState(spin_sign=-1, mode_amplitudes=amps)
-    with pytest.raises(ValueError):
-        GhzProductState(branch_up=down, branch_down=down, n_particles=1)
-    with pytest.raises(ValueError):
-        GhzProductState(branch_up=up, branch_down=up, n_particles=1)
-    with pytest.raises(ValueError):
-        GhzProductState(branch_up=up, branch_down=down, n_particles=0)
+    amps = np.eye(4)[0]
+    with pytest.raises(ValueError, match="one truncation"):
+        GhzProductState(amps, np.eye(5)[0], 1)
+    with pytest.raises(ValueError, match="n_particles must be positive"):
+        GhzProductState(amps, amps, 0)
+    state = GhzProductState(branch_up=amps, branch_down=1j * amps, n_particles=3)
+    assert state.truncation == 4 and state.n_particles == 3
+
+
+def test_product_state_keeps_read_only_complex_branches():
+    up = np.array([0.6, 0.8])
+    state = GhzProductState(up, [0.8, -0.6j], 1)
+    for branch in (state.branch_up, state.branch_down):
+        assert branch.dtype == complex and branch.ndim == 1
+        with pytest.raises(ValueError, match="read-only"):
+            branch[0] = 1.0
+    up[0] = 0.0  # the state holds its own complex copy of a real array
+    assert state.branch_up[0] == 0.6
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_partially_entangled(0.5 + 0.2j, 1),
+    lambda: GhzProductState(*[np.eye(3)[1]] * 2, 1),
+], ids=["builder", "direct"])
+def test_replace_keeps_a_shared_branch_array_shared(build, monkeypatch):
+    # One array passed as both branches is checked once and stays one array,
+    # also through dataclasses.replace, so its moments take one pass.
+    state = build()
+    assert state.branch_up is state.branch_down
+    checked = []
+    real = states._check_normalized
+    monkeypatch.setattr(states, "_check_normalized", lambda a: checked.append(a) or real(a))
+    sized = dataclasses.replace(state, n_particles=5)
+    assert sized.branch_up is sized.branch_down is state.branch_up
+    assert len(checked) == 1
+    assert sized == dataclasses.replace(state, n_particles=5) != state
 
 
 def test_correlation_set_validation():
@@ -289,11 +311,7 @@ def test_generic_correlations_use_actual_spin_signs():
     a = make_globally_entangled(0.9)
     up = a.branch_up
     down = a.branch_down
-    flipped = GhzProductState(
-        branch_up=BranchState(spin_sign=+1, mode_amplitudes=down.mode_amplitudes),
-        branch_down=BranchState(spin_sign=-1, mode_amplitudes=up.mode_amplitudes),
-        n_particles=1,
-    )
+    flipped = GhzProductState(branch_up=down, branch_down=up, n_particles=1)
     corr = correlations_generic(a, c1)
     corr_flipped = correlations_generic(flipped, c1)
     assert corr_flipped.cov_x1_sz1 == pytest.approx(-corr.cov_x1_sz1, abs=1e-12)
@@ -303,7 +321,7 @@ def test_generic_correlations_use_actual_spin_signs():
 def test_correlations_commute_with_truncation_padding():
     c1 = 0.5 + 0.5j
     tight = make_partially_entangled(1.1, 0)
-    padded = make_partially_entangled(1.1, 0, d=tight.branch_up.truncation + 25)
+    padded = make_partially_entangled(1.1, 0, d=tight.truncation + 25)
     a = correlations_generic(tight, c1)
     b = correlations_generic(padded, c1)
     assert a.var_x1 == pytest.approx(b.var_x1, abs=1e-10)
@@ -328,10 +346,9 @@ def _per_call_correlations(state, c1):
         x2 = 2.0 * (np.conj(c1) ** 2 * a2_mean).real + abs(c1) ** 2 * (2.0 * n_mean + 1.0)
         return x, x2
 
-    x_u, x2_u = x_moments(state.branch_up.mode_amplitudes)
-    x_d, x2_d = x_moments(state.branch_down.mode_amplitudes)
-    s_u = float(state.branch_up.spin_sign)
-    s_d = float(state.branch_down.spin_sign)
+    x_u, x2_u = x_moments(state.branch_up)
+    x_d, x2_d = x_moments(state.branch_down)
+    s_u, s_d = 1.0, -1.0
     x_mean = 0.5 * (x_u + x_d)
     s_mean = 0.5 * (s_u + s_d)
     return CorrelationSet(
@@ -476,7 +493,7 @@ def test_sweep_blocks_equal_the_one_alpha_construction_bit_for_bit(radii, picks,
     for (up, down), up_amps, down_amps in zip(moments, ups, downs):
         want = _one_alpha_moments(up_amps), _one_alpha_moments(down_amps)
         assert repr((up, down)) == repr(want)
-        one_alpha = GhzProductState(BranchState(+1, up_amps), BranchState(-1, down_amps), 1)
+        one_alpha = GhzProductState(up_amps, down_amps, 1)
         got = dataclasses.astuple(states.branch_correlations(up, down, *c1_terms))
         want = dataclasses.astuple(_per_call_correlations(one_alpha, c1))
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
@@ -620,13 +637,15 @@ def test_laguerre_port_equals_scipy_bit_for_bit(n, extra, radii):
 
 
 def test_states_compare_by_value():
-    amps = np.zeros(4)
-    amps[0] = 1.0
-    up = BranchState(spin_sign=+1, mode_amplitudes=amps)
-    assert (up == BranchState(spin_sign=+1, mode_amplitudes=amps.copy())) is True
-    assert (up == BranchState(spin_sign=-1, mode_amplitudes=amps)) is False
-    assert (up == BranchState(spin_sign=+1, mode_amplitudes=np.roll(amps, 1))) is False
-    assert (up == BranchState(spin_sign=+1, mode_amplitudes=np.zeros(5) + (np.arange(5) == 0))) is False
+    amps = np.eye(4)[0]
+    other = np.eye(4)[1]
+    state = GhzProductState(amps, other, 2)
+    assert (state == GhzProductState(amps.copy(), other.copy(), 2)) is True
+    assert (state == GhzProductState(other, amps, 2)) is False
+    assert (state == GhzProductState(amps, amps, 2)) is False
+    assert (state == GhzProductState(amps, other, 3)) is False
+    assert (state == GhzProductState(np.eye(5)[0], np.eye(5)[1], 2)) is False
+    assert (state == (amps, other, 2)) is False
 
     partial = make_partially_entangled(0.5 + 0.2j, 1)
     assert (partial == make_partially_entangled(0.5 + 0.2j, 1)) is True
@@ -657,7 +676,9 @@ def test_non_finite_alpha_is_rejected(alpha):
 
 def test_nan_branch_amplitudes_are_not_normalized():
     with pytest.raises(ValueError, match="not normalized"):
-        BranchState(spin_sign=+1, mode_amplitudes=np.array([math.nan, 0.5]))
+        GhzProductState(np.array([math.nan, 0.5]), np.array([1.0, 0.0]), 1)
+    with pytest.raises(ValueError, match="not normalized"):
+        GhzProductState(np.array([1.0, 0.0]), np.array([0.5, math.nan]), 1)
 
 
 @pytest.mark.parametrize(
