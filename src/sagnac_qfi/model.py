@@ -37,7 +37,12 @@ the second evaluating only the sub-interval integrals that scipy keeps.
 Both follow scipy's expressions in its order.  The eta and Phi pass runs
 both spins in one work block (`_sampled_work`) that holds every full-grid
 array it needs, so, in the heap left without scipy.integrate, the pass
-does not page its memory in again on every call.
+does not page its memory in again on every call.  At Omega = 0 (either
+sign) the down branch's drive is exactly the negative of the up branch's,
+so its pass would return -eta and the same Phi bit for bit; `_coefficients`
+then reads them off the up branch and runs one pass, unless a zero or
+non-finite eta component or Phi, whose sign the second pass could flip,
+makes it run both.
 
 A profile evaluates its coefficients once per (params, tau): it remembers
 the CoefficientSet of its last COEFFICIENT_MEMO_SIZE distinct pairs, keyed by
@@ -615,7 +620,13 @@ def _coefficients(
     if profile.kind == "sampled":
         work = _sampled_work(params, profile)
         eta_up, phi_up = _eta_phi_sampled(params, profile, +1, work)
-        eta_down, phi_down = _eta_phi_sampled(params, profile, -1, work)
+        if params.rotation_rate == 0.0 and all(
+            x != 0.0 and math.isfinite(x) for x in (eta_up.real, eta_up.imag, phi_up)
+        ):
+            # The down pass's own bits (see the module docstring).
+            eta_down, phi_down = -eta_up, phi_up
+        else:
+            eta_down, phi_down = _eta_phi_sampled(params, profile, -1, work)
     else:
         eta_up, phi_up, _ = _eta_phi_segments(params, profile.segments, +1)
         eta_down, phi_down, _ = _eta_phi_segments(params, profile.segments, -1)

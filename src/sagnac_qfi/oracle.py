@@ -16,9 +16,10 @@ gauge: J = X = a + a^dag, cached per d, for a displacement, and
 J = w a^dag a - f X for a time step.  A sampled drive's time-ordered product
 interpolates the step factor in f between at most STEP_NODES eigensolves per
 block of steps, within 2^-53 per step, so it stays an independent witness of
-the closed factorization; one real GEMM forms the factors of STEP_CHUNK
-steps at a time, and each step is then one complex d x d product (see
-`build_evolution_stepped`).
+the closed factorization; one real GEMM forms the real (2d, 2d) blocks
+[[A, -B], [B, A]] of STEP_CHUNK steps' factors A + iB at a time, and each
+step is then one real (2d x 2d)(2d x d) product on the stack [Re u; Im u]
+(see `build_evolution_stepped`).
 
 Truncation discipline: evolving inside a truncated space reflects amplitude
 off the Fock cap, while truncating the exact evolution clips it, so the two
@@ -112,11 +113,12 @@ SUITE_COLUMNS = 16
 # A second rotation rate for the generator identity: at Omega = 0 the C0 term
 # vanishes, so only a nonzero rate tests it.
 SUITE_ROTATION_RATE = 0.3
-# Most interpolation nodes (tridiagonal eigensolves, d x d factors held) one
-# block of sampled steps may use.
+# Most interpolation nodes (tridiagonal eigensolves, real 2d x 2d blocks
+# held) one block of sampled steps may use.
 STEP_NODES = 12
 # Steps of a sampled block whose factors one GEMM combines (16 measured
-# fastest at d = 36); a chunk holds STEP_CHUNK d x d factors at once.
+# fastest at d = 36, against 8 and 32); a chunk holds STEP_CHUNK real
+# 2d x 2d blocks at once.
 STEP_CHUNK = 16
 # _STEP_REACH[m - 1] is the largest q = W dt ||X|| / 4 at which m Chebyshev
 # nodes keep the step-factor bound 2 q^m / m! at or below 2^-53.
@@ -302,28 +304,40 @@ def _product_over_block(
     scale: float,
 ) -> np.ndarray:
     """Apply one block's step factors to u in time order, each factor the
-    barycentric combination of the block's node factors.
+    barycentric combination of the block's node factors; a new array.
 
-    The combinations are made STEP_CHUNK steps at a time, one real GEMM of
-    the chunk's barycentric rows with the node factors into one reused
-    buffer, and each factor is applied into the other of two d x d buffers,
-    so u itself is never written."""
+    Inside the block the product is the real (2d, d) stack [Re u; Im u] and
+    each factor E = A + iB its real block [[A, -B], [B, A]], which maps the
+    stack to [Re Eu; Im Eu], so a step is one real (2d x 2d)(2d x d)
+    product.  The blocks are combined STEP_CHUNK steps at a time, one real
+    GEMM of the chunk's barycentric rows with the node blocks into one
+    reused buffer, and each step is applied into the other of two stack
+    buffers, so u itself is never written."""
     nodes, weights = _step_nodes(f_block, scale)
     d = diag.size
-    # The node factors as one (m, 2 d^2) float array: a chunk's combinations
-    # are one (chunk, m) x (m, 2 d^2) product.
-    flat = np.empty((nodes.size, 2 * d * d))
-    for j, f_val in enumerate(nodes):
-        flat[j] = _step_factor(diag, off, f_val, dt).view(float).ravel()
+    # The node factors' real blocks as one (m, 4 d^2) array: a chunk's
+    # combinations, being linear, are one (chunk, m) x (m, 4 d^2) product
+    # that yields each step's block.
+    blocks = np.empty((nodes.size, 2 * d, 2 * d))
+    for block, f_val in zip(blocks, nodes):
+        factor = _step_factor(diag, off, f_val, dt)
+        block[:d, :d] = block[d:, d:] = factor.real
+        block[d:, :d] = factor.imag
+        np.negative(factor.imag, out=block[:d, d:])
+    flat = blocks.reshape(nodes.size, -1)
     rows = _barycentric_rows(nodes, weights, f_block)
-    combined = np.empty((min(STEP_CHUNK, len(rows)), 2 * d * d))
-    products = np.empty((2, d, d), dtype=complex)
+    combined = np.empty((min(STEP_CHUNK, len(rows)), 2 * d, 2 * d))
+    stacks = np.empty((2, 2 * d, d))
+    stack = np.concatenate((u.real, u.imag))
     for start in range(0, len(rows), STEP_CHUNK):
         chunk = rows[start : start + STEP_CHUNK]
-        factors = np.matmul(chunk, flat, out=combined[: len(chunk)])
-        for step, factor in enumerate(factors.view(complex).reshape(-1, d, d), start):
-            u = np.matmul(factor, u, out=products[step % 2])
-    return u
+        steps = combined[: len(chunk)]
+        np.matmul(chunk, flat, out=steps.reshape(len(chunk), -1))
+        for step, block in enumerate(steps, start):
+            stack = np.matmul(block, stack, out=stacks[step % 2])
+    out = np.empty((d, d), dtype=complex)
+    out.real, out.imag = stack[:d], stack[d:]
+    return out
 
 
 def build_evolution_stepped(
@@ -351,11 +365,13 @@ def build_evolution_stepped(
     (dt ||X||)^k, m Chebyshev nodes on a drive range of width W reproduce it
     within 2 (W dt ||X|| / 4)^m / m!.  The steps are split greedily into
     blocks that keep this at or below 2^-53 with at most STEP_NODES nodes,
-    each one eigensolve.  The barycentric combinations of STEP_CHUNK
-    consecutive steps are one real GEMM with the block's node factors, and
-    each step is then one complex d x d product.  A block with no more
-    distinct drive values than nodes takes those values as nodes, so a call
-    never makes more eigensolves than steps.
+    each one eigensolve.  Inside a block the product is held as the real
+    stack [Re u; Im u] and each factor A + iB as its real block
+    [[A, -B], [B, A]]; the barycentric combinations of STEP_CHUNK
+    consecutive steps are one real GEMM with the block's node blocks, and
+    each step is then one real (2d x 2d)(2d x d) product.  A block with no
+    more distinct drive values than nodes takes those values as nodes, so a
+    call never makes more eigensolves than steps.
     """
     _check_tau(profile, tau)
     steps = operator.index(steps)

@@ -120,8 +120,14 @@ class GhzProductState:
 
 def _mode_vector(amplitudes) -> np.ndarray:
     """amplitudes as a read-only complex array, after checking that it is a
-    nonempty 1-d vector normalized within 1e-12."""
+    nonempty 1-d vector normalized within 1e-12.
+
+    Only a read-only complex array that owns its data (another state's
+    branch) is kept as it is; any other input is copied, so a caller's array
+    is never frozen in place."""
     amps = np.asarray(amplitudes, dtype=complex)
+    if amps.flags.writeable or not amps.flags.owndata:
+        amps = amps.copy()
     if amps.ndim != 1 or amps.size < 1:
         raise ValueError("branch amplitudes must be a nonempty 1-d vector")
     _check_normalized(amps)

@@ -213,6 +213,24 @@ def test_stepped_converges_on_smooth_profile():
     assert order == pytest.approx(2.0, abs=0.3)
 
 
+@pytest.mark.parametrize("spin", [+1, -1])
+def test_sampled_closed_vs_stepped_at_zero_rotation(spin):
+    # At Omega = 0 the closed evolution takes the down branch's eta and Phi
+    # from the up branch's pass; the stepped product reads no coefficients,
+    # so it witnesses both spins on its own.  The drive shape and the
+    # tolerance 0.1 (tau/steps)^2 are the stepped-evolution benchmark's.
+    tau, steps = 0.6 * T0, 300
+    t = np.linspace(0.0, tau, 20001)
+    omega_p = 1.0 + 0.3 * np.sin(2.0 * t / tau)
+    profile = DrivingProfile.sampled(t, omega_p, normalization="rescale")
+    eta = abs(coefficients(UNIT, profile, tau).eta(spin))
+    d = required_truncation(8, eta)
+    closed = build_evolution_closed(UNIT, profile, tau, spin, d)
+    stepped = build_evolution_stepped(UNIT, profile, tau, spin, d, steps)
+    k = trusted_columns(d, eta)
+    assert np.max(np.abs((closed - stepped)[:, :k])) <= 0.1 * (tau / steps) ** 2
+
+
 def _smooth_sampled(tau: float, samples: int = 20001) -> DrivingProfile:
     t = np.linspace(0.0, tau, samples)
     return DrivingProfile.sampled(
@@ -428,12 +446,15 @@ def test_chunked_block_matches_one_row_at_a_time(steps):
 
 def test_block_of_node_drives_is_the_product_of_node_factors():
     # Three distinct drives are their own nodes, so every row is one-hot and
-    # every step applies a node factor exactly, across chunk boundaries.
+    # every step applies a node factor's real block [[A, -B], [B, A]] to the
+    # stack [Re u; Im u] exactly, across chunk boundaries.
     f_block = np.array([0.6, 0.9, 0.75])[np.arange(2 * oracle.STEP_CHUNK + 1) % 3]
     u = _block_start()
-    want = u
+    stack = np.concatenate((u.real, u.imag))
     for f_val in f_block:
-        want = oracle._step_factor(BLOCK_DIAG, BLOCK_OFF, f_val, BLOCK_DT) @ want
+        factor = oracle._step_factor(BLOCK_DIAG, BLOCK_OFF, f_val, BLOCK_DT)
+        stack = np.block([[factor.real, -factor.imag], [factor.imag, factor.real]]) @ stack
+    want = stack[:BLOCK_D] + 1j * stack[BLOCK_D:]
     assert np.array_equal(_block_product(u, f_block), want)
 
 

@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, simpson
 
@@ -208,6 +208,53 @@ def test_spins_keep_their_bits_whichever_fills_the_work_block_first(samples):
             )
             # The drive row holds drive_amplitude's bits.
             assert _bits(work[2]) == _bits(model.drive_amplitude(params, profile.values, spin))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.sampled_from([2, 3]) | st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.floats(0.1, 10.0),
+    ring_radius=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0),
+    rotation_rate=st.sampled_from([0.0, -0.0]),
+)
+@example(samples=2, seed=0, tau=TAU, ring_radius=0.0, rotation_rate=0.0)
+@example(samples=3, seed=1, tau=TAU, ring_radius=1.5, rotation_rate=-0.0)
+def test_zero_rotation_down_branch_has_the_two_pass_bits(
+    samples, seed, tau, ring_radius, rotation_rate
+):
+    # At Omega = +-0 the down branch is read off the up branch's pass unless
+    # a zero could carry another sign; either way its eta and Phi have the
+    # bits of its own pass, signed zeros included.  The drawn samples hold
+    # signed zeros, and at ring radius 0 every eta is zero.
+    values = _drawn_samples(np.random.default_rng(seed), samples)
+    if _simpson(values, dx=tau / (samples - 1)) < 0:
+        values = -values
+    try:
+        profile = DrivingProfile.sampled(
+            np.linspace(0.0, tau, samples), values, normalization="rescale"
+        )
+    except ProfileError:  # no positive area to rescale
+        assume(False)
+    params = PhysicalParams(ring_radius=ring_radius, rotation_rate=rotation_rate)
+    got = coefficients(params, profile, tau)
+    work = model._sampled_work(params, profile)
+    for spin in (+1, -1):
+        eta, phi = model._eta_phi_sampled(params, profile, spin, work)
+        assert _bits([got.eta(spin).real, got.eta(spin).imag, got.phi(spin)]) == _bits(
+            [eta.real, eta.imag, phi]
+        )
+
+
+@pytest.mark.parametrize("rotation_rate, passes", [(0.0, 1), (-0.0, 1), (0.1, 2)])
+def test_zero_rotation_makes_one_eta_phi_pass(monkeypatch, rotation_rate, passes):
+    spins = []
+    real = model._eta_phi_sampled
+    monkeypatch.setattr(
+        model, "_eta_phi_sampled", lambda *args: spins.append(args[2]) or real(*args)
+    )
+    coefficients(PhysicalParams(rotation_rate=rotation_rate), _profile(), TAU)
+    assert spins == [+1, -1][:passes]
 
 
 def _count_passes(monkeypatch) -> list:

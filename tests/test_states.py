@@ -199,6 +199,18 @@ def test_product_state_keeps_read_only_complex_branches():
     assert state.branch_up[0] == 0.6
 
 
+def test_product_state_leaves_a_callers_complex_array_writeable():
+    up, down = np.array([0.6, 0.8j]), np.array([0.8j, 0.6])
+    state = GhzProductState(up, down, 1)
+    shared = GhzProductState(down, down, 2)
+    assert shared.branch_up is shared.branch_down is not down
+    view = shared.branch_up[:]  # a read-only view of a state's branch is copied too
+    assert GhzProductState(view, view, 1).branch_up is not view
+    up[0] = down[0] = 1.0  # each state froze its own copy
+    assert state.branch_up[0] == 0.6 and state.branch_down[0] == 0.8j
+    assert shared.branch_up[0] == 0.8j
+
+
 @pytest.mark.parametrize("build", [
     lambda: make_partially_entangled(0.5 + 0.2j, 1),
     lambda: GhzProductState(*[np.eye(3)[1]] * 2, 1),

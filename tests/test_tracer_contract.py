@@ -4,7 +4,7 @@
 package (`kernel.expm` is `sagnac_qfi.oracle:expm`).  Renaming or dropping
 one of them breaks the traced benchmark run, so these tests install the
 tracer against the package and remove it again, and run the closed-scan
-commands and the oracle-dense routes under it.  The tracer is imported by
+commands, the oracle-dense routes and the stepped-evolution ops under it.  The tracer is imported by
 path and used as it is.
 """
 
@@ -69,6 +69,51 @@ def test_oracle_dense_required_layers_record_calls(tracer):
     assert missing == []
     # Every fidelity evolution is built through build_evolution_closed.
     assert metrics["oracle.fidelity_evolution_ratio"][0] > 0.0
+
+
+def test_stepped_evolution_required_layers_record_calls(tracer):
+    # The traced stepped-evolution run fails when a required layer records no
+    # call, e.g. after a refactor that stops forming step factors through
+    # expm or powers through matrix_power.  One sampled, one constant and one
+    # piecewise op, each called through the package as the workload calls
+    # them: profile, coefficients, sized d, stepped and closed evolution,
+    # trusted columns.
+    import numpy as np
+
+    import sagnac_qfi as sq
+    from sagnac_qfi import oracle
+
+    def profile(kind, tau):
+        if kind == "constant":
+            return sq.DrivingProfile.constant_for(tau)
+        if kind == "piecewise":
+            return sq.DrivingProfile.piecewise(
+                [[0.4 * tau, 1.5], [0.6 * tau, 0.8]], normalization="rescale"
+            )
+        t = np.linspace(0.0, tau, 2001)
+        return sq.DrivingProfile.sampled(
+            t, 1.0 + 0.3 * np.sin(2.0 * t / tau), normalization="rescale"
+        )
+
+    ops = [("sampled", 0.6, +1, 8, 200), ("constant", 0.5, -1, 12, 10_000),
+           ("piecewise", 0.7, +1, 12, 10_000)]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for op_id, (kind, periods, spin, columns, steps) in enumerate(ops):
+            with t.op(op_id):
+                params = sq.PhysicalParams()
+                tau = periods * 2.0 * math.pi
+                drive = profile(kind, tau)
+                eta = abs(sq.coefficients(params, drive, tau).eta(spin))
+                d = oracle.required_truncation(columns, eta)
+                sq.build_evolution_stepped(params, drive, tau, spin, d, steps)
+                sq.build_evolution_closed(params, drive, tau, spin, d)
+                oracle.trusted_columns(d, eta)
+    finally:
+        t.uninstall()
+    _, missing = t.metrics("stepped-evolution", len(ops))
+    assert missing == []
 
 
 # One op of each closed-scan command; scan-alpha sweeps theta_alpha and |alpha|.
