@@ -4,8 +4,8 @@
 package (`kernel.expm` is `sagnac_qfi.oracle:expm`).  Renaming or dropping
 one of them breaks the traced benchmark run, so these tests install the
 tracer against the package and remove it again, and run the closed-scan
-commands, the oracle-dense routes and the stepped-evolution ops under it.  The tracer is imported by
-path and used as it is.
+commands, the oracle-dense routes and the stepped-evolution ops under it.
+The tracer is imported by path and used as it is.
 """
 
 import importlib.util
