@@ -10,16 +10,19 @@ closed forms are the package's evidence; `identity_suite` checks every one
 of them and reports each error against its tolerance.  Only this module
 builds and sizes the oracle's truncated spaces.
 
-Every exponential is `expm(lam, vec, t)` = exp(-i t J) for a real symmetric
-tridiagonal J given its eigenpairs (numpy.linalg.eigh), in a diagonal phase
-gauge: J = X = a + a^dag, cached per d, for a displacement, and
-J = w a^dag a - f X for a time step.  A sampled drive's time-ordered product
-interpolates the step factor in f between at most STEP_NODES eigensolves per
-block of steps, within 2^-53 per step, so it stays an independent witness of
-the closed factorization; one real GEMM forms the real (2d, 2d) blocks
-[[A, -B], [B, A]] of STEP_CHUNK steps' factors A + iB at a time, and each
-step is then one real (2d x 2d)(2d x d) product on the stack [Re u; Im u]
-(see `build_evolution_stepped`).
+Exponentials are exp(-i t J) for a real symmetric tridiagonal J in a
+diagonal phase gauge: J = X = a + a^dag for a displacement and
+J = w a^dag a - f X for a time step.  A displacement, and a piecewise
+segment's step, is `expm(lam, vec, t)` on J's eigenpairs
+(numpy.linalg.eigh), cached per d for X.  A sampled drive's time-ordered
+product interpolates the step factor in f between at most STEP_NODES node
+factors per block of steps, within 2^-53 per step, so it stays an
+independent witness of the closed factorization.  The node factors
+cos A - i sin A, A = dt J(f), come from one pass of truncated Taylor series
+over all of a block's nodes, written as real (2d, 2d) blocks
+[[cos A, sin A], [-sin A, cos A]]; one real GEMM combines STEP_CHUNK steps'
+blocks at a time, and each step is then one real (2d x 2d)(2d x d) product
+on the stack [Re u; Im u] (see `build_evolution_stepped`).
 
 Truncation discipline: evolving inside a truncated space reflects amplitude
 off the Fock cap, while truncating the exact evolution clips it, so the two
@@ -113,8 +116,8 @@ SUITE_COLUMNS = 16
 # A second rotation rate for the generator identity: at Omega = 0 the C0 term
 # vanishes, so only a nonzero rate tests it.
 SUITE_ROTATION_RATE = 0.3
-# Most interpolation nodes (tridiagonal eigensolves, real 2d x 2d blocks
-# held) one block of sampled steps may use.
+# Most interpolation nodes (node factors, real 2d x 2d blocks held) one
+# block of sampled steps may use.
 STEP_NODES = 12
 # Steps of a sampled block whose factors one GEMM combines (16 measured
 # fastest at d = 36, against 8 and 32); a chunk holds STEP_CHUNK real
@@ -125,6 +128,15 @@ STEP_CHUNK = 16
 _STEP_REACH = tuple(
     (2.0**-54 * math.factorial(m)) ** (1.0 / m) for m in range(1, STEP_NODES + 1)
 )
+# _TAYLOR_REACH[k - 1] is the largest infinity norm theta of A at which k
+# terms each of the series for cos A and sin A in B = A^2 keep their
+# truncation bound 2 theta^(2k) / (2k)! at or below 2^-53; the step blocks
+# scale A to theta <= 1, which ten terms cover.
+_TAYLOR_REACH = tuple(
+    (2.0**-54 * math.factorial(2 * k)) ** (1.0 / (2 * k)) for k in range(1, 11)
+)
+_COS_TERMS = np.array([(-1) ** k / math.factorial(2 * k) for k in range(len(_TAYLOR_REACH))])
+_SIN_TERMS = np.array([(-1) ** k / math.factorial(2 * k + 1) for k in range(len(_TAYLOR_REACH))])
 
 
 def expm(lam: np.ndarray, vec: np.ndarray, t: float) -> np.ndarray:
@@ -259,7 +271,8 @@ def build_evolution_closed(
 
 def _step_factor(diag: np.ndarray, off: np.ndarray, f_val: float, dt: float) -> np.ndarray:
     """exp(-i dt J) for J = diag + f_val * off, real symmetric and tridiagonal:
-    one eigensolve and one `expm`."""
+    one eigensolve and one `expm`.  Piecewise segments take their factors
+    from here, sampled nodes from `_step_blocks`."""
     return expm(*_tridiagonal_eigh(diag, f_val * off), dt)
 
 
@@ -295,6 +308,77 @@ def _barycentric_rows(nodes: np.ndarray, weights: np.ndarray, f_vals: np.ndarray
     return np.where(hit.any(axis=1, keepdims=True), hit, rows)
 
 
+def _cos_sin_series(a: np.ndarray, k: int, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
+    """cos a and sin a for a stack a of real (d, d) matrices, from the first
+    k terms of each Taylor series in B = a^2, written into cos_out and
+    sin_out.
+
+    Both series share the powers B, ..., B^q and are evaluated by
+    Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)): as polynomials of
+    degree r - 1 in B^q, r = ceil(k / q), whose coefficients are polynomials
+    of degree below q in B, by Horner's rule.  q minimizes the batched
+    products, q - 1 for the powers (q - 2 when r = 1, as B^q is then unused)
+    and r - 1 per series; one GEMM forms every coefficient of both series,
+    and sin a is a times its series in B.
+    """
+    m, d, _ = a.shape
+    q = min(range(1, k + 1), key=lambda q: q - 1 - (q == k) + 2 * (-(-k // q) - 1))
+    r = -(-k // q)
+    powers = np.empty((q, m, d, d))  # B^1, ..., B^q
+    np.matmul(a, a, out=powers[0])
+    for i in range(1, q if r > 1 else q - 1):
+        np.matmul(powers[i - 1], powers[0], out=powers[i])
+    terms = np.zeros((2, r * q))
+    terms[:, :k] = _COS_TERMS[:k], _SIN_TERMS[:k]
+    terms = terms.reshape(2 * r, q)
+    # parts[p, j] is the coefficient of (B^q)^j in series p.
+    parts = terms[:, 1:] @ powers[: q - 1].reshape(q - 1, m * d * d)
+    parts.reshape(2 * r, m, d * d)[:, :, :: d + 1] += terms[:, :1, None]
+    sin_series = np.empty((m, d, d))
+    for series, out in zip(parts.reshape(2, r, m, d, d), (cos_out, sin_series)):
+        out[...] = series[r - 1]
+        for j in range(r - 2, -1, -1):
+            np.add(out @ powers[q - 1], series[j], out=out)
+    np.matmul(a, sin_series, out=sin_out)
+
+
+def _step_blocks(diag: np.ndarray, off: np.ndarray, f_vals: np.ndarray, dt: float) -> np.ndarray:
+    """Real blocks [[C, S], [-S, C]] of the step factors
+    exp(-i dt J(f)) = C - i S, J(f) = diag + f off, for every drive f in
+    f_vals: one (len(f_vals), 2d, 2d) array.
+
+    The matrices A = dt J(f) are stacked into one real (m, d, d) array whose
+    largest infinity norm theta bounds every ||A||.  Above 1 they are scaled
+    by 2^-s, exactly, to theta <= 1; C = cos A and S = sin A then take the
+    fewest Taylor terms whose truncation stays within 2^-53
+    (`_TAYLOR_REACH`), and s squarings (C - iS)^2 = (C^2 - S^2) - i (CS + SC)
+    restore them, each one batched product [C; -S] [C, S] of the blocks' own
+    left column and top row.
+    """
+    m, d = f_vals.size, diag.size
+    a = np.zeros((m, d, d))
+    flat = a.reshape(m, d * d)
+    flat[:, :: d + 1] = dt * diag
+    flat[:, 1 :: d + 1] = flat[:, d :: d + 1] = (dt * f_vals)[:, None] * off
+    theta = float(np.abs(a).sum(axis=2).max())
+    halvings = math.ceil(math.log2(theta)) if theta > 1.0 else 0
+    a *= 2.0**-halvings
+    k = bisect.bisect_left(_TAYLOR_REACH, theta * 2.0**-halvings) + 1
+    blocks = np.empty((m, 2 * d, 2 * d))
+    cos, sin = blocks[:, :d, :d], blocks[:, :d, d:]
+    _cos_sin_series(a, k, cos, sin)
+    np.negative(sin, out=blocks[:, d:, :d])
+    square = np.empty_like(blocks) if halvings else None
+    for _ in range(halvings):
+        # [[C^2, CS], [-SC, -S^2]]
+        np.matmul(blocks[:, :, :d], blocks[:, :d, :], out=square)
+        np.add(square[:, :d, :d], square[:, d:, d:], out=cos)
+        np.subtract(square[:, :d, d:], square[:, d:, :d], out=sin)
+        np.negative(sin, out=blocks[:, d:, :d])
+    blocks[:, d:, d:] = cos
+    return blocks
+
+
 def _product_over_block(
     u: np.ndarray,
     f_block: np.ndarray,
@@ -304,7 +388,8 @@ def _product_over_block(
     scale: float,
 ) -> np.ndarray:
     """Apply one block's step factors to u in time order, each factor the
-    barycentric combination of the block's node factors; a new array.
+    barycentric combination of the block's node factors (`_step_blocks`);
+    a new array.
 
     Inside the block the product is the real (2d, d) stack [Re u; Im u] and
     each factor E = A + iB its real block [[A, -B], [B, A]], which maps the
@@ -318,13 +403,7 @@ def _product_over_block(
     # The node factors' real blocks as one (m, 4 d^2) array: a chunk's
     # combinations, being linear, are one (chunk, m) x (m, 4 d^2) product
     # that yields each step's block.
-    blocks = np.empty((nodes.size, 2 * d, 2 * d))
-    for block, f_val in zip(blocks, nodes):
-        factor = _step_factor(diag, off, f_val, dt)
-        block[:d, :d] = block[d:, d:] = factor.real
-        block[d:, :d] = factor.imag
-        np.negative(factor.imag, out=block[:d, d:])
-    flat = blocks.reshape(nodes.size, -1)
+    flat = _step_blocks(diag, off, nodes, dt).reshape(nodes.size, -1)
     rows = _barycentric_rows(nodes, weights, f_block)
     combined = np.empty((min(STEP_CHUNK, len(rows)), 2 * d, 2 * d))
     stacks = np.empty((2, 2 * d, d))
@@ -334,7 +413,8 @@ def _product_over_block(
         steps = combined[: len(chunk)]
         np.matmul(chunk, flat, out=steps.reshape(len(chunk), -1))
         for step, block in enumerate(steps, start):
-            stack = np.matmul(block, stack, out=stacks[step % 2])
+            # np.dot: the bits of np.matmul here, with less dispatch per call.
+            stack = np.dot(block, stack, out=stacks[step % 2])
     out = np.empty((d, d), dtype=complex)
     out.real, out.imag = stack[:d], stack[d:]
     return out
@@ -365,13 +445,14 @@ def build_evolution_stepped(
     (dt ||X||)^k, m Chebyshev nodes on a drive range of width W reproduce it
     within 2 (W dt ||X|| / 4)^m / m!.  The steps are split greedily into
     blocks that keep this at or below 2^-53 with at most STEP_NODES nodes,
-    each one eigensolve.  Inside a block the product is held as the real
-    stack [Re u; Im u] and each factor A + iB as its real block
-    [[A, -B], [B, A]]; the barycentric combinations of STEP_CHUNK
-    consecutive steps are one real GEMM with the block's node blocks, and
-    each step is then one real (2d x 2d)(2d x d) product.  A block with no
-    more distinct drive values than nodes takes those values as nodes, so a
-    call never makes more eigensolves than steps.
+    whose factors come from one `_step_blocks` pass of truncated Taylor
+    series, within 2^-53 before the squarings, with no eigensolve.  Inside a
+    block the product is held as the real stack [Re u; Im u] and each factor
+    A + iB as its real block [[A, -B], [B, A]]; the barycentric combinations
+    of STEP_CHUNK consecutive steps are one real GEMM with the block's node
+    blocks, and each step is then one real (2d x 2d)(2d x d) product.  A
+    block with no more distinct drive values than nodes takes those values
+    as nodes, so a call never forms more node factors than steps.
     """
     _check_tau(profile, tau)
     steps = operator.index(steps)

@@ -311,8 +311,10 @@ def test_numpy_eigh_has_the_bits_of_scipy_eigh_tridiagonal():
 
 
 def _count_step_work(monkeypatch) -> dict:
-    counts = {"eigensolves": 0, "block_nodes": []}
-    real_eigh, real_nodes = oracle._tridiagonal_eigh, oracle._step_nodes
+    counts = {"eigensolves": 0, "block_nodes": [], "kernel_nodes": []}
+    real_eigh, real_nodes, real_blocks = (
+        oracle._tridiagonal_eigh, oracle._step_nodes, oracle._step_blocks
+    )
 
     def eigh(*args, **kwargs):
         counts["eigensolves"] += 1
@@ -323,28 +325,34 @@ def _count_step_work(monkeypatch) -> dict:
         counts["block_nodes"].append(out[0].size)
         return out
 
+    def blocks(diag, off, f_vals, dt):
+        counts["kernel_nodes"].append(f_vals.size)
+        return real_blocks(diag, off, f_vals, dt)
+
     monkeypatch.setattr(oracle, "_tridiagonal_eigh", eigh)
     monkeypatch.setattr(oracle, "_step_nodes", nodes)
+    monkeypatch.setattr(oracle, "_step_blocks", blocks)
     return counts
 
 
 @pytest.mark.parametrize(
-    "case, blocks, eigensolves",
+    "case, blocks, nodes",
     [("smooth-40", 1, STEP_NODES), ("rough-80", 3, 100), ("flat-40", 1, 1)],
     ids=["smooth", "rough", "flat"],
 )
-def test_sampled_stepped_eigensolve_count(monkeypatch, case, blocks, eigensolves):
-    # Each block holds at most STEP_NODES factors, one eigensolve each; the
-    # smooth drive fits one block, the rough one needs at least `blocks`, and
-    # a drive of zero width needs exactly one eigensolve (at most one, and
-    # every block makes at least one).
+def test_sampled_stepped_eigensolve_count(monkeypatch, case, blocks, nodes):
+    # Each block holds at most STEP_NODES node factors, all from one call of
+    # the Taylor kernel and none from an eigensolve; the smooth drive fits
+    # one block, the rough one needs at least `blocks`, and a drive of zero
+    # width needs exactly one node (at most one, and every block has one).
     profile, d, steps = _sampled_drive(case)
     counts = _count_step_work(monkeypatch)
     build_evolution_stepped(STEPPED_PARAMS, profile, STEPPED_TAU, +1, d, steps)
     assert len(counts["block_nodes"]) >= blocks
     assert max(counts["block_nodes"]) <= STEP_NODES
-    assert counts["eigensolves"] == sum(counts["block_nodes"])
-    assert counts["eigensolves"] <= min(eigensolves, steps)
+    assert counts["kernel_nodes"] == counts["block_nodes"]
+    assert sum(counts["block_nodes"]) <= min(nodes, steps)
+    assert counts["eigensolves"] == 0
 
 
 @pytest.mark.parametrize("reach, n_nodes", [(1.0, STEP_NODES), (0.5, 11), (0.05, 7)])
@@ -369,6 +377,30 @@ def test_step_interpolation_meets_its_bound(reach, n_nodes):
         got = np.tensordot(row, factors, axes=1)
         want = oracle._step_factor(diag, off, f_val, dt)
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 12, 36, 80, 200])
+@pytest.mark.parametrize("theta, halvings", [(0.6, 0), (1.6, 1), (5.0, 3)])
+def test_step_blocks_match_eigensolve_factors(d, theta, halvings):
+    # The Taylor kernel's blocks [[C, S], [-S, C]] against one eigensolve and
+    # one expm per drive, with dt chosen so that the largest infinity norm
+    # of dt J(f) is theta, which takes `halvings` squarings: within 1e-14
+    # absolute, and orthogonal, so that C - iS is unitary, within 1e-14.
+    f_vals = np.array([-1.3, -0.0, 0.0, 0.45, 2.0])
+    diag = STEPPED_PARAMS.trap_frequency * np.arange(d, dtype=float)
+    off = -np.sqrt(np.arange(1.0, d))
+    band = np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0])
+    dt = theta / np.max(np.abs(diag) + np.max(np.abs(f_vals)) * band)
+    assert max(0, math.ceil(math.log2(theta))) == halvings
+    blocks = oracle._step_blocks(diag, off, f_vals, dt)
+    assert blocks.shape == (f_vals.size, 2 * d, 2 * d)
+    for block, f_val in zip(blocks, f_vals):
+        cos, sin = block[:d, :d], block[:d, d:]
+        assert np.array_equal(block[d:, d:], cos) and np.array_equal(block[d:, :d], -sin)
+        want = oracle._step_factor(diag, off, f_val, dt)
+        assert np.max(np.abs(cos - 1j * sin - want)) <= 1e-14
+        assert np.max(np.abs(block.T @ block - np.eye(2 * d))) <= 1e-14
+    assert np.array_equal(blocks[1], blocks[2])  # -0.0 and 0.0
 
 
 @pytest.mark.parametrize(
@@ -411,13 +443,18 @@ def _block_start():
     return q
 
 
+def _node_blocks(nodes):
+    return oracle._step_blocks(BLOCK_DIAG, BLOCK_OFF, nodes, BLOCK_DT)
+
+
 def _product_one_row_at_a_time(u, f_block):
     """The block product with one barycentric combination per step, each a
-    row-times-matrix product: the stepper's rule before steps were chunked."""
+    row-times-matrix product of complex factors: the stepper's rule before
+    steps were chunked, on the node kernel's factors."""
     nodes, weights = oracle._step_nodes(f_block, BLOCK_SCALE)
-    flat = np.empty((nodes.size, 2 * BLOCK_D * BLOCK_D))
-    for j, f_val in enumerate(nodes):
-        flat[j] = oracle._step_factor(BLOCK_DIAG, BLOCK_OFF, f_val, BLOCK_DT).view(float).ravel()
+    blocks = _node_blocks(nodes)
+    factors = blocks[:, :BLOCK_D, :BLOCK_D] + 1j * blocks[:, BLOCK_D:, :BLOCK_D]
+    flat = factors.view(float).reshape(nodes.size, -1)
     for row in oracle._barycentric_rows(nodes, weights, f_block):
         u = (row @ flat).view(complex).reshape(BLOCK_D, BLOCK_D) @ u
     return u
@@ -449,11 +486,13 @@ def test_block_of_node_drives_is_the_product_of_node_factors():
     # every step applies a node factor's real block [[A, -B], [B, A]] to the
     # stack [Re u; Im u] exactly, across chunk boundaries.
     f_block = np.array([0.6, 0.9, 0.75])[np.arange(2 * oracle.STEP_CHUNK + 1) % 3]
+    nodes = oracle._step_nodes(f_block, BLOCK_SCALE)[0]
+    assert nodes.tobytes() == np.array([0.6, 0.75, 0.9]).tobytes()
+    blocks = _node_blocks(nodes)
     u = _block_start()
     stack = np.concatenate((u.real, u.imag))
     for f_val in f_block:
-        factor = oracle._step_factor(BLOCK_DIAG, BLOCK_OFF, f_val, BLOCK_DT)
-        stack = np.block([[factor.real, -factor.imag], [factor.imag, factor.real]]) @ stack
+        stack = blocks[np.flatnonzero(nodes == f_val)[0]] @ stack
     want = stack[:BLOCK_D] + 1j * stack[BLOCK_D:]
     assert np.array_equal(_block_product(u, f_block), want)
 
@@ -514,8 +553,9 @@ def _count_kernel_calls(monkeypatch) -> dict:
 
 
 def test_stepped_kernel_calls_by_profile_kind(monkeypatch):
-    # Every step factor, sampled node or piecewise segment, is one expm on
-    # one eigensolve; piecewise segments add one matrix_power each.
+    # Sampled nodes come from the Taylor kernel, with no eigensolve and no
+    # expm; each piecewise segment's factor is one expm on one eigensolve,
+    # raised to its step count by one matrix_power.
     tau = 0.5 * T0
     sampled = _smooth_sampled(tau)
     piecewise = DrivingProfile.piecewise(
@@ -524,12 +564,12 @@ def test_stepped_kernel_calls_by_profile_kind(monkeypatch):
     counts = _count_kernel_calls(monkeypatch)
     work = _count_step_work(monkeypatch)
     build_evolution_stepped(UNIT, sampled, tau, +1, 20, steps=150)
-    nodes = sum(work["block_nodes"])
-    assert nodes >= 1 and work["eigensolves"] == nodes
-    assert counts == {"expm": nodes, "matrix_power": 0}
+    assert sum(work["kernel_nodes"]) == sum(work["block_nodes"]) >= 1
+    assert work["eigensolves"] == 0
+    assert counts == {"expm": 0, "matrix_power": 0}
     build_evolution_stepped(UNIT, piecewise, tau, +1, 20, steps=150)
-    assert work["eigensolves"] == nodes + 2
-    assert counts == {"expm": nodes + 2, "matrix_power": 2}
+    assert work["eigensolves"] == 2
+    assert counts == {"expm": 2, "matrix_power": 2}
 
 
 @pytest.mark.parametrize(
