@@ -135,6 +135,10 @@ _STEP_REACH = tuple(
 _TAYLOR_REACH = tuple(
     (2.0**-54 * math.factorial(2 * k)) ** (1.0 / (2 * k)) for k in range(1, 11)
 )
+# Largest infinity norm of dt J(f) the node kernel accepts: each of its s
+# squarings doubles the factor's rounding, so past 2^33 a factor could be off
+# by 1e-6, and far enough past it the squarings overflow to NaN.
+_STEP_NORM_LIMIT = 2.0**33
 _COS_TERMS = np.array([(-1) ** k / math.factorial(2 * k) for k in range(len(_TAYLOR_REACH))])
 _SIN_TERMS = np.array([(-1) ** k / math.factorial(2 * k + 1) for k in range(len(_TAYLOR_REACH))])
 
@@ -361,6 +365,10 @@ def _step_blocks(diag: np.ndarray, off: np.ndarray, f_vals: np.ndarray, dt: floa
     flat[:, :: d + 1] = dt * diag
     flat[:, 1 :: d + 1] = flat[:, d :: d + 1] = (dt * f_vals)[:, None] * off
     theta = float(np.abs(a).sum(axis=2).max())
+    if not theta <= _STEP_NORM_LIMIT:
+        raise ValueError(
+            f"a step's ||dt J(f)|| = {theta:.3g} exceeds {_STEP_NORM_LIMIT:.3g}; take more steps"
+        )
     halvings = math.ceil(math.log2(theta)) if theta > 1.0 else 0
     a *= 2.0**-halvings
     k = bisect.bisect_left(_TAYLOR_REACH, theta * 2.0**-halvings) + 1

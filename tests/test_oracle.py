@@ -359,8 +359,8 @@ def test_sampled_stepped_eigensolve_count(monkeypatch, case, blocks, nodes):
 def test_step_interpolation_meets_its_bound(reach, n_nodes):
     # A block as wide as `reach` times the widest one STEP_NODES nodes cover,
     # at d = 80 and 100 steps: with the node count the bound chose, the
-    # barycentric factor at 50 random drives inside it matches an exact
-    # eigensolve factor.
+    # barycentric combination of the Taylor kernel's node factors at 50
+    # random drives inside it matches an exact eigensolve factor.
     d, steps = 80, 100
     dt = STEPPED_TAU / steps
     scale = dt * 2.0 * math.sqrt(d - 1) / 4.0
@@ -370,7 +370,8 @@ def test_step_interpolation_meets_its_bound(reach, n_nodes):
     assert nodes.size == n_nodes
     diag = STEPPED_PARAMS.trap_frequency * np.arange(d, dtype=float)
     off = -np.sqrt(np.arange(1.0, d))
-    factors = np.stack([oracle._step_factor(diag, off, x, dt) for x in nodes])
+    blocks = oracle._step_blocks(diag, off, nodes, dt)
+    factors = blocks[:, :d, :d] + 1j * blocks[:, d:, :d]
     f_vals = np.random.default_rng(5).uniform(block[0], block[-1], 50)
     rows = oracle._barycentric_rows(nodes, weights, f_vals)
     for f_val, row in zip(f_vals, rows):
@@ -380,18 +381,17 @@ def test_step_interpolation_meets_its_bound(reach, n_nodes):
 
 
 @pytest.mark.parametrize("d", [2, 3, 12, 36, 80, 200])
-@pytest.mark.parametrize("theta, halvings", [(0.6, 0), (1.6, 1), (5.0, 3)])
-def test_step_blocks_match_eigensolve_factors(d, theta, halvings):
+@pytest.mark.parametrize("theta", [0.6, 1.6, 5.0])
+def test_step_blocks_match_eigensolve_factors(d, theta):
     # The Taylor kernel's blocks [[C, S], [-S, C]] against one eigensolve and
     # one expm per drive, with dt chosen so that the largest infinity norm
-    # of dt J(f) is theta, which takes `halvings` squarings: within 1e-14
+    # of dt J(f) is theta, which takes 0, 1 or 3 squarings: within 1e-14
     # absolute, and orthogonal, so that C - iS is unitary, within 1e-14.
     f_vals = np.array([-1.3, -0.0, 0.0, 0.45, 2.0])
     diag = STEPPED_PARAMS.trap_frequency * np.arange(d, dtype=float)
     off = -np.sqrt(np.arange(1.0, d))
     band = np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0])
     dt = theta / np.max(np.abs(diag) + np.max(np.abs(f_vals)) * band)
-    assert max(0, math.ceil(math.log2(theta))) == halvings
     blocks = oracle._step_blocks(diag, off, f_vals, dt)
     assert blocks.shape == (f_vals.size, 2 * d, 2 * d)
     for block, f_val in zip(blocks, f_vals):
@@ -533,6 +533,18 @@ def test_sampled_stepped_rejects_non_finite_drive():
     params = PhysicalParams(mass=1e300, ring_radius=1e300)
     with pytest.raises(ValueError, match="finite"):
         build_evolution_stepped(params, _smooth_sampled(3.0, samples=301), 3.0, +1, 20, steps=200)
+
+
+def test_sampled_stepped_rejects_a_step_beyond_the_node_kernel():
+    # A finite drive so strong that one step's ||dt J(f)|| exceeds
+    # 2^33: the node kernel's squarings would lose every digit, and far
+    # beyond it overflow to NaN, so the call refuses it.
+    params = PhysicalParams(mass=1e290)
+    profile = _smooth_sampled(3.0, samples=301)
+    t_mid = (np.arange(200) + 0.5) * 3.0 / 200
+    assert np.all(np.isfinite(drive_amplitude(params, profile.omega_p_at(t_mid), +1)))
+    with pytest.raises(ValueError, match="take more steps"):
+        build_evolution_stepped(params, profile, 3.0, +1, 20, steps=200)
 
 
 def _count_kernel_calls(monkeypatch) -> dict:
