@@ -25,7 +25,6 @@ from .model import (
     coefficients,
     derive_constants,
     generator_coefficients,
-    profile_integral,
 )
 from .oracle import (
     build_displacement,
@@ -106,7 +105,6 @@ __all__ = [
     "load_config",
     "make_globally_entangled",
     "make_partially_entangled",
-    "profile_integral",
     "qfi_commensurate",
     "qfi_difference",
     "qfi_fidelity_numeric",

@@ -20,9 +20,10 @@ generator built from this factorization is
 
 whose scalar coefficients this module evaluates in closed form for
 piecewise-constant profiles (a constant drive is the one-segment case) and by
-composite Simpson quadrature for sampled profiles.  The work comes in two
-parts: `generator_coefficients` gives C0, C1 and C2 and runs every check on
-the profile, and the evolution part adds eta and Phi for each spin;
+composite Simpson quadrature for sampled profiles.  A profile checks its
+drive and pulse area when it is built, so nothing here integrates it again
+to trust it.  The work comes in two parts: `generator_coefficients` gives
+C0, C1 and C2, and the evolution part adds eta and Phi for each spin;
 `coefficients` joins them into a CoefficientSet.  A QFI reads only C1 and
 C2, so the scan rows call the generator part alone and never pay for the
 eta and Phi passes they would not print.
@@ -56,7 +57,7 @@ from __future__ import annotations
 import math
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -151,19 +152,82 @@ class DrivingProfile:
     one-segment piecewise profile: `constant(value)` lasts pi/value and
     `constant_for(tau)` drives at pi/tau.
 
-    Every value, duration and sample time must be finite.  Piecewise
-    profiles must be nonnegative, which guarantees C2(tau) >= 0.  Sampled
-    profiles may take any finite real values.
+    Every profile is checked when it is built, through a builder, directly
+    or by `dataclasses.replace`, under the init-only `normalization` policy:
+    "strict" (the default) requires the pulse area pi, "rescale" scales the
+    drive to it.  Every value, duration and sample time must be finite.
+    Piecewise profiles must be nonnegative, which guarantees C2(tau) >= 0.
+    Sampled profiles may take any finite real values, of which the profile
+    keeps read-only copies.
     """
 
     kind: str
     segments: tuple[tuple[float, float], ...] = ()
     times: np.ndarray | None = field(default=None, repr=False)
     values: np.ndarray | None = field(default=None, repr=False)
+    normalization: InitVar[str] = "strict"
 
-    def __post_init__(self):
-        if self.kind not in ("piecewise", "sampled"):
+    def __post_init__(self, normalization: str):
+        if self.kind == "piecewise":
+            segs = tuple((float(dur), float(val)) for dur, val in self.segments)
+            if not segs:
+                raise ProfileError("piecewise profile needs at least one segment")
+            for dur, val in segs:
+                if not (math.isfinite(dur) and math.isfinite(val)):
+                    raise ProfileError(f"segment ({dur}, {val}) must be finite")
+                if dur <= 0:
+                    raise ProfileError(f"segment duration must be positive, got {dur}")
+                if val < 0:
+                    raise ProfileError(f"piecewise profile must be nonnegative, got {val}")
+            object.__setattr__(self, "segments", segs)
+        elif self.kind == "sampled":
+            t = np.array(self.times, dtype=float)
+            v = np.array(self.values, dtype=float)
+            if t.ndim != 1 or t.shape != v.shape:
+                raise ProfileError("times and values must be 1-d arrays of equal length")
+            if t.size < 2:
+                raise ProfileError("sampled profile needs at least 2 samples")
+            # One boolean buffer takes every check's mask in turn.
+            ok = np.isfinite(t)
+            if not (ok.all() and np.isfinite(v, out=ok).all()):
+                raise ProfileError("sample times and values must be finite")
+            if t[0] != 0.0:
+                raise ProfileError(f"sample grid must start at t = 0, got {t[0]}")
+            steps = np.diff(t)
+            ok = ok[1:]
+            if np.less_equal(steps, 0.0, out=ok).any():
+                raise ProfileError("sample times must be strictly increasing")
+            # np.allclose(steps, first, rtol=1e-9, atol=0.0), which for finite
+            # steps is |step - first| <= 1e-9 |first| at every step.
+            first = steps[0]
+            spread = np.abs(np.subtract(steps, first, out=steps), out=steps)
+            if not np.less_equal(spread, 1e-9 * first, out=ok).all():
+                raise ProfileError("sample grid must be uniform")
+            object.__setattr__(self, "times", t)
+            object.__setattr__(self, "values", v)
+        else:
             raise ProfileError(f"unknown profile kind {self.kind!r}")
+        scale = _normalization_scale(self._pulse_area(), normalization)
+        if normalization == "rescale":
+            if self.kind == "sampled":
+                with np.errstate(over="ignore"):
+                    np.multiply(self.values, scale, out=self.values)
+            else:
+                segments = tuple((dur, val * scale) for dur, val in self.segments)
+                object.__setattr__(self, "segments", segments)
+            _check_strict(self._pulse_area(), " after rescaling: its samples cancel")
+        if self.kind == "sampled":
+            self.times.setflags(write=False)
+            self.values.setflags(write=False)
+
+    def _pulse_area(self) -> float:
+        """int_0^tau omega_p dt, the Simpson sum on a sampled grid."""
+        if self.kind == "sampled":
+            # Finite samples near the float limit can sum to an infinite or
+            # NaN area; the policy check rejects it, not numpy's warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(_simpson(self.values, dx=_grid_step(self.times)))
+        return sum(dur * val for dur, val in self.segments)
 
     @cached_property
     def _coefficient_memo(self) -> dict:
@@ -213,56 +277,14 @@ class DrivingProfile:
         return DrivingProfile.piecewise([(tau, value)])
 
     @staticmethod
-    def piecewise(
-        segments, normalization: str = "strict"
-    ) -> "DrivingProfile":
-        segs = tuple((float(dur), float(val)) for dur, val in segments)
-        if not segs:
-            raise ProfileError("piecewise profile needs at least one segment")
-        for dur, val in segs:
-            if not (math.isfinite(dur) and math.isfinite(val)):
-                raise ProfileError(f"segment ({dur}, {val}) must be finite")
-            if dur <= 0:
-                raise ProfileError(f"segment duration must be positive, got {dur}")
-            if val < 0:
-                raise ProfileError(f"piecewise profile must be nonnegative, got {val}")
-        scale = _normalization_scale(sum(dur * val for dur, val in segs), normalization)
-        return DrivingProfile(
-            kind="piecewise", segments=tuple((dur, val * scale) for dur, val in segs)
-        )
+    def piecewise(segments, normalization: str = "strict") -> "DrivingProfile":
+        return DrivingProfile("piecewise", segments, normalization=normalization)
 
     @staticmethod
     def sampled(times, values, normalization: str = "strict") -> "DrivingProfile":
-        t = np.array(times, dtype=float)
-        v = np.array(values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape:
-            raise ProfileError("times and values must be 1-d arrays of equal length")
-        if t.size < 2:
-            raise ProfileError("sampled profile needs at least 2 samples")
-        # One boolean buffer takes every check's mask in turn.
-        ok = np.isfinite(t)
-        if not (ok.all() and np.isfinite(v, out=ok).all()):
-            raise ProfileError("sample times and values must be finite")
-        if t[0] != 0.0:
-            raise ProfileError(f"sample grid must start at t = 0, got {t[0]}")
-        steps = np.diff(t)
-        ok = ok[1:]
-        if np.less_equal(steps, 0.0, out=ok).any():
-            raise ProfileError("sample times must be strictly increasing")
-        # np.allclose(steps, first, rtol=1e-9, atol=0.0), which for finite
-        # steps is |step - first| <= 1e-9 |first| at every step.
-        first = steps[0]
-        spread = np.abs(np.subtract(steps, first, out=steps), out=steps)
-        if not np.less_equal(spread, 1e-9 * first, out=ok).all():
-            raise ProfileError("sample grid must be uniform")
-        # Finite samples near the float limit can sum to an infinite or NaN
-        # area; the policy check below rejects it, not numpy's warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            area = float(_simpson(v, dx=_grid_step(t)))
-        v *= _normalization_scale(area, normalization)
-        t.setflags(write=False)
-        v.setflags(write=False)
-        return DrivingProfile(kind="sampled", times=t, values=v)
+        return DrivingProfile(
+            "sampled", times=times, values=values, normalization=normalization
+        )
 
     @property
     def duration(self) -> float:
@@ -283,12 +305,15 @@ class DrivingProfile:
         return vals[idx]
 
 
-def _check_strict(integral: float) -> None:
+def _check_strict(
+    integral: float,
+    remedy: str = "; construct with normalization='rescale' to force it",
+) -> None:
     # not <=, so that a NaN area fails too
     if not abs(integral - math.pi) <= STRICT_NORMALIZATION_RTOL * math.pi:
         raise ProfileError(
             f"profile integral {integral!r} differs from pi beyond the strict "
-            f"tolerance; construct with normalization='rescale' to force it"
+            f"tolerance{remedy}"
         )
 
 
@@ -320,14 +345,6 @@ def _check_tau(profile: DrivingProfile, tau: float) -> None:
 def _grid_step(times: np.ndarray) -> float:
     """Step of a sampled profile's grid, which construction checked is uniform."""
     return float(times[-1]) / (times.size - 1)
-
-
-def profile_integral(profile: DrivingProfile, tau: float) -> float:
-    """int_0^tau omega_p(t) dt.  Equals pi for normalized profiles."""
-    _check_tau(profile, tau)
-    if profile.kind == "sampled":
-        return float(_simpson(profile.values, dx=_grid_step(profile.times)))
-    return sum(dur * val for dur, val in profile.segments)
 
 
 @dataclass(frozen=True)
@@ -597,18 +614,21 @@ def coefficients(
 def generator_coefficients(
     params: PhysicalParams, profile: DrivingProfile, tau: float
 ) -> GeneratorCoefficients:
-    """C0, C1 and C2 alone, with every check `coefficients` makes on the
-    profile (duration, strict pulse area, C2 in [0, 1] for a piecewise
-    drive) and the same bits, but no eta or Phi pass.  What a QFI row needs.
+    """C0, C1 and C2 alone, with the checks `coefficients` makes (tau is
+    the profile's duration, C2 in [0, 1] for a piecewise drive) and the
+    same bits, but no eta or Phi pass.  What a QFI row needs.  The profile
+    checked its own pulse area when it was built.
     """
-    _check_strict(profile_integral(profile, tau))
+    _check_tau(profile, tau)
     w = params.trap_frequency
     wt = w * tau
     c0 = (derive_constants(params).sagnac_phase / (2.0 * math.pi)) * (wt - math.sin(wt))
     c1 = 1j * math.sin(wt / 2.0) * np.exp(1j * wt / 2.0)
     c2 = 0.5 * (1.0 - _c2_integral(params, profile, tau) / math.pi)
     if profile.kind == "piecewise" and not -1e-12 <= c2 <= 1.0 + 1e-12:
-        # Nonnegative normalized profiles bound |int omega_p cos| by pi.
+        # Nonnegative normalized profiles bound |int omega_p cos| by pi, but
+        # only to within the strict area tolerance: a short tall segment
+        # can carry that slack past 1e-12.
         raise ProfileError(f"C2 = {c2} outside [0, 1] for a nonnegative profile")
     return GeneratorCoefficients(c0=float(c0), c1=complex(c1), c2=float(c2))
 

@@ -130,6 +130,11 @@ class ScanConfig:
             raise ConfigError("set profile.tau or profile.omega_p (positive)")
         if tau <= 0.0:
             tau = math.pi / omega_p
+            if math.isinf(tau):
+                raise ConfigError(
+                    f"profile.omega_p = {omega_p!r} is too small: its duration "
+                    f"pi/omega_p overflows"
+                )
         elif omega_p <= 0.0:
             omega_p = math.pi / tau
         elif abs(omega_p * tau - math.pi) > 1e-8 * math.pi:

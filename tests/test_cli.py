@@ -98,6 +98,24 @@ def test_missing_tau_exits_2(capsys):
     assert "profile.tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["coeffs"], ["qfi"], ["scan-n"],
+     ["scan-alpha", "--set", "sweep.variable=theta_alpha"]],
+    ids=["coeffs", "qfi", "scan-n", "scan-alpha"],
+)
+def test_overflowing_duration_names_omega_p(argv, capsys):
+    # 1e-320 is finite and positive, but pi/1e-320 is not a float: the
+    # error names the key that was set, not the tau derived from it.
+    assert main([*argv, "--set", "profile.omega_p=1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: profile.omega_p = 1e-320 is too small: its duration "
+        "pi/omega_p overflows\n"
+    )
+    assert captured.out == ""
+
+
 def test_bad_state_kind_exits_2(capsys):
     assert main(["qfi", *TAU, "--set", "state.kind=thermal"]) == 2
 

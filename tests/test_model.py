@@ -1,5 +1,6 @@
 """Physical constants, driving profiles and evolution coefficients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +17,23 @@ from sagnac_qfi import (
     coefficients,
     derive_constants,
     generator_coefficients,
-    profile_integral,
 )
-from sagnac_qfi.model import _eta_phi_segments, drive_amplitude
+from sagnac_qfi.model import _eta_phi_segments, _simpson, drive_amplitude
 
 UNIT = PhysicalParams()
+
+
+def _assert_normalized(profile, rel):
+    """The construction invariant: the pulse area the coefficients see (the
+    segment sum, or Simpson with the grid's step) is pi, so the profile
+    rebuilds unchanged under the strict policy."""
+    if profile.kind == "sampled":
+        step = profile.duration / (profile.times.size - 1)
+        area = _simpson(profile.values, dx=step)
+    else:
+        area = sum(dur * val for dur, val in profile.segments)
+    assert area == pytest.approx(math.pi, rel=rel)
+    assert dataclasses.replace(profile) == profile
 
 
 def test_derived_constants_unit_parameters():
@@ -77,7 +90,7 @@ def test_constant_profile_satisfies_pi_pulse_area():
     tau = 2.7
     profile = DrivingProfile.constant_for(tau)
     assert profile.omega_p_at(0.0) == pytest.approx(math.pi / tau, rel=1e-15)
-    assert profile_integral(profile, tau) == pytest.approx(math.pi, rel=1e-12)
+    _assert_normalized(profile, rel=1e-12)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0])
@@ -113,7 +126,7 @@ def test_constant_profile_is_one_pi_pulse_segment(value):
 
 def test_piecewise_profile_strict_normalization():
     good = DrivingProfile.piecewise([(1.0, 2.0), (2.0, (math.pi - 2.0) / 2.0)])
-    assert profile_integral(good, 3.0) == pytest.approx(math.pi, rel=1e-12)
+    _assert_normalized(good, rel=1e-12)
     with pytest.raises(ProfileError):
         DrivingProfile.piecewise([(1.0, 1.0), (2.0, 1.0)])
 
@@ -122,7 +135,7 @@ def test_piecewise_profile_rescale():
     profile = DrivingProfile.piecewise(
         [(1.0, 1.0), (2.0, 1.0)], normalization="rescale"
     )
-    assert profile_integral(profile, 3.0) == pytest.approx(math.pi, rel=1e-12)
+    _assert_normalized(profile, rel=1e-12)
 
 
 def test_piecewise_rejects_bad_segments():
@@ -173,7 +186,7 @@ def test_sampled_profile_rescale_hits_pi():
     times = np.linspace(0.0, 2.0, 401)
     values = 1.0 + 0.3 * np.sin(2.0 * times)
     profile = DrivingProfile.sampled(times, values, normalization="rescale")
-    assert profile_integral(profile, 2.0) == pytest.approx(math.pi, rel=1e-10)
+    _assert_normalized(profile, rel=1e-10)
 
 
 @pytest.mark.parametrize("normalization", ["strict", "rescale"])
@@ -214,15 +227,16 @@ _SHAPES = {
 def test_rescale_scales_to_the_area_the_coefficients_see(
     shape, samples, tau, amp, wavenumber, jitter, seed
 ):
-    """The constructor's pulse area and profile_integral are one rule, so a
-    rescaled profile integrates to pi, also on a grid whose interior times
-    are off by up to 2e-10 of a step (still uniform to the constructor)."""
+    """The constructor's pulse area is the Simpson sum that the coefficients
+    see, so a rescaled profile integrates to pi, also on a grid whose
+    interior times are off by up to 2e-10 of a step (still uniform to the
+    constructor)."""
     times = np.linspace(0.0, tau, samples)
     offsets = np.random.default_rng(seed).uniform(-1.0, 1.0, samples - 2)
     times[1:-1] += jitter * times[1] * offsets
     values = _SHAPES[shape](times / tau, amp, wavenumber)
     profile = DrivingProfile.sampled(times, values, normalization="rescale")
-    assert profile_integral(profile, tau) == pytest.approx(math.pi, rel=1e-14)
+    _assert_normalized(profile, rel=1e-14)
 
 
 def _sampled_with(bad, index, column, normalization="strict"):
@@ -565,23 +579,88 @@ def test_generator_part_equals_the_coefficient_set_bit_for_bit(
     assert _generator_bits(generator) == _generator_bits(full)
 
 
-# Strict area pi, but C2 = (1 - 18/pi)/2 < 0: only a negative segment gets
-# there, and only by bypassing the piecewise constructor's checks.
-_NEGATIVE_DRIVE = DrivingProfile(
-    kind="piecewise", segments=((math.pi / 2.0, -8.0), (math.pi / 2.0, 10.0))
-)
+# Strict area pi to within 5e-9, all of it in a last segment 1e-6 long:
+# every construction check passes, yet C2 = -2.57e-9.  The strict area
+# tolerance is what the piecewise C2-range check still catches.
+_TALL_LAST_SEGMENT = ((math.pi - 1e-6, 0.0), (1e-6, math.pi * (1.0 + 5e-9) / 1e-6))
 
 
+# Each profile is built inside the check, so the off-area one raises on its
+# way to the coefficients: at construction, before any coefficient is formed.
 @pytest.mark.parametrize("evaluate", [coefficients, generator_coefficients])
 @pytest.mark.parametrize(
-    "profile, tau, match",
+    "build, tau, match",
     [
-        (DrivingProfile.constant_for(2.0), 2.5, "does not match"),
-        (DrivingProfile(kind="piecewise", segments=((1.0, 1.0),)), 1.0, "strict tolerance"),
-        (_NEGATIVE_DRIVE, math.pi, "outside \\[0, 1\\]"),
+        (lambda: DrivingProfile.constant_for(2.0), 2.5, "does not match"),
+        (lambda: DrivingProfile(kind="piecewise", segments=((1.0, 1.0),)), 1.0,
+         "strict tolerance"),
+        (lambda: DrivingProfile.piecewise(_TALL_LAST_SEGMENT), math.pi, "outside \\[0, 1\\]"),
     ],
     ids=["duration", "area", "c2-range"],
 )
-def test_generator_part_runs_every_profile_check(evaluate, profile, tau, match):
+def test_generator_part_runs_every_profile_check(evaluate, build, tau, match):
     with pytest.raises(ProfileError, match=match):
-        evaluate(UNIT, profile, tau)
+        evaluate(UNIT, build(), tau)
+
+
+_UNIFORM = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"kind": "piecewise", "segments": ((1.0, 1.0),)}, "strict tolerance"),
+        # Strict area pi, but C2 = (1 - 18/pi)/2 < 0 if it were built.
+        ({"kind": "piecewise", "segments": ((math.pi / 2.0, -8.0), (math.pi / 2.0, 10.0))},
+         "nonnegative"),
+        # omega_p = 1 on [0, pi] has C2 = 0.5; read with a uniform step
+        # this grid gave 0.829.
+        ({"kind": "sampled", "times": np.array([0.0, 0.1, 0.5, 1.0, math.pi]),
+          "values": np.ones(5)}, "uniform"),
+        ({"kind": "sampled"}, "1-d arrays"),
+        ({"kind": "sampled", "times": _UNIFORM, "values": np.ones(5)}, "strict tolerance"),
+        ({"kind": "piecewise", "segments": ((1.0, math.pi),), "normalization": "none"},
+         "unknown normalization policy"),
+    ],
+    ids=["area", "negative", "non-uniform", "no-arrays", "sampled-area", "policy"],
+)
+def test_direct_construction_runs_every_check(fields, match):
+    with pytest.raises(ProfileError, match=match):
+        DrivingProfile(**fields)
+
+
+def test_direct_profile_keeps_its_own_read_only_arrays():
+    # Mutating the caller's array once fed the stepper (omega_p_at) one
+    # drive and the memo another.
+    times = np.linspace(0.0, 1.0, 5)
+    values = np.full(5, math.pi)
+    profile = DrivingProfile(kind="sampled", times=times, values=values)
+    first = coefficients(UNIT, profile, 1.0)
+    values[2] = 0.0
+    times[1] = 0.3
+    assert not profile.times.flags.writeable and not profile.values.flags.writeable
+    assert np.array_equal(profile.values, np.full(5, math.pi))
+    assert np.array_equal(profile.times, np.linspace(0.0, 1.0, 5))
+    assert profile.omega_p_at(0.5) == math.pi
+    assert coefficients(UNIT, profile, 1.0) is first
+    rebuilt = DrivingProfile.sampled(np.linspace(0.0, 1.0, 5), np.full(5, math.pi))
+    assert coefficients(UNIT, rebuilt, 1.0) == first
+
+
+def test_replace_runs_every_check():
+    profile = DrivingProfile.sampled(_UNIFORM, np.full(5, math.pi))
+    with pytest.raises(ProfileError, match="strict tolerance"):
+        dataclasses.replace(profile, values=np.ones(5))
+    with pytest.raises(ProfileError, match="uniform"):
+        dataclasses.replace(profile, times=np.array([0.0, 0.1, 0.5, 1.0, math.pi]))
+    rescaled = dataclasses.replace(profile, values=np.ones(5), normalization="rescale")
+    assert rescaled == profile
+
+
+def test_rescale_of_cancelling_samples_raises_at_construction():
+    # Simpson's sum of these samples is finite, but scaled by pi over it the
+    # samples cancel to 3.33, not pi.
+    values = [0.0, 1e200, 0.0, -1e200 * (1.0 - 1e-15), 0.0]
+    with pytest.raises(ProfileError, match="after rescaling") as caught:
+        DrivingProfile.sampled(_UNIFORM, values, normalization="rescale")
+    assert "normalization='rescale'" not in str(caught.value)
