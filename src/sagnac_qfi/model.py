@@ -19,14 +19,17 @@ generator built from this factorization is
     H = T_C (C1 a^dag + C1* a) + C0/w + T_S C2 sigma_z,
 
 whose scalar coefficients this module evaluates in closed form for
-piecewise-constant profiles (a constant drive is the one-segment case) and by
-composite Simpson quadrature for sampled profiles.  A profile checks its
-drive and pulse area when it is built, so nothing here integrates it again
-to trust it.  The work comes in two parts: `generator_coefficients` gives
-C0, C1 and C2, and the evolution part adds eta and Phi for each spin;
-`coefficients` joins them into a CoefficientSet.  A QFI reads only C1 and
-C2, so the scan rows call the generator part alone and never pay for the
-eta and Phi passes they would not print.
+piecewise-constant profiles (a constant drive is the one-segment case).  On
+a sampled profile f is affine in Omega and in s, so one Simpson pass over
+the profile's own drive g = omega_p (`_sampled_work`: its area, E_g =
+int g e^{iwt} dt and the Phi of g alone) gives C2 and both spins' eta and
+Phi at any Omega in closed form; the Omega parts are exact, as C1 is.  A
+profile checks its drive and pulse area when it is built, so nothing here
+integrates it again to trust it.  The work comes in two parts:
+`generator_coefficients` gives C0, C1 and C2, and the evolution part adds
+eta and Phi for each spin; `coefficients` joins them into a CoefficientSet.
+A QFI reads only C1 and C2, so the scan rows call the generator part alone
+and never pay for the Phi pass they would not print.
 
 The quadrature is the package's own, so nothing loads scipy.integrate,
 whose import pulls in scipy.optimize, sparse, fft and spatial (about
@@ -35,15 +38,7 @@ area included, is composite Simpson on the grid's uniform step h:
 `_simpson` and `_cumulative_simpson` return the bits of scipy.integrate's
 simpson(y, dx=h) and cumulative_simpson(y, dx=h, initial=0.0) for 1-d y,
 the second evaluating only the sub-interval integrals that scipy keeps.
-Both follow scipy's expressions in its order.  The eta and Phi pass runs
-both spins in one work block (`_sampled_work`) that holds every full-grid
-array it needs, so, in the heap left without scipy.integrate, the pass
-does not page its memory in again on every call.  At Omega = 0 (either
-sign) the down branch's drive is exactly the negative of the up branch's,
-so its pass would return -eta and the same Phi bit for bit; `_coefficients`
-then reads them off the up branch and runs one pass, unless a zero or
-non-finite eta component or Phi, whose sign the second pass could flip,
-makes it run both.
+Both follow scipy's expressions in its order.
 
 A profile evaluates its coefficients once per (params, tau): it remembers
 the CoefficientSet of its last COEFFICIENT_MEMO_SIZE distinct pairs, keyed by
@@ -71,6 +66,8 @@ STRICT_NORMALIZATION_RTOL = 1e-8
 # most that one oracle call evaluates on one profile.  qfi_fidelity_numeric
 # makes seven (Omega, up to five adapted Omega + delta, then Omega + delta/2);
 # generator_numeric makes five (Omega, Omega +/- delta, Omega +/- delta/2).
+# On a sampled profile each miss makes the one sample pass again, although
+# its integrals do not depend on Omega.
 COEFFICIENT_MEMO_SIZE = 7
 # Guards the evict-then-store of a memo that threads may share with the profile.
 _MEMO_LOCK = threading.Lock()
@@ -158,7 +155,9 @@ class DrivingProfile:
     drive to it.  Every value, duration and sample time must be finite.
     Piecewise profiles must be nonnegative, which guarantees C2(tau) >= 0.
     Sampled profiles may take any finite real values, of which the profile
-    keeps read-only copies.
+    keeps read-only copies.  A profile refuses the other kind's fields, and
+    it is a value: it compares and hashes by its drive, and a copy or a
+    pickle is built and checked afresh.
     """
 
     kind: str
@@ -169,6 +168,8 @@ class DrivingProfile:
 
     def __post_init__(self, normalization: str):
         if self.kind == "piecewise":
+            if self.times is not None or self.values is not None:
+                raise ProfileError("a piecewise profile takes no sample times or values")
             segs = tuple((float(dur), float(val)) for dur, val in self.segments)
             if not segs:
                 raise ProfileError("piecewise profile needs at least one segment")
@@ -181,6 +182,9 @@ class DrivingProfile:
                     raise ProfileError(f"piecewise profile must be nonnegative, got {val}")
             object.__setattr__(self, "segments", segs)
         elif self.kind == "sampled":
+            if len(self.segments):
+                raise ProfileError("a sampled profile takes no segments")
+            object.__setattr__(self, "segments", ())
             t = np.array(self.times, dtype=float)
             v = np.array(self.values, dtype=float)
             if t.ndim != 1 or t.shape != v.shape:
@@ -247,6 +251,17 @@ class DrivingProfile:
             and np.array_equal(self.times, other.times)
             and np.array_equal(self.values, other.values)
         )
+
+    def __hash__(self):
+        # == reads the samples by value, so -0.0 must hash as 0.0 (the + 0.0).
+        samples = (None if x is None else (x + 0.0).tobytes() for x in (self.times, self.values))
+        return hash((self.kind, self.segments, *samples))
+
+    def __reduce__(self):
+        """Copies and pickles rebuild through __init__, so they are checked,
+        their arrays are read-only and their memo starts empty.  The stored
+        drive has the pulse area pi, which the default "strict" keeps."""
+        return DrivingProfile, (self.kind, self.segments, self.times, self.values)
 
     @staticmethod
     def constant(value: float) -> "DrivingProfile":
@@ -503,70 +518,54 @@ def _cumulative_simpson(
     return np.cumsum(out, out=out)
 
 
-def _sampled_work(params: PhysicalParams, profile: DrivingProfile) -> np.ndarray:
-    """The one work block of a sampled profile's eta and Phi pass: eight rows
-    of the grid's length, cos(wt) and sin(wt) filled, the rest for
-    `_eta_phi_sampled`, which both spins run in it in turn.
+def _sampled_work(
+    params: PhysicalParams, profile: DrivingProfile, nested: bool = True
+) -> tuple[float | None, complex, float | None]:
+    """One pass of Simpson integrals of the profile's own drive g = omega_p,
+    which depend on neither Omega nor the spin: E_g = int g e^{iwt} dt and,
+    if nested (else None), the area A = int g dt and the Phi of g alone,
+    Phi_g = int g(t) [sin(wt) Gc(t) - cos(wt) Gs(t)] dt, with cumulative
+    Simpson for the inner Gc = int g cos(ws) ds and Gs = int g sin(ws) ds.
 
-    One block (1.3 MB at 20001 samples) instead of the pass's two dozen
-    full-grid temporaries is what keeps the pass from page-faulting: with
-    glibc, freeing a block this large raises the dynamic mmap and trim
-    thresholds, so the block, and the smaller temporaries of later calls, are
-    reused from the heap instead of being trimmed and paged back in on every
-    call.  The same buffers as eight separate arrays still fault.
+    Every full-grid array of the pass is a row of one work block (1.1 MB at
+    20001 samples), which keeps the pass from page-faulting: with glibc,
+    freeing a block this large raises the dynamic mmap and trim thresholds,
+    so the block, and the smaller temporaries of later calls, are reused
+    from the heap instead of being trimmed and paged back in on every call.
+    The same buffers as separate arrays still fault.
     """
-    work = np.empty((8, profile.times.size))
-    cos_wt, sin_wt = work[0], work[1]
+    h = _grid_step(profile.times)
+    g = profile.values
+    work = np.empty((7, g.size))
+    cos_wt, sin_wt, g_cos, g_sin, gc, gs, scratch = work
     np.multiply(params.trap_frequency, profile.times, out=sin_wt)
     np.cos(sin_wt, out=cos_wt)
     np.sin(sin_wt, out=sin_wt)
-    return work
+    np.multiply(g, cos_wt, out=g_cos)
+    np.multiply(g, sin_wt, out=g_sin)
+    e_g = complex(_simpson(g_cos, dx=h, scratch=scratch), _simpson(g_sin, dx=h, scratch=scratch))
+    if not nested:
+        return None, e_g, None
+    area = float(_simpson(g, dx=h, scratch=scratch))
+    _cumulative_simpson(g_cos, h, gc, scratch)
+    _cumulative_simpson(g_sin, h, gs, scratch)
+    # g * (sin_wt * gc - cos_wt * gs), in the rows of gc and gs
+    np.multiply(sin_wt, gc, out=gc)
+    np.multiply(cos_wt, gs, out=gs)
+    np.subtract(gc, gs, out=gc)
+    np.multiply(g, gc, out=gc)
+    return area, e_g, float(_simpson(gc, dx=h, scratch=scratch))
 
 
-def _eta_phi_sampled(
-    params: PhysicalParams,
-    profile: DrivingProfile,
-    spin_sign: int,
-    work: np.ndarray,
-):
-    """Simpson quadrature for eta; Phi via the exact reduction
-    Phi = int f(t) [sin(wt) Fc(t) - cos(wt) Fs(t)] dt with cumulative Simpson
-    for the inner integrals.  work is the `_sampled_work` block; this pass
-    reads its cos(wt) and sin(wt) rows and overwrites the other six."""
-    h = _grid_step(profile.times)
-    cos_wt, sin_wt, fv, f_cos, f_sin, fc, fs, scratch = work
-    # drive_amplitude(params, profile.values, spin_sign), in its order, in fv
-    cf = math.sqrt(params.mass * params.trap_frequency / (2.0 * params.hbar))
-    np.multiply(spin_sign, profile.values, out=fv)
-    np.add(params.rotation_rate, fv, out=fv)
-    np.multiply(cf * params.ring_radius, fv, out=fv)
-    np.multiply(fv, cos_wt, out=f_cos)
-    np.multiply(fv, sin_wt, out=f_sin)
-    eta = -complex(
-        _simpson(f_cos, dx=h, scratch=scratch), _simpson(f_sin, dx=h, scratch=scratch)
-    )
-    _cumulative_simpson(f_cos, h, fc, scratch)
-    _cumulative_simpson(f_sin, h, fs, scratch)
-    # fv * (sin_wt * fc - cos_wt * fs), in the rows of fc and fs
-    np.multiply(sin_wt, fc, out=fc)
-    np.multiply(cos_wt, fs, out=fs)
-    np.subtract(fc, fs, out=fc)
-    np.multiply(fv, fc, out=fc)
-    phi = float(_simpson(fc, dx=h, scratch=scratch))
-    return eta, phi
+def _cos_to_tau(wt: float, e_g: complex) -> float:
+    """int g(t) cos(w (tau - t)) dt of a sampled drive, from its
+    E_g = int g e^{iwt} dt through Simpson's linearity."""
+    return math.cos(wt) * e_g.real + math.sin(wt) * e_g.imag
 
 
 def _c2_integral(params: PhysicalParams, profile: DrivingProfile, tau: float) -> float:
-    """int_0^tau omega_p(t) cos(w (t - tau)) dt."""
+    """int_0^tau omega_p(t) cos(w (t - tau)) dt of a piecewise profile."""
     w = params.trap_frequency
-    if profile.kind == "sampled":
-        # values * cos(w * (t - tau)), in one buffer
-        t = profile.times
-        y = np.subtract(t, tau)
-        np.multiply(w, y, out=y)
-        np.cos(y, out=y)
-        np.multiply(profile.values, y, out=y)
-        return float(_simpson(y, dx=_grid_step(t)))
     total = 0.0
     t0 = 0.0
     for dur, wp in profile.segments:
@@ -611,47 +610,63 @@ def coefficients(
     return coeffs
 
 
+def _generator(params: PhysicalParams, tau: float, drive_cos: float) -> GeneratorCoefficients:
+    """C0, C1 and C2, given drive_cos = int_0^tau omega_p cos(w (tau - t)) dt."""
+    wt = params.trap_frequency * tau
+    c0 = (derive_constants(params).sagnac_phase / (2.0 * math.pi)) * (wt - math.sin(wt))
+    c1 = 1j * math.sin(wt / 2.0) * np.exp(1j * wt / 2.0)
+    c2 = 0.5 * (1.0 - drive_cos / math.pi)
+    return GeneratorCoefficients(c0=float(c0), c1=complex(c1), c2=float(c2))
+
+
 def generator_coefficients(
     params: PhysicalParams, profile: DrivingProfile, tau: float
 ) -> GeneratorCoefficients:
     """C0, C1 and C2 alone, with the checks `coefficients` makes (tau is
     the profile's duration, C2 in [0, 1] for a piecewise drive) and the
-    same bits, but no eta or Phi pass.  What a QFI row needs.  The profile
-    checked its own pulse area when it was built.
+    same bits, but no eta, and no Phi_g pass on a sampled profile.  What a
+    QFI row needs.  The profile checked its own pulse area when it was built.
     """
     _check_tau(profile, tau)
-    w = params.trap_frequency
-    wt = w * tau
-    c0 = (derive_constants(params).sagnac_phase / (2.0 * math.pi)) * (wt - math.sin(wt))
-    c1 = 1j * math.sin(wt / 2.0) * np.exp(1j * wt / 2.0)
-    c2 = 0.5 * (1.0 - _c2_integral(params, profile, tau) / math.pi)
-    if profile.kind == "piecewise" and not -1e-12 <= c2 <= 1.0 + 1e-12:
+    if profile.kind == "sampled":
+        e_g = _sampled_work(params, profile, nested=False)[1]
+        return _generator(params, tau, _cos_to_tau(params.trap_frequency * tau, e_g))
+    generator = _generator(params, tau, _c2_integral(params, profile, tau))
+    if not -1e-12 <= generator.c2 <= 1.0 + 1e-12:
         # Nonnegative normalized profiles bound |int omega_p cos| by pi, but
         # only to within the strict area tolerance: a short tall segment
         # can carry that slack past 1e-12.
-        raise ProfileError(f"C2 = {c2} outside [0, 1] for a nonnegative profile")
-    return GeneratorCoefficients(c0=float(c0), c1=complex(c1), c2=float(c2))
+        raise ProfileError(f"C2 = {generator.c2} outside [0, 1] for a nonnegative profile")
+    return generator
 
 
 def _coefficients(
     params: PhysicalParams, profile: DrivingProfile, tau: float
 ) -> CoefficientSet:
-    generator = generator_coefficients(params, profile, tau)
-    if profile.kind == "sampled":
-        work = _sampled_work(params, profile)
-        eta_up, phi_up = _eta_phi_sampled(params, profile, +1, work)
-        if params.rotation_rate == 0.0 and all(
-            x != 0.0 and math.isfinite(x) for x in (eta_up.real, eta_up.imag, phi_up)
-        ):
-            # The down pass's own bits (see the module docstring).
-            eta_down, phi_down = -eta_up, phi_up
-        else:
-            eta_down, phi_down = _eta_phi_sampled(params, profile, -1, work)
-    else:
+    if profile.kind == "piecewise":
+        gen = generator_coefficients(params, profile, tau)
         eta_up, phi_up, _ = _eta_phi_segments(params, profile.segments, +1)
         eta_down, phi_down, _ = _eta_phi_segments(params, profile.segments, -1)
+        return CoefficientSet(gen.c0, gen.c1, gen.c2, eta_up, eta_down, phi_up, phi_down)
+    _check_tau(profile, tau)
+    area, e_g, phi_g = _sampled_work(params, profile)
+    w = params.trap_frequency
+    drive_cos = _cos_to_tau(w * tau, e_g)
+    gen = _generator(params, tau, drive_cos)
+    # f = c (Omega + s g); with a = c Omega and E_0 = int e^{iwt} dt = -2i C1 / w,
+    # eta_s = -a E_0 - s c E_g and Phi_s = a^2 (tau - sin(w tau)/w)/w + c^2 Phi_g
+    # + s (a c / w) int g [2 - cos w(tau - t) - cos wt] dt, that integral being
+    # 2 A - drive_cos - Re E_g.  The + 0j and + 0.0 make every zero of the
+    # spin-even parts +0: at Omega = +-0, eta_down = -eta_up and phi_down = phi_up.
+    c = math.sqrt(params.mass * w / (2.0 * params.hbar)) * params.ring_radius
+    a = c * params.rotation_rate
+    eta_even = a * (-2j * gen.c1 / w) + 0j
+    eta_odd = c * e_g
+    phi_even = a * a * (tau - math.sin(w * tau) / w) / w + c * c * phi_g + 0.0
+    phi_odd = a * c / w * (2.0 * area - drive_cos - e_g.real)
     return CoefficientSet(
-        generator.c0, generator.c1, generator.c2, eta_up, eta_down, phi_up, phi_down
+        gen.c0, gen.c1, gen.c2, -eta_odd - eta_even, eta_odd - eta_even,
+        phi_even + phi_odd, phi_even - phi_odd,
     )
 
 

@@ -1,7 +1,9 @@
 """Physical constants, driving profiles and evolution coefficients."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -664,3 +666,52 @@ def test_rescale_of_cancelling_samples_raises_at_construction():
     with pytest.raises(ProfileError, match="after rescaling") as caught:
         DrivingProfile.sampled(_UNIFORM, values, normalization="rescale")
     assert "normalization='rescale'" not in str(caught.value)
+
+
+def test_sampled_profiles_hash_by_value():
+    # == reads the samples with np.array_equal, for which -0.0 == 0.0.
+    a = DrivingProfile.sampled(np.linspace(-0.0, 1.0, 5), [-0.0, 1.0, 2.0, 1.0, 0.0],
+                               normalization="rescale")
+    b = DrivingProfile.sampled(np.linspace(0.0, 1.0, 5), [0.0, 1.0, 2.0, 1.0, -0.0],
+                               normalization="rescale")
+    c = DrivingProfile.sampled(np.linspace(0.0, 1.0, 5), [0.0, 1.0, 3.0, 1.0, 0.0],
+                               normalization="rescale")
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, c, DrivingProfile.constant_for(1.0)}) == 3
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"kind": "piecewise", "segments": ((math.pi, 1.0),), "values": [5.0, 6.0]},
+         "no sample times or values"),
+        ({"kind": "piecewise", "segments": ((math.pi, 1.0),), "times": [0.0, math.pi]},
+         "no sample times or values"),
+        ({"kind": "sampled", "segments": ((math.pi, 1.0),), "times": _UNIFORM,
+          "values": np.full(5, math.pi)}, "no segments"),
+    ],
+    ids=["piecewise-values", "piecewise-times", "sampled-segments"],
+)
+def test_a_profile_refuses_the_other_kinds_fields(fields, match):
+    with pytest.raises(ProfileError, match=match):
+        DrivingProfile(**fields)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_checked_read_only_and_start_with_an_empty_memo(duplicate):
+    profile = DrivingProfile.sampled(_UNIFORM, np.full(5, math.pi))
+    coefficients(UNIT, profile, 1.0)
+    twin = duplicate(profile)
+    assert twin == profile and hash(twin) == hash(profile)
+    assert "_coefficient_memo" not in vars(twin)
+    with pytest.raises(ValueError, match="read-only"):
+        twin.values[2] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        twin.times[1] = 0.3
+    assert coefficients(UNIT, twin, 1.0) == coefficients(
+        UNIT, DrivingProfile.sampled(_UNIFORM, np.full(5, math.pi)), 1.0
+    )

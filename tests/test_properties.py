@@ -5,13 +5,15 @@ piecewise profile, the general correlation form must match the closed form
 of the same state to 1e-10 relative, and the variance and fidelity oracles
 must match it to 1e-5 relative, at N <= 2.  On random two-branch states,
 which have no closed form, the general form must match both oracles to
-1e-5 relative, at N up to 1000.
+1e-5 relative, at N up to 1000, and on sampled drives as coarse as three
+samples.
 """
 
 import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +143,25 @@ def test_general_form_matches_both_oracles_on_random_branch_states(
     assert abs(variance - general) <= ORACLE_RTOL * scale
     fidelity = qfi_fidelity_numeric(state, params, profile, tau)
     assert abs(fidelity - general) <= ORACLE_RTOL * scale
+
+
+@pytest.mark.parametrize("rotation_rate", [0.0, 0.3])
+@pytest.mark.parametrize("samples", [3, 5, 9, 17, 33])
+def test_general_form_matches_both_oracles_on_coarse_sampled_grids(samples, rotation_rate):
+    # Omega enters a sampled drive's eta and Phi in closed form, as it enters
+    # C1, so the routes describe one evolution on any grid, not only on one
+    # that resolves e^{iwt}: sin(pi t / T0) over one trap period T0, on a
+    # random two-level state.
+    tau = 2.0 * math.pi
+    t = np.linspace(0.0, tau, samples)
+    profile = DrivingProfile.sampled(t, np.sin(math.pi * t / tau), normalization="rescale")
+    rng = np.random.default_rng(0)
+    up, down = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    state = GhzProductState(up / np.linalg.norm(up), down / np.linalg.norm(down), 1)
+    params = PhysicalParams(rotation_rate=rotation_rate)
+    coeffs = coefficients(params, profile, tau)
+    corr = correlations_generic(state, coeffs.c1)
+    general = qfi_general(corr, 1, derive_constants(params), coeffs).qfi
+    scale = max(1.0, abs(general))
+    assert abs(qfi_variance_numeric(state, params, profile, tau) - general) <= ORACLE_RTOL * scale
+    assert abs(qfi_fidelity_numeric(state, params, profile, tau) - general) <= ORACLE_RTOL * scale

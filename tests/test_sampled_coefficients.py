@@ -1,5 +1,6 @@
 """Coefficients of sampled profiles: the Simpson kernels, which must return
-scipy.integrate's bits, and the per-profile memo of coefficient sets."""
+scipy.integrate's bits, the one sample pass per evaluation, and the
+per-profile memo of coefficient sets."""
 
 import dataclasses
 import itertools
@@ -193,21 +194,59 @@ def test_sampled_coefficients_equal_scipy_reference_bit_for_bit(
     _assert_same_bits(got, want)
 
 
+class _ModelNumpy:
+    """numpy as `model` sees it, except that `empty` hands out NaN, as a
+    reused heap block holds stale values, and that cos and sin count the
+    full-grid rows they evaluate."""
+
+    def __init__(self, size):
+        self.size = size
+        self.trig_rows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        return np.full(shape, np.nan, *args, **kwargs)
+
+    def _trig(self, fn, x, *args, **kwargs):
+        self.trig_rows += np.size(x) == self.size
+        return fn(x, *args, **kwargs)
+
+    def cos(self, x, *args, **kwargs):
+        return self._trig(np.cos, x, *args, **kwargs)
+
+    def sin(self, x, *args, **kwargs):
+        return self._trig(np.sin, x, *args, **kwargs)
+
+
 @pytest.mark.parametrize("samples", [2, 3, 400, 20001])
-def test_spins_keep_their_bits_whichever_fills_the_work_block_first(samples):
+def test_sample_pass_reads_no_stale_row(monkeypatch, samples):
     params = PhysicalParams(ring_radius=1.5, rotation_rate=0.2)
-    profile = _profile(samples)
-    want = coefficients(params, profile, TAU)
-    for order in ((+1, -1), (-1, +1)):
-        work = model._sampled_work(params, profile)
-        work[2:] = np.nan  # stale rows, as an earlier pass leaves them
-        for spin in order:
-            eta, phi = model._eta_phi_sampled(params, profile, spin, work)
-            assert _bits([eta.real, eta.imag, phi]) == _bits(
-                [want.eta(spin).real, want.eta(spin).imag, want.phi(spin)]
-            )
-            # The drive row holds drive_amplitude's bits.
-            assert _bits(work[2]) == _bits(model.drive_amplitude(params, profile.values, spin))
+    want = coefficients(params, _profile(samples), TAU)
+    monkeypatch.setattr(model, "np", _ModelNumpy(samples))
+    _assert_same_bits(coefficients(params, _profile(samples), TAU), want)
+
+
+@pytest.mark.parametrize("rotation_rate", [0.0, -0.0, 0.1, -0.3])
+def test_each_miss_makes_one_sample_pass(monkeypatch, rotation_rate):
+    """One pass serves C2 and both spins at any Omega, and its only
+    full-grid trig rows are cos(wt) and sin(wt)."""
+    passes = []
+    real = model._sampled_work
+    monkeypatch.setattr(
+        model, "_sampled_work", lambda *args, **kw: passes.append(args) or real(*args, **kw)
+    )
+    counted = _ModelNumpy(401)
+    monkeypatch.setattr(model, "np", counted)
+    profile = _profile(401)
+    for params in (PhysicalParams(rotation_rate=rotation_rate),
+                   PhysicalParams(ring_radius=1.5, rotation_rate=rotation_rate)):
+        passes.clear()
+        counted.trig_rows = 0
+        coefficients(params, profile, TAU)
+        coefficients(params, profile, TAU)
+        assert len(passes) == 1 and counted.trig_rows == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,13 +259,13 @@ def test_spins_keep_their_bits_whichever_fills_the_work_block_first(samples):
 )
 @example(samples=2, seed=0, tau=TAU, ring_radius=0.0, rotation_rate=0.0)
 @example(samples=3, seed=1, tau=TAU, ring_radius=1.5, rotation_rate=-0.0)
-def test_zero_rotation_down_branch_has_the_two_pass_bits(
+def test_zero_rotation_down_branch_mirrors_the_up_branch_bit_for_bit(
     samples, seed, tau, ring_radius, rotation_rate
 ):
-    # At Omega = +-0 the down branch is read off the up branch's pass unless
-    # a zero could carry another sign; either way its eta and Phi have the
-    # bits of its own pass, signed zeros included.  The drawn samples hold
-    # signed zeros, and at ring radius 0 every eta is zero.
+    # At Omega = +-0 the down branch's drive is exactly -f, so its eta is
+    # -eta_up and its Phi is Phi_up, bit for bit, signed zeros included.
+    # The drawn samples hold signed zeros, and at ring radius 0 every eta is
+    # zero.
     values = _drawn_samples(np.random.default_rng(seed), samples)
     if _simpson(values, dx=tau / (samples - 1)) < 0:
         values = -values
@@ -238,23 +277,9 @@ def test_zero_rotation_down_branch_has_the_two_pass_bits(
         assume(False)
     params = PhysicalParams(ring_radius=ring_radius, rotation_rate=rotation_rate)
     got = coefficients(params, profile, tau)
-    work = model._sampled_work(params, profile)
-    for spin in (+1, -1):
-        eta, phi = model._eta_phi_sampled(params, profile, spin, work)
-        assert _bits([got.eta(spin).real, got.eta(spin).imag, got.phi(spin)]) == _bits(
-            [eta.real, eta.imag, phi]
-        )
-
-
-@pytest.mark.parametrize("rotation_rate, passes", [(0.0, 1), (-0.0, 1), (0.1, 2)])
-def test_zero_rotation_makes_one_eta_phi_pass(monkeypatch, rotation_rate, passes):
-    spins = []
-    real = model._eta_phi_sampled
-    monkeypatch.setattr(
-        model, "_eta_phi_sampled", lambda *args: spins.append(args[2]) or real(*args)
+    assert _bits([got.eta_down.real, got.eta_down.imag, got.phi_down]) == _bits(
+        [-got.eta_up.real, -got.eta_up.imag, got.phi_up]
     )
-    coefficients(PhysicalParams(rotation_rate=rotation_rate), _profile(), TAU)
-    assert spins == [+1, -1][:passes]
 
 
 def _count_passes(monkeypatch) -> list:

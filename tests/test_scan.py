@@ -591,7 +591,7 @@ def test_nan_difference_fails_its_cross_check(monkeypatch):
 
 def _count_eta_phi_passes(monkeypatch) -> list:
     calls = []
-    for name in ("_eta_phi_segments", "_eta_phi_sampled"):
+    for name in ("_eta_phi_segments", "_sampled_work"):
         real = getattr(model, name)
 
         def counted(*args, _real=real, **kwargs):
