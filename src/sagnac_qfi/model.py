@@ -87,6 +87,7 @@ class PhysicalParams:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
         if self.mass <= 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.hbar <= 0:
@@ -575,15 +576,6 @@ def _c2_integral(params: PhysicalParams, profile: DrivingProfile, tau: float) ->
     return total
 
 
-def _memo_key(params: PhysicalParams, tau: float) -> bytes | None:
-    """The exact bits of every float `coefficients` reads, so 0.0 and -0.0
-    are distinct keys; None (no memo) if one of them is not a float."""
-    values = (*vars(params).values(), tau)
-    if not all(isinstance(v, float) for v in values):
-        return None
-    return struct.pack(f"<{len(values)}d", *values)
-
-
 def coefficients(
     params: PhysicalParams, profile: DrivingProfile, tau: float
 ) -> CoefficientSet:
@@ -596,9 +588,10 @@ def coefficients(
     COEFFICIENT_MEMO_SIZE distinct pairs.  The profile must be normalized to
     int omega_p dt = pi over tau.
     """
-    key = _memo_key(params, tau)
-    if key is None:
-        return _coefficients(params, profile, tau)
+    _check_tau(profile, tau)
+    tau = float(tau)
+    # The exact bits of every float read, so 0.0 and -0.0 are distinct keys.
+    key = struct.pack("<6d", *vars(params).values(), tau)
     memo = profile._coefficient_memo
     coeffs = memo.get(key)
     if coeffs is None:

@@ -18,7 +18,8 @@ closed forms.
 `oracle-check` runs `oracle.identity_suite` on the configured parameters.
 `format_result` renders any of these results as CSV or JSON,
 byte-deterministically at a fixed BLAS thread count: fixed column order,
-shortest round-trip floats, no timestamps.
+shortest round-trip floats, no timestamps.  JSON is `json.dumps(indent=2,
+sort_keys=True)` text, with scan rows and oracle identities from one template.
 """
 
 from __future__ import annotations
@@ -119,11 +120,6 @@ class ScanConfig:
     def resolve_tau(self) -> tuple[float, float]:
         """(tau, omega_p) from the profile block; either may be derived from
         the other through omega_p * tau = pi."""
-        if self["profile.kind"] != "constant":
-            raise ConfigError(
-                f"CLI supports profile.kind = constant only, got "
-                f"{self['profile.kind']!r} (use the library API for other kinds)"
-            )
         tau = self["profile.tau"]
         omega_p = self["profile.omega_p"]
         if tau <= 0.0 and omega_p <= 0.0:
@@ -197,8 +193,15 @@ def load_config(path: str | None = None, overrides=()) -> ScanConfig:
             f"sweep.variable must be one of {SWEEP_VARIABLES}, "
             f"got {values['sweep.variable']!r}"
         )
-    if values["state.n"] < 0:
-        raise ConfigError(f"state.n must be nonnegative, got {values['state.n']}")
+    if values["profile.kind"] != "constant":
+        raise ConfigError(
+            f"CLI supports profile.kind = constant only, got "
+            f"{values['profile.kind']!r} (use the library API for other kinds)"
+        )
+    # 0 is "auto" for state.truncation, and "derive it" for tau and omega_p.
+    for key in ("state.n", "state.truncation", "profile.tau", "profile.omega_p"):
+        if values[key] < 0:
+            raise ConfigError(f"{key} must be nonnegative, got {values[key]}")
     if values["n_particles"] < 1:
         raise ConfigError(f"n_particles must be positive, got {values['n_particles']}")
     return ScanConfig(values=values)
@@ -693,77 +696,63 @@ def result_to_json(result: dict, cfg: ScanConfig) -> str:
     return _dumps(payload)
 
 
-_quote = json.encoder.encode_basestring_ascii
+_encoder = json.JSONEncoder(indent=2, sort_keys=True)
 
 
-def _dumps(payload: dict) -> str:
-    """The bytes of `json.dumps(payload, indent=2, sort_keys=True) + "\n"`
-    for a payload whose dict keys are strings, and TypeError where json.dumps
-    raises it (numpy integers and bools, for instance)."""
-    return _json(payload, "\n") + "\n"
+def _encoded(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` with its first line at
+    indentation `pad` ("\n" and two spaces per level).  json.dumps escapes
+    every newline inside a string, so each "\n" of its text breaks a line."""
+    return _encoder.encode(value).replace("\n", pad)
 
 
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
+def _dumps(payload) -> str:
+    """`json.dumps(payload, indent=2, sort_keys=True) + "\n"`, and TypeError
+    where json.dumps raises it (numpy integers and bools, for instance).  A
+    dict with string keys that holds lists of records (scan rows, oracle
+    identities) is written value by value, those lists through the template
+    of `_json_records`, and joined once: no intermediate copy is made."""
+    tables = {}
+    if isinstance(payload, dict) and all(isinstance(key, str) for key in payload):
+        tables = {key: _json_records(value, "\n    ") for key, value in payload.items()}
+    if not any(tables.values()):
+        return _encoded(payload) + "\n"
+    parts = []
+    for key in sorted(payload):
+        parts += (",\n  " if parts else "{\n  ", _encoded(key), ": ")
+        if tables[key] is None:
+            parts.append(_encoded(payload[key], "\n  "))
+            continue
+        for index, item in enumerate(tables[key]):
+            parts += (",\n    " if index else "[\n    ", item)
+        parts.append("\n  ]")
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
-def _json(value, pad: str) -> str:
-    """One JSON value whose first line sits at indentation `pad` ("\n" and
-    two spaces per level), in the type order of the json module's encoder."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if type(value[0]) is dict and value[0]:
-            items = _json_records(value, inner)
-        else:
-            items = [_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_quote(key) + ": " + _json(value[key], inner) for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_records(records, pad: str) -> list[str]:
-    """The items of a list of dicts at indentation `pad`.  When every dict has
-    the first one's keys, they are filled into one template column by column,
-    and a column of finite floats (a scan column) straight from
-    float.__repr__."""
+def _json_records(records, pad: str) -> list[str] | None:
+    """The items of a list of dicts at indentation `pad` when every dict has
+    the first one's string keys, filled into one template column by column:
+    a column of finite floats (a scan column) straight from float.__repr__,
+    any other through `_encoded`.  None for any other value."""
+    if not (isinstance(records, (list, tuple)) and records and type(records[0]) is dict):
+        return None
     shape = records[0].keys()
-    if not all(type(record) is dict and record.keys() == shape for record in records):
-        return [_json(record, pad) for record in records]
-    keys = sorted(records[0])
+    if not shape or not all(isinstance(key, str) for key in shape) or not all(
+        type(record) is dict and record.keys() == shape for record in records
+    ):
+        return None
+    keys = sorted(shape)
     field = pad + "  "
     template = "{" + ",".join(
-        field + _quote(key).replace("%", "%%") + ": %s" for key in keys
+        field + _encoded(key).replace("%", "%%") + ": %s" for key in keys
     ) + pad + "}"
     columns = []
     for key in keys:
         column = list(map(itemgetter(key), records))
         texts = _float_texts(column)
         if texts is None or not all(map(math.isfinite, column)):
-            texts = [_json(value, field) for value in column]
+            texts = [_encoded(value, field) for value in column]
         columns.append(texts)
     return list(map(template.__mod__, zip(*columns)))
 

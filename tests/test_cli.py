@@ -120,6 +120,25 @@ def test_bad_state_kind_exits_2(capsys):
     assert main(["qfi", *TAU, "--set", "state.kind=thermal"]) == 2
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["oracle-check", "--set", "oracle.n_max=1", "--set", "profile.kind=banana"], "profile.kind"),
+    (["scan-tau", "--set", "sweep.variable=tau", "--set", "sweep.scale=linear",
+      "--set", "sweep.start=1", "--set", "sweep.stop=2", "--set", "profile.kind=banana"],
+     "profile.kind"),
+    (["qfi", "--set", "profile.tau=-1", "--set", "profile.omega_p=2", "--set", "n_particles=1"],
+     "profile.tau"),
+    (["scan-n", "--set", "profile.omega_p=-2", *TAU], "profile.omega_p"),
+    (["qfi", *TAU, "--set", "state.kind=product", "--set", "state.truncation=-4"],
+     "state.truncation"),
+    (["oracle-check", "--set", "oracle.n_max=1", "--set", "profile.tau=-5"], "profile.tau"),
+], ids=["oracle-check-kind", "scan-tau-kind", "negative-tau", "negative-omega_p",
+        "product-truncation", "oracle-check-tau"])
+def test_values_the_run_would_ignore_exit_2(argv, key, capsys):
+    """Refused at load, although the run would ignore them or derive over them."""
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_oracle_check_passes(tmp_path):
     out = tmp_path / "report.json"
     code = main(

@@ -81,6 +81,17 @@ def test_non_finite_parameters_rejected(field, value):
         PhysicalParams(**{field: value})
 
 
+def test_float32_radius_gives_python_float_constants():
+    """PhysicalParams stores floats, so a float32 radius derives the
+    constants of its float value in double precision."""
+    params = PhysicalParams(ring_radius=np.float32(1.3))
+    assert type(params.ring_radius) is float
+    got = dataclasses.astuple(derive_constants(params))
+    want = dataclasses.astuple(derive_constants(PhysicalParams(ring_radius=float(np.float32(1.3)))))
+    assert all(type(value) is float for value in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_ring_radius_zero_allowed_negative_rejected():
     # r = 0 is a degenerate but well-defined trap (no Sagnac response).
     assert derive_constants(PhysicalParams(ring_radius=0.0)).t_s == 0.0

@@ -357,13 +357,27 @@ def test_replaced_and_rebuilt_profiles_start_empty():
     assert _profile()._coefficient_memo == {}
 
 
-def test_non_float_inputs_bypass_the_memo(monkeypatch):
+@pytest.mark.parametrize("build", [_profile, lambda: DrivingProfile.constant_for(TAU)],
+                         ids=["sampled", "piecewise"])
+def test_int_and_float32_inputs_hit_the_memo(monkeypatch, build):
+    """PhysicalParams stores floats and `coefficients` keys on float(tau), so
+    ints and float32s of the same values share the floats' entry."""
     passes = _count_passes(monkeypatch)
-    profile = _profile()
-    params = PhysicalParams(ring_radius=2)
-    assert coefficients(params, profile, TAU) == coefficients(params, profile, TAU)
-    assert len(passes) == 2
-    assert profile._coefficient_memo == {}
+    profile = build()
+    first = coefficients(PhysicalParams(ring_radius=2.0), profile, TAU)
+    same = [
+        (PhysicalParams(mass=1, hbar=1, trap_frequency=1, ring_radius=2), TAU),
+        (PhysicalParams(ring_radius=np.float32(2.0), rotation_rate=np.float32(0)), np.float32(TAU)),
+    ]
+    for params, tau in same:
+        assert coefficients(params, profile, tau) is first
+    assert len(passes) == 1
+    assert len(profile._coefficient_memo) == 1
+
+
+def test_a_non_real_tau_raises_type_error():
+    with pytest.raises(TypeError):
+        coefficients(PhysicalParams(), _profile(), complex(TAU))
 
 
 def test_piecewise_profiles_use_the_memo(monkeypatch):
